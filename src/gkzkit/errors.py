@@ -67,6 +67,12 @@ class DegenerateColumn(PreconditionError):
     code = "degenerate_column"
 
 
+class ColumnIndexOutOfRange(PreconditionError):
+    """A 1-based column index outside 1..n."""
+
+    code = "column_index_out_of_range"
+
+
 class SearchBoundError(GkzError):
     code = "search_bound"
 

@@ -1,13 +1,21 @@
 """Multivariate polynomials over Q with exact Groebner machinery.
 
 Monomials are plain exponent tuples; polynomials are mappings from monomial
-to nonzero Fraction.  Buchberger with the coprime-leading-term criterion is
-fast enough for the handful-of-variables ideals this library works with.
+to nonzero Fraction.  Buchberger keeps the leading term of each basis element
+next to it, selects S-pairs from a heap by the smallest lcm of leading
+monomials (normal selection) and prunes them with the Gebauer-Moller
+criteria.  Quotients of a homogeneous ideal by a monomial come from
+weighted-revlex bases with one variable last, with no elimination variable;
+saturation, which must also handle ideals with no positive grading, still
+eliminates one.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import chain, count
+from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ParseError
@@ -37,6 +45,26 @@ def lex() -> TermOrder:
 
 def deglex() -> TermOrder:
     return TermOrder("deglex", lambda u: (sum(u), u))
+
+
+def weighted_revlex(weights: Sequence[int], last: int) -> TermOrder:
+    """Order by weight w.u, ties broken by revlex with variable `last` last.
+
+    Within one weight, the monomial with the smaller exponent of x_last is the
+    larger, so x_last divides a w-homogeneous polynomial whenever it divides
+    its leading monomial.
+    """
+    weights = tuple(weights)
+    rest = [k for k in reversed(range(len(weights))) if k != last]
+
+    def key(u: Monomial):
+        return (
+            sum(w * x for w, x in zip(weights, u)),
+            -u[last],
+            tuple(-u[k] for k in rest),
+        )
+
+    return TermOrder(f"wrevlex{last}", key)
 
 
 _ORDERS = {"degrevlex": degrevlex, "lex": lex, "deglex": deglex}
@@ -71,7 +99,8 @@ class Polynomial:
         clean: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c != 0:
                     clean[tuple(m)] = c
         self.terms = clean
@@ -119,13 +148,6 @@ class Polynomial:
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
-
-    def mul_term(self, expo: Monomial, coeff) -> "Polynomial":
-        coeff = Fraction(coeff)
-        return Polynomial(
-            self.nvars,
-            {monomial_mul(m, expo): coeff * v for m, v in self.terms.items()},
-        )
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
@@ -176,26 +198,36 @@ class Polynomial:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
-    """Remainder of p under full division by basis (every term reduced)."""
+def normal_form(
+    p: Polynomial,
+    basis: Sequence[Polynomial],
+    order: TermOrder,
+    leads: Optional[Sequence[tuple[Monomial, Fraction]]] = None,
+) -> Polynomial:
+    """Remainder of p under full division by basis (every term reduced).
+
+    `leads`, when given, holds the leading (monomial, coefficient) of each
+    basis element, so that a caller that keeps them need not recompute them.
+    """
     if not basis:
         return p
-    leads = [g.leading(order) for g in basis]
+    if leads is None:
+        leads = [g.leading(order) for g in basis]
     remainder: dict[Monomial, Fraction] = {}
     work = dict(p.terms)
     while work:
@@ -206,13 +238,14 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) ->
             continue
         for g, (lm, lc) in zip(basis, leads):
             if monomial_divides(lm, m):
+                # The leading term cancels exactly; only the others move.
                 q = monomial_div(m, lm)
-                f = c / lc
+                f = c if lc == 1 else c / lc
+                del work[m]
                 for gm, gc in g.terms.items():
-                    key = monomial_mul(gm, q)
-                    work[key] = work.get(key, Fraction(0)) - f * gc
-                if work.get(m) == 0:
-                    del work[m]
+                    if gm != lm:
+                        key = monomial_mul(gm, q)
+                        work[key] = work.get(key, Fraction(0)) - f * gc
                 break
         else:
             remainder[m] = c
@@ -220,58 +253,105 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial], order: TermOrder) ->
     return Polynomial(p.nvars, remainder)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    fm, fc = f.leading(order)
-    gm, gc = g.leading(order)
+def s_polynomial(
+    f: Polynomial,
+    g: Polynomial,
+    order: TermOrder,
+    leads: Optional[tuple[tuple[Monomial, Fraction], tuple[Monomial, Fraction]]] = None,
+) -> Polynomial:
+    """lcm/lt(f) * f - lcm/lt(g) * g; `leads` may hold the two leading terms."""
+    (fm, fc), (gm, gc) = leads or (f.leading(order), g.leading(order))
     l = monomial_lcm(fm, gm)
-    return f.mul_term(monomial_div(l, fm), Fraction(1) / fc) - g.mul_term(
-        monomial_div(l, gm), Fraction(1) / gc
-    )
+    qf, qg = monomial_div(l, fm), monomial_div(l, gm)
+    # The leading terms cancel exactly, so they are left out.
+    out = {monomial_mul(m, qf): c / fc for m, c in f.terms.items() if m != fm}
+    for m, c in g.terms.items():
+        if m != gm:
+            key = monomial_mul(m, qg)
+            out[key] = out.get(key, Fraction(0)) - c / gc
+    return Polynomial(f.nvars, out)
 
 
 def buchberger(gens: Iterable[Polynomial], order: TermOrder) -> list[Polynomial]:
-    basis = [g for g in gens if not g.is_zero()]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    """A Groebner basis of gens (not reduced), by Buchberger's algorithm.
+
+    Leading terms are computed once per basis element.  Pending pairs sit in
+    a heap keyed by the order key of the lcm of their leading monomials
+    (normal selection), ties going to the pair queued first.  Each new
+    element prunes the pairs with the Gebauer-Moller criteria (Gebauer and
+    Moller 1988; Becker and Weispfenning, UPDATE): coprime leading monomials,
+    and lcms made redundant by a chain through another element.
+    """
+    basis: list[Polynomial] = []
+    leads: list[tuple[Monomial, Fraction]] = []
+    active: list[int] = []  # elements no later leading monomial divides
+    pairs: list = []  # heap of (order key of lcm, sequence number, lcm, i, j)
+    queued = count()
+
+    def insert(h: Polynomial) -> None:
+        nonlocal pairs, active
+        t = len(basis)
+        basis.append(h)
+        leads.append(h.leading(order))
+        mt = leads[t][0]
+        lcms = [(monomial_lcm(leads[i][0], mt), i) for i in active]
+        # Keep (i, t) unless the lcm of a later new pair, or of one kept
+        # already, divides its lcm; keep coprime pairs so they can prune.
+        kept = []
+        for k, (l, i) in enumerate(lcms):
+            if l == monomial_mul(leads[i][0], mt) or not any(
+                monomial_divides(l2, l) for l2, _ in chain(lcms[k + 1 :], kept)
+            ):
+                kept.append((l, i))
+        # Drop an old pair whose lcm mt divides strictly through both ends.
+        old = [
+            p
+            for p in pairs
+            if not monomial_divides(mt, p[2])
+            or monomial_lcm(leads[p[3]][0], mt) == p[2]
+            or monomial_lcm(leads[p[4]][0], mt) == p[2]
+        ]
+        if len(old) < len(pairs):
+            heapq.heapify(old)
+            pairs = old
+        for l, i in kept:
+            if l != monomial_mul(leads[i][0], mt):
+                heapq.heappush(pairs, (order.key(l), next(queued), l, i, t))
+        active = [i for i in active if not monomial_divides(mt, leads[i][0])]
+        active.append(t)
+
+    for g in gens:
+        if not g.is_zero():
+            insert(g)
     while pairs:
-        # Normal selection: smallest lcm of leading monomials first.
-        pairs.sort(
-            key=lambda ij: order.key(
-                monomial_lcm(
-                    basis[ij[0]].leading(order)[0], basis[ij[1]].leading(order)[0]
-                )
-            )
-        )
-        i, j = pairs.pop(0)
-        fm = basis[i].leading(order)[0]
-        gm = basis[j].leading(order)[0]
-        if monomial_lcm(fm, gm) == monomial_mul(fm, gm):
-            continue  # coprime leading terms
-        s = normal_form(s_polynomial(basis[i], basis[j], order), basis, order)
-        if s.is_zero():
-            continue
-        basis.append(s)
-        pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+        _, _, _, i, j = heapq.heappop(pairs)
+        s = s_polynomial(basis[i], basis[j], order, (leads[i], leads[j]))
+        s = normal_form(s, basis, order, leads)
+        if not s.is_zero():
+            insert(s)
     return basis
 
 
 def reduce_basis(basis: Sequence[Polynomial], order: TermOrder) -> list[Polynomial]:
     """Minimal, interreduced, monic basis sorted by leading monomial."""
-    basis = [g.monic(order) for g in basis if not g.is_zero()]
-    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
-    minimal: list[Polynomial] = []
+    leading = []
     for g in basis:
-        lm = g.leading(order)[0]
-        if any(monomial_divides(h.leading(order)[0], lm) for h in minimal):
-            continue
-        minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others, order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return reduced
+        if not g.is_zero():
+            lm, lc = g.leading(order)
+            leading.append((order.key(lm), lm, g.scale(Fraction(1) / lc)))
+    leading.sort(key=lambda t: t[0])
+    minimal: list[tuple[Monomial, Polynomial]] = []
+    for _, lm, g in leading:
+        if not any(monomial_divides(h, lm) for h, _ in minimal):
+            minimal.append((lm, g))
+    # No other leading monomial divides lm, so each remainder keeps lm with
+    # coefficient 1 and the list stays sorted.
+    polys = [g for _, g in minimal]
+    leads = [(lm, Fraction(1)) for lm, _ in minimal]
+    return [
+        normal_form(g, polys[:i] + polys[i + 1 :], order, leads[:i] + leads[i + 1 :])
+        for i, g in enumerate(polys)
+    ]
 
 
 def groebner_basis(gens: Iterable[Polynomial], order: TermOrder) -> list[Polynomial]:
@@ -306,44 +386,39 @@ def _drop_front_var(p: Polynomial) -> Polynomial:
     return Polynomial(p.nvars - 1, {m[1:]: c for m, c in p.terms.items()})
 
 
-def intersect_with_principal(
-    gens: Sequence[Polynomial], g: Polynomial, order: TermOrder
-) -> list[Polynomial]:
-    """Generators of (gens) intersect (g), via t*J + (1-t)*g and elimination of t."""
-    nvars = g.nvars
-    t = Polynomial.monomial((1,) + (0,) * nvars)
-    one = Polynomial.one(nvars + 1)
-    lifted = [_shift_vars(f, 1) * t for f in gens]
-    lifted.append((one - t) * _shift_vars(g, 1))
-    elim = elimination_order(1, nvars + 1)
-    gb = groebner_basis(lifted, elim)
-    kept = [_drop_front_var(p) for p in gb if all(m[0] == 0 for m in p.terms)]
-    return groebner_basis(kept, order) if kept else []
-
-
-def divide_exact(p: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
-    """q with p = q*g; raises if g does not divide p."""
-    q: dict[Monomial, Fraction] = {}
-    rest = p
-    gm, gc = g.leading(order)
-    while not rest.is_zero():
-        m, c = rest.leading(order)
-        if not monomial_divides(gm, m):
-            raise ArithmeticError("division is not exact")
-        mono = monomial_div(m, gm)
-        coeff = c / gc
-        q[mono] = coeff
-        rest = rest - g.mul_term(mono, coeff)
-    return Polynomial(p.nvars, q)
-
-
 def ideal_quotient(
-    gens: Sequence[Polynomial], g: Polynomial, order: TermOrder
+    gens: Sequence[Polynomial],
+    u: Monomial,
+    weights: Sequence[int],
+    order: TermOrder,
 ) -> list[Polynomial]:
-    """Generators (reduced GB) of (gens : g)."""
-    inter = intersect_with_principal(gens, g, order)
-    quotients = [divide_exact(p, g, order) for p in inter]
-    return groebner_basis(quotients, order) if quotients else []
+    """Reduced GB (in `order`) of (gens : x^u), for gens homogeneous in `weights`.
+
+    Every weight must be a positive integer.  For such an ideal I, the reduced
+    basis of I in `weighted_revlex(weights, i)` has x_i dividing an element
+    exactly when it divides its leading monomial, so dividing x_i out of those
+    elements gives a basis of I : x_i (Bayer-Stillman; Sturmfels, Groebner
+    Bases and Convex Polytopes, Lemma 12.1).  This is repeated u_i times for
+    each variable, or until I : x_i = I.
+    """
+    current = list(gens)
+    for i, e in enumerate(u):
+        for _ in range(e):
+            basis = groebner_basis(current, weighted_revlex(weights, i))
+            divisible = [all(m[i] for m in g.terms) for g in basis]
+            if not any(divisible):
+                break
+            current = [
+                _divide_variable(g, i) if d else g for g, d in zip(basis, divisible)
+            ]
+    return groebner_basis(current, order)
+
+
+def _divide_variable(p: Polynomial, var: int) -> Polynomial:
+    return Polynomial(
+        p.nvars,
+        {m[:var] + (m[var] - 1,) + m[var + 1 :]: c for m, c in p.terms.items()},
+    )
 
 
 def saturate_variable(

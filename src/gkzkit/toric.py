@@ -4,7 +4,11 @@ The grading is deg(d_j) = a_j (column j of the defining matrix).  The
 quasi-degree routine builds a prime filtration of R/(I_A + <d_j>) by
 repeatedly splitting off a face-prime quotient; only the union of the
 resulting degree sets is contractual, the component list itself is one
-valid filtration.
+valid filtration.  Every ideal the filtration meets is homogeneous for the
+positive grading w_i = phi . a_i (phi from `positive_functional`), so each
+quotient by a monomial d^u is read off weighted-revlex Groebner bases with
+one variable last (`polynomials.ideal_quotient`); this is why every column
+must be nonzero.
 """
 
 from __future__ import annotations
@@ -15,7 +19,12 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .cones import Face, face_lattice, positive_functional, semigroup_contains
-from .errors import DegenerateColumn, FiltrationBoundExceeded, NotPointed
+from .errors import (
+    ColumnIndexOutOfRange,
+    DegenerateColumn,
+    FiltrationBoundExceeded,
+    NotPointed,
+)
 from .intlinalg import IntMatrix, lattice_kernel, vec_sub
 from .polynomials import (
     Polynomial,
@@ -85,8 +94,14 @@ def toric_normal_form(p: Polynomial, ideal: ToricIdeal) -> Polynomial:
     return normal_form(p, ideal.generators, ideal.order())
 
 
+def _check_column_index(a: IntMatrix, j: int) -> None:
+    if not 1 <= j <= a.n:
+        raise ColumnIndexOutOfRange(f"column index {j} is not in 1..{a.n}")
+
+
 def true_degree_contains(a: IntMatrix, j: int, u: Sequence[int]) -> bool:
     """Whether u is a true degree of S_A / <d_j> (j is 1-based)."""
+    _check_column_index(a, j)
     if not face_lattice(a).pointed:
         raise NotPointed("true-degree test requires a pointed semigroup")
     col = a.column(j - 1)
@@ -166,11 +181,14 @@ def quasi_degrees(
     bound: int = DEFAULT_FILTRATION_BOUND,
 ) -> QuasiDegreeSet:
     """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based)."""
+    _check_column_index(a, j)
     if not face_lattice(a).pointed:
         raise NotPointed("quasi-degree decomposition requires a pointed semigroup")
-    col = a.column(j - 1)
-    if all(x == 0 for x in col):
-        raise DegenerateColumn(f"column {j} is zero")
+    # Every weight phi.a_k must be positive: a zero column would make the
+    # monomial scan below endless and the quotient order ill-founded.
+    for k in range(1, a.n + 1):
+        if all(x == 0 for x in a.column(k - 1)):
+            raise DegenerateColumn(f"column {k} is zero")
     order = order_by_name(order_name)
     phi = positive_functional(a)
     weights = [
@@ -190,7 +208,7 @@ def quasi_degrees(
             mono = Polynomial.monomial(u)
             if normal_form(mono, current, order).is_zero():
                 continue  # already in the ideal
-            quotient = ideal_quotient(current, mono, order)
+            quotient = ideal_quotient(current, u, weights, order)
             for face, gb in primes:
                 if tuple(quotient) == gb:
                     step = (u, face)

@@ -1,0 +1,105 @@
+"""Differential tests of the Groebner engine.
+
+`ideal_quotient` divides variables out of weighted-revlex bases; it is checked
+against the elimination route in `quotient_oracle`.  Heap-driven `buchberger`
+output is checked against Buchberger's criterion in several orders.
+"""
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quotient_oracle import ideal_quotient_by_elimination
+
+from gkzkit import IntMatrix
+from gkzkit.cones import positive_functional
+from gkzkit.polynomials import (
+    Polynomial,
+    buchberger,
+    degrevlex,
+    elimination_order,
+    groebner_basis,
+    ideal_quotient,
+    lex,
+    normal_form,
+    passes_buchberger_criterion,
+    weighted_revlex,
+)
+from gkzkit.toric import toric_ideal
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def pointed_matrices(draw):
+    """2 x n matrices with first row in 1..2, so phi = (1, 0) is positive."""
+    n = draw(st.integers(2, 4))
+    cols = [(draw(st.integers(1, 2)), draw(st.integers(-2, 2))) for _ in range(n)]
+    return IntMatrix.from_rows([[c[0] for c in cols], [c[1] for c in cols]])
+
+
+def exponents(n, top=2):
+    return st.tuples(*[st.integers(0, top)] * n)
+
+
+@st.composite
+def monomial_quotient_cases(draw):
+    a = draw(pointed_matrices())
+    n = a.n
+    phi = positive_functional(a)
+    weights = [sum(p * c for p, c in zip(phi, a.column(i))) for i in range(n)]
+    extra = draw(st.lists(exponents(n), max_size=2))
+    gens = list(toric_ideal(a).generators)
+    gens += [Polynomial.monomial(m) for m in extra if any(m)]
+    u = draw(exponents(n).filter(lambda m: 0 < sum(m) <= 3))
+    order = draw(st.sampled_from([degrevlex(), lex()]))
+    return gens, u, weights, order
+
+
+@SETTINGS
+@given(monomial_quotient_cases())
+def test_ideal_quotient_matches_elimination_oracle(case):
+    gens, u, weights, order = case
+    expected = ideal_quotient_by_elimination(gens, Polynomial.monomial(u), order)
+    assert ideal_quotient(gens, u, weights, order) == expected
+
+
+def polynomials(nvars):
+    terms = st.dictionaries(exponents(nvars), st.integers(-3, 3), min_size=1, max_size=3)
+    return terms.map(lambda t: Polynomial(nvars, t))
+
+
+ORDERS = {
+    "degrevlex": degrevlex(),
+    "lex": lex(),
+    "elimination": elimination_order(1, 3),
+    "weighted_revlex": weighted_revlex((2, 1, 3), 1),
+}
+
+
+@SETTINGS
+@given(
+    st.lists(polynomials(3), min_size=1, max_size=3),
+    st.sampled_from(sorted(ORDERS)),
+)
+def test_heap_buchberger_passes_criterion(gens, order_name):
+    order = ORDERS[order_name]
+    basis = buchberger(gens, order)
+    assert passes_buchberger_criterion(basis, order)
+    for g in gens:
+        assert normal_form(g, basis, order).is_zero()
+    reduced = groebner_basis(gens, order)
+    assert passes_buchberger_criterion(reduced, order)
+    assert groebner_basis(list(reversed(gens)), order) == reduced
+
+
+def test_weighted_revlex_puts_last_variable_last():
+    o = weighted_revlex((1, 2, 1), 0)
+    # higher weight wins; within a weight, less of x_0 wins
+    assert o.key((0, 1, 0)) > o.key((1, 0, 0))
+    assert o.key((0, 0, 2)) > o.key((1, 0, 1)) > o.key((2, 0, 0))

@@ -94,7 +94,7 @@ def test_ideal_quotient_monomials():
     gb = groebner_basis(
         [Polynomial(2, {(2, 0): 1}), Polynomial(2, {(1, 1): 1})], o
     )
-    q = ideal_quotient(gb, Polynomial.monomial((1, 0)), o)
+    q = ideal_quotient(gb, (1, 0), (1, 1), o)
     assert {tuple(g.terms) for g in q} == {((0, 1),), ((1, 0),)}
 
 

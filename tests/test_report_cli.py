@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -190,6 +194,29 @@ def test_cli_qdeg(capsys):
     out = json.loads(capsys.readouterr().out)
     offsets = sorted(tuple(c["offset"]) for c in out["components"])
     assert offsets == [(0,), (5,)]
+
+
+def test_cli_qdeg_zero_column_exits_3():
+    # A zero column used to send the filtration scan round weight 0 forever,
+    # so the command runs in a child process under a timeout.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzkit.cli", "qdeg", "--matrix", "1 0 2", "--j", "3"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr)["error"]["code"] == "degenerate_column"
+
+
+@pytest.mark.parametrize("j", ["0", "5"])
+def test_cli_qdeg_column_index_out_of_range_exits_3(capsys, j):
+    assert main(["qdeg", "--matrix", "1 1; 0 1", "--j", j]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "column_index_out_of_range"
 
 
 def test_cli_restrict(capsys):

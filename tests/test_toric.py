@@ -11,7 +11,7 @@ from gkzkit import (
     toric_normal_form,
     true_degree_contains,
 )
-from gkzkit.errors import DegenerateColumn, NotPointed
+from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed
 from gkzkit.polynomials import Polynomial, passes_buchberger_criterion
 from gkzkit.toric import a_degree
 
@@ -103,6 +103,14 @@ def test_qdeg_numerical_semigroup(numerical):
 def test_qdeg_rejects_zero_column():
     with pytest.raises(DegenerateColumn):
         quasi_degrees(parse_matrix("1 0; 0 0").transpose(), 2)
+
+
+@pytest.mark.parametrize("j", [0, -1, 4])
+def test_column_index_is_validated(staircase, j):
+    with pytest.raises(ColumnIndexOutOfRange):
+        quasi_degrees(staircase, j)
+    with pytest.raises(ColumnIndexOutOfRange):
+        true_degree_contains(staircase, j, (0, 0))
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
