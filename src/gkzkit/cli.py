@@ -13,17 +13,12 @@ import sys
 from fractions import Fraction
 
 from . import cones, family, report, resonance, toric, weyl
-from .errors import (
-    CertificateNotFound,
-    GkzError,
-    ParseError,
-    PreconditionError,
-    SearchBoundError,
-)
+from .errors import CertificateNotFound, GkzError, ParseError, SearchBoundError
 from .intlinalg import (
     IntMatrix,
     format_fraction,
     homogenize,
+    parse_integer_vector,
     parse_matrix,
     parse_rational_vector,
     smith_decompose,
@@ -32,12 +27,18 @@ from .intlinalg import (
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SEARCH = 4
+# First match wins; any other GkzError is a precondition violation.
+EXIT_CODES = ((ParseError, EXIT_PARSE), (SearchBoundError, EXIT_SEARCH))
 
 
 def _matrix_from_args(args) -> IntMatrix:
     if getattr(args, "matrix_file", None):
-        with open(args.matrix_file) as fh:
-            return parse_matrix(fh.read())
+        try:
+            with open(args.matrix_file) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read matrix file {args.matrix_file!r}: {exc}") from exc
+        return parse_matrix(text)
     if getattr(args, "matrix", None):
         return parse_matrix(args.matrix)
     raise ParseError("pass a matrix with -A <file> or --matrix \"r1; r2\"")
@@ -54,10 +55,6 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))
-
-
-def _vec(v):
-    return [format_fraction(Fraction(x)) for x in v]
 
 
 def cmd_analyze(args):
@@ -90,27 +87,16 @@ def cmd_homogenize(args):
 def cmd_faces(args):
     a = _matrix_from_args(args)
     lat = cones.face_lattice(a)
-    payload = {
-        "pointed": lat.pointed,
-        "proper_faces": [
-            {
-                "columns": list(f.sorted_columns()),
-                "certificate": _vec(f.certificate),
-                "dim": f.dim,
-            }
-            for f in lat.proper_faces
-        ],
-    }
+    payload = {"pointed": lat.pointed, "proper_faces": report.faces_json(lat.proper_faces)}
     lines = [f"pointed: {lat.pointed}"]
-    for f in lat.proper_faces:
-        lines.append(f"face {list(f.sorted_columns())} dim {f.dim}")
+    for f in payload["proper_faces"]:
+        lines.append(f"face {f['columns']} dim {f['dim']}")
     _emit(args, payload, "\n".join(lines) + "\n")
 
 
 def cmd_member(args):
     a = _matrix_from_args(args)
-    point = [int(x) for x in parse_rational_vector(args.point)]
-    witness = cones.semigroup_witness(a, point)
+    witness = cones.semigroup_witness(a, parse_integer_vector(args.point))
     payload = {"member": witness is not None}
     if witness is not None:
         payload["witness"] = list(witness)
@@ -125,63 +111,27 @@ def cmd_saturated(args):
 
 def cmd_toric_ideal(args):
     a = _matrix_from_args(args)
-    ideal = toric.toric_ideal(a, args.order)
-    names = [f"d{i+1}" for i in range(a.n)]
-    payload = {
-        "order": args.order,
-        "generators": [
-            {
-                "terms": [
-                    {"exponents": list(m), "coefficient": format_fraction(c)}
-                    for m, c in sorted(g.terms.items())
-                ],
-                "text": g.pretty(names),
-            }
-            for g in ideal.generators
-        ],
-    }
-    _emit(args, payload, "\n".join(g.pretty(names) for g in ideal.generators) + "\n")
+    gens = report.toric_generators_json(toric.toric_ideal(a, args.order))
+    payload = {"order": args.order, "generators": gens}
+    _emit(args, payload, "\n".join(g["text"] for g in gens) + "\n")
 
 
 def cmd_qdeg(args):
     a = _matrix_from_args(args)
-    qd = toric.quasi_degrees(a, args.j, args.order, args.bound_or_default(64))
-    payload = {
-        "j": args.j,
-        "components": [
-            {"offset": list(c.offset), "face_columns": list(c.face.sorted_columns())}
-            for c in qd.components
-        ],
-    }
-    lines = [
-        f"offset {list(c.offset)} + N * columns {list(c.face.sorted_columns())}"
-        for c in qd.components
-    ]
-    _emit(args, payload, "\n".join(lines) + "\n")
+    comps = report.qdeg_json(toric.quasi_degrees(a, args.j, args.order, args.bound))
+    lines = [f"offset {c['offset']} + N * columns {c['face_columns']}" for c in comps]
+    _emit(args, {"j": args.j, "components": comps}, "\n".join(lines) + "\n")
 
 
 def cmd_sres(args):
     a = _matrix_from_args(args)
-    beta = _beta_from_args(args, a.d)
-    wit = resonance.sres_witness(a, beta)
-    payload = {"member": wit is not None}
-    if wit is not None:
-        payload["witness"] = {
-            "j": wit.j,
-            "offset": list(wit.offset),
-            "face_columns": list(wit.face_columns),
-            "multiplier": format_fraction(wit.multiplier),
-        }
+    payload = report.sres_json(resonance.sres_witness(a, _beta_from_args(args, a.d)))
     _emit(args, payload, f"{payload}\n")
 
 
 def cmd_dsres(args):
     a = _matrix_from_args(args)
-    beta = _beta_from_args(args, a.d)
-    wit = resonance.dsres_witness(a, beta)
-    payload = {"member": wit is not None}
-    if wit is not None:
-        payload["witness"] = {"face_columns": list(wit)}
+    payload = report.dsres_json(resonance.dsres_witness(a, _beta_from_args(args, a.d)))
     _emit(args, payload, f"{payload}\n")
 
 
@@ -202,8 +152,8 @@ def cmd_nbeta(args):
 def cmd_dual_param(args):
     a = _matrix_from_args(args)
     beta = _beta_from_args(args, a.d)
-    dual = resonance.dual_parameter(a, beta)
-    _emit(args, {"dual": _vec(dual)}, f"dual = {_vec(dual)}\n")
+    dual = report.vector_json(resonance.dual_parameter(a, beta))
+    _emit(args, {"dual": dual}, f"dual = {dual}\n")
 
 
 def cmd_present(args):
@@ -245,15 +195,14 @@ def cmd_verify_member(args):
     if nvars is None:
         nvars = gens[0].nvars
     target = weyl.parse_weyl(args.target, nvars)
-    bound = args.bound if args.bound is not None else 4
-    cert = weyl.ideal_member_bounded(target, gens, bound)
+    cert = weyl.ideal_member_bounded(target, gens, args.bound)
     if cert is None:
-        payload = {"found": False, "bound": bound, "target": target.pretty()}
+        payload = {"found": False, "bound": args.bound, "target": target.pretty()}
         print(json.dumps(payload, sort_keys=True, indent=2))
-        raise CertificateNotFound(f"no certificate with cofactor degree <= {bound}")
+        raise CertificateNotFound(f"no certificate with cofactor degree <= {args.bound}")
     payload = {
         "found": True,
-        "bound": bound,
+        "bound": args.bound,
         "target": target.pretty(),
         "cofactors": [c.pretty() for c in cert.cofactors],
     }
@@ -277,19 +226,13 @@ def cmd_factor(args):
 def cmd_index_sets(args):
     b = _matrix_from_args(args)
     kind = "Iprime" if args.kind in ("Iprime", "I'") else "I"
-    idx = family.index_sets(b, kind, cap=args.bound_or_default(family.SECTION_SEARCH_CAP))
-    payload = {
-        "kind": idx.kind,
-        "e": list(idx.e),
-        "shift": list(idx.shift),
-        "members": [_vec(m) for m in idx.members],
-    }
-    _emit(args, payload, "\n".join(str(_vec(m)) for m in idx.members) + "\n")
+    idx = family.index_sets(b, kind, cap=args.bound)
+    payload = dict(report.index_set_json(idx), kind=idx.kind)
+    _emit(args, payload, "\n".join(str(m) for m in payload["members"]) + "\n")
 
 
 def cmd_psi(args):
-    m = [int(x) for x in parse_rational_vector(args.m)]
-    image = family.psi_image(m, args.s)
+    image = family.psi_image(parse_integer_vector(args.m), args.s)
     payload = {
         "coefficient": format_fraction(image.coefficient),
         "exponents": list(image.exponents),
@@ -299,7 +242,7 @@ def cmd_psi(args):
 
 def cmd_diagram(args):
     a = _matrix_from_args(args)
-    box = tuple(int(x) for x in parse_rational_vector(args.box))
+    box = parse_integer_vector(args.box)
     if len(box) == 2:
         box = (box[0], box[1], 0, 0)
     if len(box) != 4:
@@ -343,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("toric-ideal", cmd_toric_ideal, help="reduced Groebner basis of I_A")
     p = add("qdeg", cmd_qdeg, help="quasi-degree components of S_A/<d_j>")
     p.add_argument("--j", type=int, required=True)
+    p.set_defaults(bound=toric.DEFAULT_FILTRATION_BOUND)
     add("sres", cmd_sres, help="strong-resonance membership")
     add("dsres", cmd_dsres, help="dual resonance-set membership")
     add("delta", cmd_delta, help="cone shift avoiding sRes")
@@ -354,9 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--gens")
     p.add_argument("--nvars", type=int, default=None)
+    p.set_defaults(bound=4)
     add("factor", cmd_factor, help="family factorization B = C D1 A")
     p = add("index-sets", cmd_index_sets, help="congruence representatives I / I'")
     p.add_argument("--kind", default="I", choices=("I", "Iprime", "I'"))
+    p.set_defaults(bound=family.SECTION_SEARCH_CAP)
     p = add("psi", cmd_psi, help="exponent image of a monomial section")
     p.add_argument("--m", required=True)
     p.add_argument("--s", type=int, default=0)
@@ -369,24 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # --bound overrides the per-operation default search caps
-    args.bound_or_default = lambda default: args.bound if args.bound is not None else default
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ParseError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
-        return EXIT_PARSE
-    except PreconditionError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SearchBoundError as exc:
-        print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
-        return EXIT_SEARCH
     except GkzError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
-        return EXIT_PRECONDITION
+        return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), EXIT_PRECONDITION)
     return 0
 
 

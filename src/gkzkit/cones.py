@@ -3,6 +3,8 @@
 Column indices in faces and in the `j` arguments are 1-based, matching the
 generator labels a_1..a_n.  Face enumeration is a per-subset LP feasibility
 check, adequate for the small matrices this library targets (n <= 12).
+The dimension of a face is its column count minus the nullity that
+`lp.gauss_solve` returns for those columns.
 """
 
 from __future__ import annotations
@@ -11,11 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import NotFullDimensional, NotFullLattice, NotPointed, TooManyColumns
-from .intlinalg import IntMatrix, primitive_vector, vec_sub
-from .lp import feasible_point, rank_over_q
+from .intlinalg import IntMatrix, checked_vector, primitive_vector, vec_sub
+from .lp import feasible_point, gauss_solve
 
 MAX_FACE_COLUMNS = 12
 
@@ -31,9 +34,6 @@ class Face:
     columns: frozenset[int]
     certificate: tuple[Fraction, ...]
     dim: int
-
-    def contains_column(self, j: int) -> bool:
-        return j in self.columns
 
     def sorted_columns(self) -> tuple[int, ...]:
         return tuple(sorted(self.columns))
@@ -83,6 +83,12 @@ def _face_certificate(a: IntMatrix, subset: frozenset[int]) -> Optional[tuple[Fr
     return tuple(sol[: a.d])
 
 
+def _span_dim(a: IntMatrix, cols: Sequence[int]) -> int:
+    """Dimension of the span of the given 1-based columns: count minus nullity."""
+    rows = [[a.entry(i, j - 1) for j in cols] for i in range(a.d)]
+    return len(cols) - len(gauss_solve(rows, [0] * a.d)[1])
+
+
 @lru_cache(maxsize=None)
 def face_lattice(a: IntMatrix) -> FaceLattice:
     """All faces of R+A, each with a validated supporting functional."""
@@ -95,8 +101,7 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
             cert = _face_certificate(a, subset)
             if cert is None:
                 continue
-            cols = [a.column(j - 1) for j in sorted(subset)]
-            dim = rank_over_q(cols) if cols else 0
+            dim = _span_dim(a, sorted(subset))
             faces.append(Face(columns=subset, certificate=cert, dim=dim))
     improper = next(f for f in faces if f.columns == frozenset(range(1, a.n + 1)))
     proper = tuple(f for f in faces if f is not improper)
@@ -110,27 +115,15 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
     )
 
 
-def is_pointed(a: IntMatrix) -> bool:
-    return face_lattice(a).pointed
-
-
 def positive_functional(a: IntMatrix) -> tuple[int, ...]:
     """Integer phi with phi . a_j >= 1 for every column; requires a pointed cone."""
     lat = face_lattice(a)
     if not lat.pointed:
         raise NotPointed("cone has a nonzero lineality space")
     cert = lat.minimal.certificate
-    den = 1
-    for q in cert:
-        den = den * q.denominator // _gcd(den, q.denominator)
+    den = lcm(*(q.denominator for q in cert))
     # Clearing denominators keeps phi . a_j >= 1 on every column.
     return tuple(int(q * den) for q in cert)
-
-
-def _gcd(x: int, y: int) -> int:
-    from math import gcd
-
-    return gcd(x, y)
 
 
 def support_functions(a: IntMatrix) -> list[SupportFunction]:
@@ -138,32 +131,28 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
     if not a.spans_lattice:
         raise NotFullLattice("columns must generate the full lattice Z^d")
     lat = face_lattice(a)
-    if rank_over_q(a.columns()) < a.d:
+    if lat.improper.dim < a.d:
         raise NotFullDimensional("cone is not full-dimensional")
     out = []
     for face in lat.proper_faces:
         if face.dim != a.d - 1:
             continue
-        den = 1
-        for q in face.certificate:
-            den = den * q.denominator // _gcd(den, q.denominator)
+        den = lcm(*(q.denominator for q in face.certificate))
         vec = primitive_vector(tuple(int(q * den) for q in face.certificate))
         out.append(SupportFunction(facet=face, functional=vec))
     out.sort(key=lambda s: s.functional)
     return out
 
 
-def saturation_contains(a: IntMatrix, b: Sequence[int]) -> bool:
-    """Membership of b in the rational cone Q+A."""
+def saturation_contains(a: IntMatrix, b: Sequence) -> bool:
+    """Membership of a rational point b in the rational cone Q+A."""
     return cone_witness(a, b) is not None
 
 
-def cone_witness(a: IntMatrix, b: Sequence[int]) -> Optional[list[Fraction]]:
+def cone_witness(a: IntMatrix, b: Sequence) -> Optional[list[Fraction]]:
     """x >= 0 over Q with A x = b, or None."""
-    if len(b) != a.d:
-        raise ValueError("point has wrong dimension")
+    rhs = checked_vector(b, a.d, "point")
     eq = [[Fraction(a.entry(i, j)) for j in range(a.n)] for i in range(a.d)]
-    rhs = [Fraction(x) for x in b]
     return feasible_point(eq, rhs, [True] * a.n)
 
 
@@ -177,10 +166,10 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
     Depth-first search over column subtractions, memoized; the strictly
     positive functional from the face lattice bounds the recursion.
     """
+    target = tuple(int(x) for x in checked_vector(b, a.d, "point"))
     phi = positive_functional(a)
     cols = a.columns()
     weights = [sum(p * c for p, c in zip(phi, col)) for col in cols]
-    target = tuple(int(x) for x in b)
     memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 
     def search(v: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -255,9 +244,3 @@ def interior_contains(a: IntMatrix, b: Sequence) -> bool:
     """
     return all(s(b) > 0 for s in support_functions(a))
 
-
-def saturation_contains_rational(a: IntMatrix, b: Sequence) -> bool:
-    """Membership of a rational point in Q+A."""
-    eq = [[Fraction(a.entry(i, j)) for j in range(a.n)] for i in range(a.d)]
-    rhs = [Fraction(x) for x in b]
-    return feasible_point(eq, rhs, [True] * a.n) is not None

@@ -15,7 +15,7 @@ from typing import Sequence
 from .errors import SectionSearchFailed
 from .intlinalg import IntMatrix, homogenize, smith_decompose, vec_add
 from .resonance import delta_A, dsres_contains, sres_contains
-from .weyl import WeylElement
+from .weyl import WeylElement, euler_operator
 
 SECTION_SEARCH_CAP = 64
 
@@ -120,14 +120,5 @@ def psi_kernel_sections(a: IntMatrix) -> list[WeylElement]:
     Each section equals the corresponding beta-free Euler operator of the
     homogenized presentation, so it reduces to zero against the generators.
     """
-    nvars = a.n + 1
-    sections = []
-    for k in range(a.d):
-        terms = {}
-        for i in range(a.n):
-            coeff = a.entry(k, i)
-            if coeff:
-                u = tuple(1 if t == i + 1 else 0 for t in range(nvars))
-                terms[(u, u)] = Fraction(coeff)
-        sections.append(WeylElement(nvars, terms))
-    return sections
+    atilde = homogenize(a)
+    return [euler_operator(atilde, k + 1, 0) for k in range(a.d)]

@@ -119,6 +119,22 @@ def parse_rational_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_fraction(t) for t in toks)
 
 
+def parse_integer_vector(text: str) -> tuple[int, ...]:
+    """An integer vector; a non-integer entry is a parse error, not truncated."""
+    vec = parse_rational_vector(text)
+    if any(x.denominator != 1 for x in vec):
+        raise ParseError(f"non-integer entry in {text!r}")
+    return tuple(int(x) for x in vec)
+
+
+def checked_vector(values: Sequence, d: int, what: str) -> tuple[Fraction, ...]:
+    """values as exact rationals; a length other than d is a parse error."""
+    vec = tuple(Fraction(x) for x in values)
+    if len(vec) != d:
+        raise ParseError(f"{what} has length {len(vec)}, but the matrix has {d} rows")
+    return vec
+
+
 def format_fraction(q: Fraction) -> str:
     q = Fraction(q)
     if q.denominator == 1:
@@ -132,10 +148,6 @@ def vec_add(a: Sequence, b: Sequence) -> tuple:
 
 def vec_sub(a: Sequence, b: Sequence) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -224,13 +236,6 @@ class _Tracked:
             mk[c] -= q * mi[c]
         for row in self.Minv:
             row[i] += q * row[k]
-
-    def negate_col(self, i):
-        for row in self.work:
-            row[i] = -row[i]
-        self.M[i] = [-x for x in self.M[i]]
-        for row in self.Minv:
-            row[i] = -row[i]
 
 
 def _smith_tracked(m: IntMatrix) -> tuple[_Tracked, list[int], int]:

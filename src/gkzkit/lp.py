@@ -161,21 +161,3 @@ def _pivot(rows: list[Row], obj: Row, r: int, c: int) -> None:
         for k in range(len(obj)):
             obj[k] -= f * rows[r][k]
 
-
-def rank_over_q(vectors: Sequence[Sequence[int]]) -> int:
-    """Rank of the given vectors over Q."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[rank], rows[pr] = rows[pr], rows[rank]
-        pv = rows[rank][c]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank

@@ -1,7 +1,9 @@
 """Multivariate polynomials over Q with exact Groebner machinery.
 
 Monomials are plain exponent tuples; polynomials are mappings from monomial
-to nonzero Fraction.  Buchberger keeps the leading term of each basis element
+to nonzero Fraction.  That sparse term-map core (construction, +, -, scale,
+equality, hashing and the sign/coefficient rendering of `pretty`) is
+`TermMap`, shared with `weyl.WeylElement`.  Buchberger keeps the leading term of each basis element
 next to it, selects S-pairs from a heap by the smallest lcm of leading
 monomials (normal selection) and prunes them with the Gebauer-Moller
 criteria.  Quotients of a homogeneous ideal by a monomial come from
@@ -18,7 +20,8 @@ from itertools import chain, count
 from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, VariableMismatch
+from .intlinalg import format_fraction
 
 Monomial = tuple[int, ...]
 OrderKey = Callable[[Monomial], tuple]
@@ -89,14 +92,18 @@ def elimination_order(front: int, total: int) -> TermOrder:
     return TermOrder(f"elim{front}", key)
 
 
-class Polynomial:
-    """Sparse polynomial; the term map is never mutated after construction."""
+class TermMap:
+    """Sparse map from term keys to nonzero Fractions in nvars variables.
 
-    __slots__ = ("terms", "nvars")
+    The base of Polynomial and WeylElement; the map is never mutated after
+    construction.
+    """
 
-    def __init__(self, nvars: int, terms: Optional[dict[Monomial, Fraction]] = None):
+    __slots__ = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: Optional[dict] = None):
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict = {}
         if terms:
             for m, c in terms.items():
                 if type(c) is not Fraction:
@@ -106,8 +113,77 @@ class Polynomial:
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
+    def zero(cls, nvars: int):
         return cls(nvars)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.nvars == other.nvars
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.nvars, frozenset(self.terms.items())))
+
+    def _check(self, other: "TermMap") -> None:
+        if self.nvars != other.nvars:
+            raise VariableMismatch(f"{self.nvars} vs {other.nvars} variables")
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) + c
+        return type(self)(self.nvars, out)
+
+    def __sub__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, Fraction(0)) - c
+        return type(self)(self.nvars, out)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        c = Fraction(c)
+        return type(self)(self.nvars, {m: c * v for m, v in self.terms.items()})
+
+    @staticmethod
+    def _power_product(names: Sequence[str], expo: Sequence[int]) -> str:
+        """'x1^2*x3' for exponent vector (2, 0, 1); the empty string for 0."""
+        return "*".join(
+            f"{name}^{e}" if e > 1 else name for name, e in zip(names, expo) if e
+        )
+
+    @staticmethod
+    def _render(terms: Iterable[tuple[str, Fraction]]) -> str:
+        """Join (power product, coefficient) pairs as in '-x1^2 + 3/2*x2 - 1'."""
+        text = ""
+        for body, c in terms:
+            mag = format_fraction(abs(c))
+            if not body:
+                piece = mag
+            elif mag == "1":
+                piece = body
+            else:
+                piece = f"{mag}*{body}"
+            if not text:
+                text = "-" + piece if c < 0 else piece
+            else:
+                text += f" {'-' if c < 0 else '+'} {piece}"
+        return text or "0"
+
+
+class Polynomial(TermMap):
+    """Sparse polynomial in nvars variables, keyed by exponent tuples."""
+
+    __slots__ = ()
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -116,38 +192,6 @@ class Polynomial:
     @classmethod
     def monomial(cls, expo: Monomial, coeff=1) -> "Polynomial":
         return cls(len(expo), {tuple(expo): Fraction(coeff)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Polynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.nvars, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Polynomial(self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self.nvars, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out: dict[Monomial, Fraction] = {}
@@ -171,27 +215,10 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def pretty(self, names: Optional[Sequence[str]] = None, order: Optional[TermOrder] = None) -> str:
-        if self.is_zero():
-            return "0"
-        order = order or degrevlex()
         names = names or [f"x{i+1}" for i in range(self.nvars)]
-        parts = []
-        for m, c in self.sorted_terms(order):
-            factors = [
-                f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(m) if e
-            ]
-            body = "*".join(factors)
-            if not body:
-                piece = str(abs(c))
-            else:
-                piece = body if abs(c) == 1 else f"{abs(c)}*{body}"
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, piece))
-        first_sign, first = parts[0]
-        text = ("-" if first_sign == "-" else "") + first
-        for sign, piece in parts[1:]:
-            text += f" {sign} {piece}"
-        return text
+        order = order or degrevlex()
+        terms = self.sorted_terms(order)
+        return self._render((self._power_product(names, m), c) for m, c in terms)
 
     def __repr__(self):
         return f"Polynomial({self.pretty()})"

@@ -3,6 +3,8 @@
 Reports are plain dicts with deterministic JSON serialization (sorted keys,
 rationals as exact 'p/q' strings).  Sections whose preconditions fail are
 embedded as {"error": {...}} values instead of aborting the whole report.
+This module is the only serializer: each result type has one `*_json`
+function, which `run_report` and the CLI subcommands share.
 """
 
 from __future__ import annotations
@@ -13,49 +15,88 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import cones, family, resonance, toric, weyl
-from .errors import DimensionUnsupported, GkzError, PreconditionError
+from .errors import DimensionUnsupported, GkzError
 from .intlinalg import (
     IntMatrix,
+    checked_vector,
     elementary_divisors,
     format_fraction,
     homogeneity_vector,
 )
-from .lp import rank_over_q
 
 SCHEMA_VERSION = 1
 
 
-def _fr(x) -> str:
-    return format_fraction(Fraction(x))
+def vector_json(v) -> list:
+    return [format_fraction(x) for x in v]
 
 
-def _vec(v) -> list:
-    return [_fr(x) for x in v]
+def faces_json(faces: Sequence[cones.Face]) -> list:
+    return [
+        {
+            "columns": list(f.sorted_columns()),
+            "certificate": vector_json(f.certificate),
+            "dim": f.dim,
+        }
+        for f in faces
+    ]
 
 
-def _poly_json(p, nvars: int) -> dict:
-    terms = sorted(p.terms.items())
+def toric_generators_json(ideal: toric.ToricIdeal) -> list:
+    names = [f"d{i+1}" for i in range(ideal.nvars)]
+    return [
+        {
+            "terms": [
+                {"exponents": list(m), "coefficient": format_fraction(c)}
+                for m, c in sorted(g.terms.items())
+            ],
+            "text": g.pretty(names),
+        }
+        for g in ideal.generators
+    ]
+
+
+def qdeg_json(qd: toric.QuasiDegreeSet) -> list:
+    return [
+        {"offset": list(c.offset), "face_columns": list(c.face.sorted_columns())}
+        for c in qd.components
+    ]
+
+
+def sres_json(wit: Optional[resonance.ResonanceWitness]) -> dict:
+    if wit is None:
+        return {"member": False}
     return {
-        "terms": [{"exponents": list(m), "coefficient": _fr(c)} for m, c in terms],
-        "text": p.pretty([f"d{i+1}" for i in range(nvars)]),
+        "member": True,
+        "witness": {
+            "j": wit.j,
+            "offset": list(wit.offset),
+            "face_columns": list(wit.face_columns),
+            "multiplier": format_fraction(wit.multiplier),
+        },
+    }
+
+
+def dsres_json(wit: Optional[tuple[int, ...]]) -> dict:
+    if wit is None:
+        return {"member": False}
+    return {"member": True, "witness": {"face_columns": list(wit)}}
+
+
+def index_set_json(idx: family.IndexSet) -> dict:
+    return {
+        "members": [vector_json(m) for m in idx.members],
+        "shift": list(idx.shift),
+        "e": list(idx.e),
     }
 
 
 def _weyl_json(w: weyl.WeylElement) -> dict:
-    terms = []
-    for (u, v), c in sorted(w.terms.items()):
-        terms.append(
-            {"lambda": list(u), "d": list(v), "coefficient": _fr(c)}
-        )
+    terms = [
+        {"lambda": list(u), "d": list(v), "coefficient": format_fraction(c)}
+        for (u, v), c in sorted(w.terms.items())
+    ]
     return {"terms": terms, "text": w.pretty()}
-
-
-def _face_json(f: cones.Face) -> dict:
-    return {
-        "columns": list(f.sorted_columns()),
-        "certificate": _vec(f.certificate),
-        "dim": f.dim,
-    }
 
 
 def _section(func):
@@ -69,12 +110,10 @@ def run_report(
     a: IntMatrix, beta: Sequence[Fraction], order_name: str = "degrevlex"
 ) -> dict:
     """Deterministic full analysis of (A, beta)."""
-    beta = tuple(Fraction(x) for x in beta)
-    if len(beta) != a.d:
-        raise PreconditionError("beta length does not match the matrix")
+    beta = checked_vector(beta, a.d, "beta")
     report: dict = {
         "schema_version": SCHEMA_VERSION,
-        "input": {"matrix": [list(r) for r in a.rows], "beta": _vec(beta)},
+        "input": {"matrix": [list(r) for r in a.rows], "beta": vector_json(beta)},
         "order": order_name,
     }
 
@@ -84,68 +123,38 @@ def run_report(
         pointed = None
     else:
         pointed = lat.pointed
-        report["faces"] = {
-            "proper": [_face_json(f) for f in lat.proper_faces],
-            "pointed": lat.pointed,
-        }
+        report["faces"] = {"proper": faces_json(lat.proper_faces), "pointed": lat.pointed}
     h = homogeneity_vector(a)
+    divisors = elementary_divisors(a)
     report["flags"] = {
         "pointed": pointed,
         "spans_lattice": a.spans_lattice,
         "homogeneous": list(h) if h is not None else None,
         "saturated": _section(lambda: cones.is_saturated(a)),
-        "full_dimensional": rank_over_q(a.columns()) == a.d,
+        "full_dimensional": len(divisors) == a.d,
     }
-    report["elementary_divisors"] = list(elementary_divisors(a))
+    report["elementary_divisors"] = list(divisors)
 
     def _toric():
         ideal = toric.toric_ideal(a, order_name)
         return {
-            "generators": [_poly_json(g, a.n) for g in ideal.generators],
+            "generators": toric_generators_json(ideal),
             "order": order_name,
             "is_groebner": ideal.is_groebner,
         }
 
     report["toric_ideal"] = _section(_toric)
-
-    def _qdeg():
-        out = {}
-        for j in range(1, a.n + 1):
-            qd = toric.quasi_degrees(a, j, order_name)
-            out[str(j)] = [
-                {"offset": list(c.offset), "face_columns": list(c.face.sorted_columns())}
-                for c in qd.components
-            ]
-        return out
-
-    report["quasi_degrees"] = _section(_qdeg)
-
-    def _sres():
-        wit = resonance.sres_witness(a, beta)
-        if wit is None:
-            return {"member": False}
-        return {
-            "member": True,
-            "witness": {
-                "j": wit.j,
-                "offset": list(wit.offset),
-                "face_columns": list(wit.face_columns),
-                "multiplier": _fr(wit.multiplier),
-            },
+    report["quasi_degrees"] = _section(
+        lambda: {
+            str(j): qdeg_json(toric.quasi_degrees(a, j, order_name))
+            for j in range(1, a.n + 1)
         }
-
-    report["sres"] = _section(_sres)
-
-    def _dsres():
-        wit = resonance.dsres_witness(a, beta)
-        if wit is None:
-            return {"member": False}
-        return {"member": True, "witness": {"face_columns": list(wit)}}
-
-    report["dsres"] = _section(_dsres)
+    )
+    report["sres"] = _section(lambda: sres_json(resonance.sres_witness(a, beta)))
+    report["dsres"] = _section(lambda: dsres_json(resonance.dsres_witness(a, beta)))
     report["delta"] = _section(lambda: list(resonance.delta_A(a)))
     report["dual_parameter"] = _section(
-        lambda: _vec(resonance.dual_parameter(a, beta))
+        lambda: vector_json(resonance.dual_parameter(a, beta))
     )
     report["n_beta"] = _section(lambda: resonance.n_beta(a, beta))
 
@@ -163,23 +172,14 @@ def run_report(
         if hvec is None:
             return {"monodromic": False}
         scalar = sum(Fraction(hk) * bk for hk, bk in zip(hvec, beta))
-        return {"monodromic": True, "h": list(hvec), "b": _fr(scalar)}
+        return {"monodromic": True, "h": list(hvec), "b": format_fraction(scalar)}
 
     report["euler_decomposition"] = _section(_monodromic)
 
     def _index():
-        divisors = elementary_divisors(a)
         if len(divisors) == a.d and all(x == 1 for x in divisors):
             return {"skipped": "matrix already spans the lattice"}
-        sets = {}
-        for kind in ("I", "Iprime"):
-            idx = family.index_sets(a, kind)
-            sets[kind] = {
-                "members": [_vec(m) for m in idx.members],
-                "shift": list(idx.shift),
-                "e": list(idx.e),
-            }
-        return sets
+        return {kind: index_set_json(family.index_sets(a, kind)) for kind in ("I", "Iprime")}
 
     report["index_sets"] = _section(_index)
     return report
@@ -268,7 +268,7 @@ def _sres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
             seg = _clip_line(anchor, direction, spec.box)
             if seg is not None:
                 segments.append(
-                    {"j": comp.j, "m": m, "start": _vec(seg[0]), "end": _vec(seg[1])}
+                    {"j": comp.j, "m": m, "start": vector_json(seg[0]), "end": vector_json(seg[1])}
                 )
     return segments
 
@@ -313,7 +313,7 @@ def _qdeg_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
         anchor = tuple(Fraction(x) for x in comp.offset)
         seg = _clip_line(anchor, direction, spec.box)
         if seg is not None:
-            segments.append({"start": _vec(seg[0]), "end": _vec(seg[1])})
+            segments.append({"start": vector_json(seg[0]), "end": vector_json(seg[1])})
     return segments
 
 
@@ -356,9 +356,12 @@ def _dsres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
             anchor = _point_with_value(psi, v)
             seg = _clip_line(anchor, direction, spec.box)
             if seg is not None:
-                segments.append(
-                    {"columns": list(cols), "value": v, "start": _vec(seg[0]), "end": _vec(seg[1])}
-                )
+                segments.append({
+                    "columns": list(cols),
+                    "value": v,
+                    "start": vector_json(seg[0]),
+                    "end": vector_json(seg[1]),
+                })
     return segments
 
 

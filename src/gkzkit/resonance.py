@@ -23,6 +23,7 @@ from .errors import (
 )
 from .intlinalg import (
     IntMatrix,
+    checked_vector,
     homogeneity_vector,
     homogenize,
     lattice_kernel,
@@ -107,9 +108,7 @@ def sres_witness(
     a: IntMatrix, beta: Sequence[Fraction]
 ) -> Optional[ResonanceWitness]:
     """A component and integer multiplier certifying beta in sRes(A), or None."""
-    beta = tuple(Fraction(x) for x in beta)
-    if len(beta) != a.d:
-        raise ValueError("parameter has wrong dimension")
+    beta = checked_vector(beta, a.d, "beta")
     for comp in resonance_set(a).components:
         got = _component_multiplier(a, comp, beta)
         if got is None:
@@ -143,9 +142,7 @@ def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int,
     """
     if not a.spans_lattice:
         raise NotFullLattice("DsRes requires columns generating Z^d")
-    beta = tuple(Fraction(x) for x in beta)
-    if len(beta) != a.d:
-        raise ValueError("parameter has wrong dimension")
+    beta = checked_vector(beta, a.d, "beta")
     for face in face_lattice(a).proper_faces:
         cols = sorted(face.columns)
         if not _beta_in_lattice_plus_span(a, cols, beta):
@@ -191,12 +188,6 @@ def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
         rows.append(row)
     nonneg = [True] * a.n + [False] * len(cols)
     return feasible_point(rows, [Fraction(x) for x in beta], nonneg) is not None
-
-
-def _gcd(x: int, y: int) -> int:
-    from math import gcd
-
-    return gcd(x, y)
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
@@ -249,7 +240,7 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
 
 def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
     """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound."""
-    beta = tuple(Fraction(x) for x in beta)
+    beta = checked_vector(beta, a.d, "beta")
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
     atilde = homogenize(a)
@@ -305,7 +296,7 @@ def dual_parameter(
     Scans integer translates of -beta, preferring candidates in the interior
     of the negated cone, where the dual set provably cannot reach.
     """
-    beta = tuple(Fraction(x) for x in beta)
+    beta = checked_vector(beta, a.d, "beta")
     if homogeneity_vector(a) is None:
         raise NotHomogeneous("dual parameters need a homogeneous matrix")
     if sres_contains(a, beta):

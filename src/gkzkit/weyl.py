@@ -1,7 +1,10 @@
 """Weyl-algebra arithmetic and the box/Euler presentations built on it.
 
 Elements are kept normally ordered (every lambda to the left of every d),
-so equality is literal equality of term maps.  The commutator is
+so equality is literal equality of term maps; the term-map arithmetic and
+rendering are `polynomials.TermMap`, shared with `Polynomial`.  Every Euler
+operator, in presentations, restrictions and the Euler field, comes from
+`euler_operator`.  The commutator is
 [d_i, lambda_i] = 1; products are expanded with the one-variable identity
 
     d^a lambda^b = sum_k k! C(a,k) C(b,k) lambda^(b-k) d^(a-k).
@@ -17,31 +20,24 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
-from .intlinalg import IntMatrix, homogenize, homogeneity_vector, lattice_kernel
+from .intlinalg import (
+    IntMatrix,
+    checked_vector,
+    homogeneity_vector,
+    homogenize,
+    lattice_kernel,
+)
 from .lp import gauss_solve
+from .polynomials import TermMap
 from .toric import toric_ideal
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]  # (lambda exponents, d exponents)
 
 
-class WeylElement:
+class WeylElement(TermMap):
     """Normally ordered element of the Weyl algebra in nvars variable pairs."""
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: Optional[dict[TermKey, Fraction]] = None):
-        self.nvars = nvars
-        clean: dict[TermKey, Fraction] = {}
-        if terms:
-            for (u, v), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[(tuple(u), tuple(v))] = c
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "WeylElement":
-        return cls(nvars)
+    __slots__ = ()
 
     @classmethod
     def scalar(cls, nvars: int, c) -> "WeylElement":
@@ -66,44 +62,8 @@ class WeylElement:
     def monomial(cls, u: Sequence[int], v: Sequence[int], coeff=1) -> "WeylElement":
         return cls(len(u), {(tuple(u), tuple(v)): Fraction(coeff)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return WeylElement(self.nvars, out)
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "WeylElement":
-        return self.scale(-1)
-
-    def scale(self, c) -> "WeylElement":
-        c = Fraction(c)
-        return WeylElement(self.nvars, {k: c * v for k, v in self.terms.items()})
-
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return weyl_mul(self, other)
-
-    def _check(self, other: "WeylElement") -> None:
-        if self.nvars != other.nvars:
-            raise VariableMismatch(
-                f"{self.nvars} vs {other.nvars} variable pairs"
-            )
 
     def total_degree(self) -> int:
         return max((sum(u) + sum(v) for u, v in self.terms), default=0)
@@ -142,38 +102,13 @@ class WeylElement:
 
     def pretty(self) -> str:
         """Render in the CLI operator syntax: l<i> for lambda_i, d<i> for d_i."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for (u, v), c in self.sorted_terms():
-            factors = []
-            for i, e in enumerate(u):
-                if e:
-                    factors.append(f"l{i}^{e}" if e > 1 else f"l{i}")
-            for i, e in enumerate(v):
-                if e:
-                    factors.append(f"d{i}^{e}" if e > 1 else f"d{i}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if not body:
-                piece = _coeff_str(mag)
-            elif mag == 1:
-                piece = body
-            else:
-                piece = f"{_coeff_str(mag)}*{body}"
-            parts.append(("-" if c < 0 else "+", piece))
-        sign, first = parts[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, piece in parts[1:]:
-            text += f" {sign} {piece}"
-        return text
+        names = [f"l{i}" for i in range(self.nvars)] + [f"d{i}" for i in range(self.nvars)]
+        return self._render(
+            (self._power_product(names, u + v), c) for (u, v), c in self.sorted_terms()
+        )
 
     def __repr__(self):
         return f"WeylElement({self.pretty()})"
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 @lru_cache(maxsize=None)
@@ -356,9 +291,7 @@ def gkz_presentation(
     """Box operators from the toric ideal plus Euler operators E_k - beta_k."""
     if not a.spans_lattice:
         raise NotFullLattice("GKZ data requires columns generating Z^d")
-    beta = tuple(Fraction(x) for x in beta)
-    if len(beta) != a.d:
-        raise ParseError("beta has wrong length")
+    beta = checked_vector(beta, a.d, "beta")
     ideal = toric_ideal(a, order_name)
     boxes = tuple(binomial_to_weyl(g, a.n) for g in ideal.generators)
     eulers = tuple(euler_operator(a, k, beta[k]) for k in range(a.d))
@@ -374,9 +307,7 @@ def restrict_presentation(
     output lives in n+1 variable pairs but never uses lambda_0, and uses d_0
     only in the added operator d_0 + sum_i lambda_i d_i.
     """
-    beta_tilde = tuple(Fraction(x) for x in beta_tilde)
-    if len(beta_tilde) != atilde.d:
-        raise ParseError("beta has wrong length")
+    beta_tilde = checked_vector(beta_tilde, atilde.d, "beta")
     d, n = atilde.d - 1, atilde.n - 1
     if d < 1 or n < 1:
         raise FirstRowNotOnes("matrix is too small to be a homogenization")
@@ -393,23 +324,11 @@ def restrict_presentation(
             ((0,) * nvars, (0,) + m): c for m, c in g.terms.items()
         }
         gens.append(WeylElement(nvars, shifted))
-    for k in range(d):
-        terms: dict[TermKey, Fraction] = {}
-        for i in range(n):
-            coeff = inner.entry(k, i)
-            if coeff:
-                u = tuple(1 if t == i + 1 else 0 for t in range(nvars))
-                terms[(u, u)] = Fraction(coeff)
-        bk = beta_tilde[k + 1]
-        if bk:
-            zero = (0,) * nvars
-            terms[(zero, zero)] = terms.get((zero, zero), Fraction(0)) - bk
-        gens.append(WeylElement(nvars, terms))
-    extra: dict[TermKey, Fraction] = {((0,) * nvars, (1,) + (0,) * n): Fraction(1)}
-    for i in range(1, nvars):
-        u = tuple(1 if t == i else 0 for t in range(nvars))
-        extra[(u, u)] = Fraction(1)
-    gens.append(WeylElement(nvars, extra))
+    # Rows 1..d of atilde are (0 | A), so these are the Euler operators of A
+    # moved to variables 1..n.
+    gens.extend(euler_operator(atilde, k, beta_tilde[k]) for k in range(1, d + 1))
+    rest = IntMatrix.from_rows([[0] + [1] * n])
+    gens.append(WeylElement.dee(0, nvars) + euler_operator(rest, 0, 0))
     return gens
 
 
@@ -530,11 +449,8 @@ def _monomials_up_to(nvars: int, bound: int) -> Iterable[TermKey]:
 
 
 def euler_field(nvars: int) -> WeylElement:
-    terms: dict[TermKey, Fraction] = {}
-    for i in range(nvars):
-        u = tuple(1 if t == i else 0 for t in range(nvars))
-        terms[(u, u)] = Fraction(1)
-    return WeylElement(nvars, terms)
+    """sum_i lambda_i d_i, the Euler operator of a single row of ones."""
+    return euler_operator(IntMatrix.from_rows([[1] * nvars]), 0, 0)
 
 
 def euler_decomposition(a: IntMatrix) -> Optional[tuple[int, ...]]:

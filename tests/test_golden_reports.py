@@ -1,10 +1,13 @@
-"""Byte-for-byte guard on `gkz analyze` output for the benchmark corpus.
+"""Byte-for-byte guards on `gkz` output.
 
-Each golden file under tests/golden/ is the full stdout of
-`gkz analyze --matrix M --beta=b` for one corpus matrix at one fixed
+Two tables.  CORPUS: each golden file under tests/golden/ is the full stdout
+of `gkz analyze --matrix M --beta=b` for one corpus matrix at one fixed
 non-resonant beta.  Reduced Groebner bases are unique, so a faster engine
-must reproduce these files exactly.  Regenerate them only for an intended
-report change, with `PYTHONPATH=src python tests/test_golden_reports.py`.
+must reproduce these files exactly.  CLI_EXAMPLES: every CLI example of the
+README, one per subcommand (two for `diagram`), run with `--format json` and
+`--format text`; the stdout of each is kept under tests/golden/cli/.
+Regenerate both only for an intended output change, with
+`PYTHONPATH=src python tests/test_golden_reports.py`.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from gkzkit.cli import main  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CLI_GOLDEN_DIR = GOLDEN_DIR / "cli"
 
 # name -> (matrix, beta); betas are non-resonant for their matrix.
 CORPUS = {
@@ -32,13 +36,55 @@ CORPUS = {
     "nonspanning": ("2 2 2; 0 3 -3", "9/7,9/2"),
 }
 
+# name -> argv of the README example (without the global --format flag).
+CLI_EXAMPLES = {
+    "analyze": ["analyze", "--matrix", "3 2 0; 1 1 1", "--beta", "0,0"],
+    "smith": ["smith", "--matrix", "2 2; 0 2"],
+    "homogenize": ["homogenize", "--matrix", "3 2 0; 1 1 1"],
+    "faces": ["faces", "--matrix", "3 2 0; 1 1 1"],
+    "member": ["member", "--matrix", "3 2 0; 1 1 1", "--point", "5,2"],
+    "saturated": ["saturated", "--matrix", "3 2 0; 1 1 1"],
+    "toric-ideal": ["toric-ideal", "--matrix", "3 2 0; 1 1 1"],
+    "qdeg": ["qdeg", "--matrix", "3 2 0; 1 1 1", "--j", "1"],
+    "sres": ["sres", "--matrix", "3 2 0; 1 1 1", "--beta", "1,0"],
+    "dsres": ["dsres", "--matrix", "1 1 1; 0 1 -1", "--beta=-1,0"],
+    "delta": ["delta", "--matrix", "2 5"],
+    "nbeta": ["nbeta", "--matrix", "2 5", "--beta", "0"],
+    "dual-param": ["dual-param", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0"],
+    "present": ["present", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0"],
+    "restrict": ["restrict", "--matrix", "1 1; 0 1", "--beta", "7,5"],
+    "verify-member": [
+        "verify-member", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0",
+        "--target", "d0*((4*l1*l2 - l0^2)*d0 + l0) - 1", "--bound", "4",
+    ],
+    "factor": ["factor", "--matrix", "2 2; 0 2"],
+    "index-sets": ["index-sets", "--matrix", "2", "--kind", "I"],
+    "psi": ["psi", "--m", "0,0", "--s", "0"],
+    "diagram-ascii": [
+        "diagram", "--matrix", "3 2 0; 1 1 1", "--box=-1,9,-1,5", "--style", "ascii",
+    ],
+    "diagram-svg": [
+        "diagram", "--matrix", "3 2 0; 1 1 1", "--box=-3,9,-3,5",
+        "--layers", "semigroup,saturation-gap,cone,sres",
+    ],
+}
+FORMATS = ("json", "text")
 
-def analyze_stdout(matrix: str, beta: str) -> str:
+
+def cli_stdout(argv: list) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = main(["analyze", "--matrix", matrix, "--beta=" + beta])
+        rc = main(argv)
     assert rc == 0
     return buf.getvalue()
+
+
+def analyze_stdout(matrix: str, beta: str) -> str:
+    return cli_stdout(["analyze", "--matrix", matrix, "--beta=" + beta])
+
+
+def cli_golden_path(name: str, fmt: str) -> Path:
+    return CLI_GOLDEN_DIR / f"{name}.{fmt}"
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -47,7 +93,25 @@ def test_analyze_matches_golden(name):
     assert analyze_stdout(*CORPUS[name]) == expected
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CLI_EXAMPLES))
+def test_cli_example_matches_golden(name, fmt):
+    expected = cli_golden_path(name, fmt).read_text()
+    assert cli_stdout(["--format", fmt] + CLI_EXAMPLES[name]) == expected
+
+
+def test_cli_examples_cover_every_subcommand():
+    from gkzkit.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in CLI_EXAMPLES.values()} == set(sub.choices)
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, (matrix, beta) in CORPUS.items():
         (GOLDEN_DIR / f"{name}.json").write_text(analyze_stdout(matrix, beta))
+    CLI_GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CLI_EXAMPLES.items():
+        for fmt in FORMATS:
+            cli_golden_path(name, fmt).write_text(cli_stdout(["--format", fmt] + argv))

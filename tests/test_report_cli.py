@@ -9,14 +9,22 @@ import pytest
 
 from gkzkit import (
     DiagramSpec,
+    dual_parameter,
+    gkz_presentation,
+    n_beta,
     parse_matrix,
     render_diagram,
+    restrict_presentation,
     run_report,
     semigroup_contains,
+    semigroup_witness,
     saturation_contains,
+    sres_witness,
 )
 from gkzkit.cli import main
-from gkzkit.errors import DimensionUnsupported
+from gkzkit.cones import cone_witness
+from gkzkit.errors import DimensionUnsupported, ParseError
+from gkzkit.resonance import dsres_witness
 from gkzkit.report import classification_table, report_json
 
 
@@ -296,3 +304,58 @@ def test_cli_homogenize(capsys):
     assert main(["homogenize", "--matrix", "3 2 0; 1 1 1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["matrix"] == [[1, 1, 1, 1], [0, 3, 2, 0], [0, 1, 1, 1]]
+
+
+STAIRCASE = "3 2 0; 1 1 1"
+HAT = "1 1 1; 0 1 -1"
+
+# Each case is a bad input that must exit 2 with a JSON error on stderr:
+# non-integer vectors, parameters of the wrong length, unreadable -A files.
+BAD_INPUTS = {
+    "member-fractional-point": ["member", "--matrix", STAIRCASE, "--point", "1/2,1"],
+    "member-short-point": ["member", "--matrix", STAIRCASE, "--point", "5"],
+    "psi-fractional-m": ["psi", "--m", "1/2,0"],
+    "diagram-fractional-box": ["diagram", "--matrix", STAIRCASE, "--box=-1/2,9,-1,5"],
+    "analyze-short-beta": ["analyze", "--matrix", STAIRCASE, "--beta", "0"],
+    "sres-short-beta": ["sres", "--matrix", STAIRCASE, "--beta", "0"],
+    "dsres-long-beta": ["dsres", "--matrix", HAT, "--beta", "0,0,0"],
+    "nbeta-long-beta": ["nbeta", "--matrix", "2 5", "--beta", "0,0"],
+    "dual-param-short-beta": ["dual-param", "--matrix", HAT, "--beta", "0"],
+    "missing-matrix-file": ["faces", "-A", "{missing}"],
+    "directory-as-matrix-file": ["faces", "-A", "{dir}"],
+    "binary-matrix-file": ["faces", "-A", "{binary}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exits_2(case, capsys, tmp_path):
+    binary = tmp_path / "matrix.bin"
+    binary.write_bytes(b"\xff\xfe\x00 1 2")
+    paths = {"missing": str(tmp_path / "absent.txt"), "dir": str(tmp_path), "binary": str(binary)}
+    argv = [arg.format(**paths) for arg in BAD_INPUTS[case]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "parse_error"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        run_report,
+        sres_witness,
+        dsres_witness,
+        n_beta,
+        dual_parameter,
+        gkz_presentation,
+        restrict_presentation,
+        cone_witness,
+        semigroup_witness,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_wrong_length_parameter_raises_parse_error(call):
+    hat = parse_matrix(HAT)
+    for bad in ((F(0),), (F(0),) * 3):
+        with pytest.raises(ParseError):
+            call(hat, bad)

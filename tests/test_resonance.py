@@ -15,7 +15,7 @@ from gkzkit import (
     sres_contains,
     sres_witness,
 )
-from gkzkit.cones import interior_contains, saturation_contains_rational
+from gkzkit.cones import interior_contains, saturation_contains
 from gkzkit.errors import NotHomogeneous, ParameterResonant
 from gkzkit.resonance import dsres_witness
 
@@ -71,7 +71,7 @@ def test_witness_multiplier_is_positive_integer(staircase):
 
 def test_numerical_semigroup_witness(numerical):
     assert sres_contains(numerical, (F(3),))
-    assert saturation_contains_rational(numerical, (F(3),))
+    assert saturation_contains(numerical, (F(3),))
     assert not delta_valid(numerical, (0,))
 
 
@@ -98,7 +98,7 @@ def test_delta_certificate_region_is_clean(staircase):
     delta = delta_A(staircase)
     for point in product(range(-1, 10), range(-1, 6)):
         shifted = tuple(x - d for x, d in zip(point, delta))
-        if saturation_contains_rational(staircase, shifted):
+        if saturation_contains(staircase, shifted):
             assert not sres_contains(staircase, tuple(F(x) for x in point))
 
 
