@@ -1,10 +1,12 @@
 """Geometry of the cone R+A and the affine semigroup NA.
 
 Column indices in faces and in the `j` arguments are 1-based, matching the
-generator labels a_1..a_n.  Face enumeration is a per-subset LP feasibility
-check, adequate for the small matrices this library targets (n <= 12).
-The dimension of a face is its column count minus the nullity that
-`lp.gauss_solve` returns for those columns.
+generator labels a_1..a_n.  The face lattice is found combinatorially: the
+facets come from kernels of independent column subsets, checked by sign,
+and the faces are their intersections.  One phase-I LP per face then finds
+its supporting functional, so the LP count is the number of faces, not 2^n;
+enumeration stays capped at n <= 12.  The dimension of a face is its column
+count minus the nullity that `lp.gauss_solve` returns for those columns.
 """
 
 from __future__ import annotations
@@ -89,29 +91,60 @@ def _span_dim(a: IntMatrix, cols: Sequence[int]) -> int:
     return len(cols) - len(gauss_solve(rows, [0] * a.d)[1])
 
 
+def _facets(a: IntMatrix, rank: int) -> set[frozenset[int]]:
+    """Column sets of the facets of R+A, for a cone of dimension rank >= 1.
+
+    A facet spans a hyperplane of span(A), so it holds rank - 1 independent
+    columns.  Their annihilator in span(A) is a line; it supports the cone
+    exactly when its values on the columns all have one sign, and the facet
+    is then the set of columns where it vanishes.
+    """
+    cols = a.columns()
+    identity = [[int(i == k) for k in range(a.d)] for i in range(a.d)]
+    facets = set()
+    for subset in combinations(range(a.n), rank - 1):
+        rows = [cols[j] for j in subset]
+        kernel = gauss_solve(rows, [0] * len(rows))[1] if rows else identity
+        if len(kernel) != a.d - len(rows):
+            continue  # dependent columns span less than a hyperplane
+        # The kernel is one dimension larger than the annihilator of span(A),
+        # so some basis vector takes a nonzero value on a column.
+        for phi in kernel:
+            values = [sum(p * x for p, x in zip(phi, col)) for col in cols]
+            if any(values):
+                break
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            facets.add(frozenset(j + 1 for j, v in enumerate(values) if v == 0))
+    return facets
+
+
 @lru_cache(maxsize=None)
 def face_lattice(a: IntMatrix) -> FaceLattice:
-    """All faces of R+A, each with a validated supporting functional."""
+    """All faces of R+A, each with a validated supporting functional.
+
+    The faces are the full column set and every intersection of facets (a
+    cone with no facets is a linear space, its only face the full set).  Each
+    is certified by one LP, and they come ordered by (size, sorted columns).
+    """
     if a.n > MAX_FACE_COLUMNS:
         raise TooManyColumns(f"face enumeration capped at {MAX_FACE_COLUMNS} columns")
+    rank = _span_dim(a, range(1, a.n + 1))
+    subsets = {frozenset(range(1, a.n + 1))}
+    for facet in _facets(a, rank) if rank else ():
+        subsets |= {facet & g for g in subsets}
     faces = []
-    for size in range(a.n + 1):
-        for combo in combinations(range(1, a.n + 1), size):
-            subset = frozenset(combo)
-            cert = _face_certificate(a, subset)
-            if cert is None:
-                continue
-            dim = _span_dim(a, sorted(subset))
-            faces.append(Face(columns=subset, certificate=cert, dim=dim))
-    improper = next(f for f in faces if f.columns == frozenset(range(1, a.n + 1)))
-    proper = tuple(f for f in faces if f is not improper)
-    minimal = min(faces, key=lambda f: (len(f.columns), f.sorted_columns()))
+    for subset in sorted(subsets, key=lambda s: (len(s), sorted(s))):
+        cert = _face_certificate(a, subset)
+        if cert is None:
+            raise AssertionError(f"no supporting functional for face {sorted(subset)}")
+        dim = _span_dim(a, sorted(subset))
+        faces.append(Face(columns=subset, certificate=cert, dim=dim))
     return FaceLattice(
         faces=tuple(faces),
-        proper_faces=proper,
-        improper=improper,
-        minimal=minimal,
-        pointed=(minimal.dim == 0),
+        proper_faces=tuple(faces[:-1]),
+        improper=faces[-1],
+        minimal=faces[0],
+        pointed=(faces[0].dim == 0),
     )
 
 
@@ -163,11 +196,15 @@ def semigroup_contains(a: IntMatrix, b: Sequence[int]) -> bool:
 def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """x in N^n with A x = b, or None.  Requires NA pointed.
 
-    Depth-first search over column subtractions, memoized; the strictly
-    positive functional from the face lattice bounds the recursion.
+    A non-integral b is never in NA and gets None.  Depth-first search over
+    column subtractions, memoized; the strictly positive functional from the
+    face lattice bounds the recursion.
     """
-    target = tuple(int(x) for x in checked_vector(b, a.d, "point"))
+    point = checked_vector(b, a.d, "point")
     phi = positive_functional(a)
+    if any(x.denominator != 1 for x in point):
+        return None
+    target = tuple(int(x) for x in point)
     cols = a.columns()
     weights = [sum(p * c for p, c in zip(phi, col)) for col in cols]
     memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
@@ -218,17 +255,26 @@ def is_saturated(a: IntMatrix) -> bool:
 
     Every Hilbert-basis element of the cone lies in the zonotope spanned by
     the primitive extreme rays, so checking all lattice points of the
-    zonotope's bounding box that lie in the cone is conclusive.
+    zonotope's bounding box that lie in the cone is conclusive.  A pointed
+    cone is cut out of span(A) by its facet certificates, so a box point is
+    tested by signs of dot products (and, when A spans less than Q^d, by the
+    normals of span(A) from one `gauss_solve`), with no LP per point.
     """
-    if not face_lattice(a).pointed:
+    lat = face_lattice(a)
+    if not lat.pointed:
         raise NotPointed("saturation test requires a pointed semigroup")
     rays = extreme_rays(a)
     if not rays:
         return True
+    rank = lat.improper.dim
+    facets = [f.certificate for f in lat.proper_faces if f.dim == rank - 1]
+    normals = gauss_solve(a.columns(), [0] * a.n)[1] if rank < a.d else []
     lo = [sum(min(0, r[i]) for r in rays) for i in range(a.d)]
     hi = [sum(max(0, r[i]) for r in rays) for i in range(a.d)]
     for point in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if not saturation_contains(a, point):
+        if any(sum(y * x for y, x in zip(normal, point)) != 0 for normal in normals):
+            continue
+        if any(sum(p * x for p, x in zip(phi, point)) < 0 for phi in facets):
             continue
         if not semigroup_contains(a, point):
             return False

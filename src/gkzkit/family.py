@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .errors import SectionSearchFailed
+from .errors import ParseError, SectionSearchFailed
 from .intlinalg import IntMatrix, homogenize, smith_decompose, vec_add
 from .resonance import delta_A, dsres_contains, sres_contains
 from .weyl import WeylElement, euler_operator
@@ -66,7 +66,7 @@ def index_sets(b: IntMatrix, kind: str, cap: int = SECTION_SEARCH_CAP) -> IndexS
     sum for "Iprime" (pushing into the interior of the negated cone).
     """
     if kind not in ("I", "Iprime"):
-        raise ValueError("kind must be 'I' or 'Iprime'")
+        raise ParseError(f"index set kind must be 'I' or 'Iprime', not {kind!r}")
     fam = factor_B(b)
     atilde = homogenize(fam.A)
     gammas = i_e_classes(fam.e)

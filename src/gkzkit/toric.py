@@ -100,12 +100,14 @@ def _check_column_index(a: IntMatrix, j: int) -> None:
 
 
 def true_degree_contains(a: IntMatrix, j: int, u: Sequence[int]) -> bool:
-    """Whether u is a true degree of S_A / <d_j> (j is 1-based)."""
+    """Whether u is a true degree of S_A / <d_j> (j is 1-based).
+
+    A non-integral u is never a degree, so it answers False.
+    """
     _check_column_index(a, j)
     if not face_lattice(a).pointed:
         raise NotPointed("true-degree test requires a pointed semigroup")
     col = a.column(j - 1)
-    u = tuple(int(x) for x in u)
     return semigroup_contains(a, u) and not semigroup_contains(a, vec_sub(u, col))
 
 
@@ -122,8 +124,7 @@ class QuasiDegreeSet:
     components: tuple[DegreePair, ...]
 
     def degree_set_contains(self, u: Sequence[int]) -> bool:
-        """Whether u lies in the union of the offset + NF components."""
-        u = tuple(int(x) for x in u)
+        """Whether u lies in the union of the offset + NF components (False if u is non-integral)."""
         for comp in self.components:
             diff = vec_sub(u, comp.offset)
             if _in_face_semigroup(self.matrix, comp.face, diff):

@@ -202,6 +202,13 @@ def test_membership_witness(staircase):
     assert all(x >= 0 for x in wit)
 
 
+def test_membership_rejects_non_integral_point():
+    a = parse_matrix("3 2 0; 1 1 1")
+    assert semigroup_contains(a, (0, 1))
+    assert not semigroup_contains(a, (Fraction(1, 2), 1))
+    assert semigroup_witness(a, (Fraction(1, 2), 1)) is None
+
+
 def test_membership_not_pointed():
     with pytest.raises(NotPointed):
         semigroup_contains(parse_matrix("1 -1"), (0,))

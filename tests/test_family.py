@@ -16,7 +16,7 @@ from gkzkit import (
     sres_contains,
     dsres_contains,
 )
-from gkzkit.errors import RankDeficient
+from gkzkit.errors import ParseError, RankDeficient
 import random
 
 
@@ -79,6 +79,11 @@ def test_index_sets_two():
     atilde = homogenize(factor_B(parse_matrix("2")).A)
     for m in idx.members:
         assert not sres_contains(atilde, m)
+
+
+def test_index_sets_unknown_kind_is_a_parse_error():
+    with pytest.raises(ParseError):
+        index_sets(parse_matrix("2"), "J")
 
 
 def test_index_sets_two_dual():

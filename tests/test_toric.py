@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -78,6 +79,12 @@ def test_true_degree_examples(staircase):
     assert true_degree_contains(staircase, 1, (0, 0))
 
 
+def test_true_degree_rejects_non_integral_point():
+    a = parse_matrix("3 2 0; 1 1 1")
+    assert true_degree_contains(a, 1, (0, 1))
+    assert not true_degree_contains(a, 1, (Fraction(1, 2), 1))
+
+
 def test_true_degree_not_pointed():
     with pytest.raises(NotPointed):
         true_degree_contains(parse_matrix("1 -1"), 1, (0,))
@@ -87,6 +94,12 @@ def test_qdeg_staircase_j1(staircase):
     qd = quasi_degrees(staircase, 1)
     comps = {(c.offset, c.face.sorted_columns()) for c in qd.components}
     assert comps == {((0, 0), (3,)), ((2, 1), (3,)), ((4, 2), (3,))}
+
+
+def test_degree_set_rejects_non_integral_point():
+    qd = quasi_degrees(parse_matrix("3 2 0; 1 1 1"), 1)
+    assert qd.degree_set_contains((0, 1))
+    assert not qd.degree_set_contains((Fraction(1, 2), 1))
 
 
 def test_qdeg_line(line):
