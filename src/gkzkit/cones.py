@@ -64,19 +64,15 @@ class SupportFunction:
 def _face_certificate(a: IntMatrix, subset: frozenset[int]) -> Optional[tuple[Fraction, ...]]:
     """phi with phi.a_i = 0 on the subset, phi.a_j >= 1 off it (scale-invariant strictness)."""
     off = [j for j in range(1, a.n + 1) if j not in subset]
-    nvars = a.d + len(off)  # phi free, then one slack per strict inequality
     eq = []
     rhs = []
     for j in range(1, a.n + 1):
-        row = [Fraction(0)] * nvars
-        col = a.column(j - 1)
-        for i in range(a.d):
-            row[i] = Fraction(col[i])
+        row = [*a.column(j - 1)] + [0] * len(off)  # phi free, then one slack per j off
         if j in subset:
-            rhs.append(Fraction(0))
+            rhs.append(0)
         else:
-            row[a.d + off.index(j)] = Fraction(-1)  # phi.a_j - s_j = 1
-            rhs.append(Fraction(1))
+            row[a.d + off.index(j)] = -1  # phi.a_j - s_j = 1
+            rhs.append(1)
         eq.append(row)
     nonneg = [False] * a.d + [True] * len(off)
     sol = feasible_point(eq, rhs, nonneg)
@@ -149,13 +145,13 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
 
 
 def positive_functional(a: IntMatrix) -> tuple[int, ...]:
-    """Integer phi with phi . a_j >= 1 for every column; requires a pointed cone."""
+    """Integer phi with phi . a_j >= 1 for every nonzero column; requires a pointed cone."""
     lat = face_lattice(a)
     if not lat.pointed:
         raise NotPointed("cone has a nonzero lineality space")
     cert = lat.minimal.certificate
     den = lcm(*(q.denominator for q in cert))
-    # Clearing denominators keeps phi . a_j >= 1 on every column.
+    # Clearing denominators keeps phi . a_j >= 1 on every nonzero column.
     return tuple(int(q * den) for q in cert)
 
 
@@ -185,8 +181,7 @@ def saturation_contains(a: IntMatrix, b: Sequence) -> bool:
 def cone_witness(a: IntMatrix, b: Sequence) -> Optional[list[Fraction]]:
     """x >= 0 over Q with A x = b, or None."""
     rhs = checked_vector(b, a.d, "point")
-    eq = [[Fraction(a.entry(i, j)) for j in range(a.n)] for i in range(a.d)]
-    return feasible_point(eq, rhs, [True] * a.n)
+    return feasible_point(a.rows, rhs, [True] * a.n)
 
 
 def semigroup_contains(a: IntMatrix, b: Sequence[int]) -> bool:
@@ -197,8 +192,9 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
     """x in N^n with A x = b, or None.  Requires NA pointed.
 
     A non-integral b is never in NA and gets None.  Depth-first search over
-    column subtractions, memoized; the strictly positive functional from the
-    face lattice bounds the recursion.
+    column subtractions, memoized; the functional from the face lattice is
+    positive on every nonzero column and bounds the recursion.  Zero columns
+    (weight 0) never change the point, so the search skips them.
     """
     point = checked_vector(b, a.d, "point")
     phi = positive_functional(a)
@@ -207,6 +203,7 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
     target = tuple(int(x) for x in point)
     cols = a.columns()
     weights = [sum(p * c for p, c in zip(phi, col)) for col in cols]
+    steps = [j for j in range(a.n) if weights[j] > 0]
     memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 
     def search(v: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -216,7 +213,7 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
             return memo[v]
         height = sum(p * x for p, x in zip(phi, v))
         found = None
-        for j in range(a.n):
+        for j in steps:
             if weights[j] > height:
                 continue
             rest = search(vec_sub(v, cols[j]))
@@ -235,7 +232,8 @@ def extreme_rays(a: IntMatrix) -> list[tuple[int, ...]]:
     """Primitive generators of the one-dimensional faces of a pointed cone.
 
     For a one-dimensional cone the ray is the improper face, so the scan
-    covers the whole lattice, not just the proper part.
+    covers the whole lattice, not just the proper part.  Zero columns lie in
+    every face, so each ray is read off the face's smallest nonzero column.
     """
     lat = face_lattice(a)
     if not lat.pointed:
@@ -244,9 +242,8 @@ def extreme_rays(a: IntMatrix) -> list[tuple[int, ...]]:
     for face in lat.faces:
         if face.dim != 1:
             continue
-        j = min(face.columns)
-        col = a.column(j - 1)
-        rays.add(primitive_vector(col))
+        j = min(j for j in face.columns if any(a.column(j - 1)))
+        rays.add(primitive_vector(a.column(j - 1)))
     return sorted(rays)
 
 

@@ -91,10 +91,10 @@ def _component_multiplier(
     rows = []
     rhs = []
     for i in range(a.d):
-        row = [Fraction(comp.shift[i])]
-        row.extend(-Fraction(a.entry(i, j - 1)) for j in cols)
+        row = [comp.shift[i]]
+        row.extend(-a.entry(i, j - 1) for j in cols)
         rows.append(row)
-        rhs.append(Fraction(comp.offset[i]) - Fraction(beta[i]))
+        rhs.append(comp.offset[i] - beta[i])
     sol = gauss_solve(rows, rhs)
     if sol is None:
         return None
@@ -180,14 +180,9 @@ def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
 
 def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
     """beta in Q+A + QF via LP feasibility."""
-    nvars = a.n + len(cols)
-    rows = []
-    for i in range(a.d):
-        row = [Fraction(a.entry(i, j)) for j in range(a.n)]
-        row.extend(Fraction(a.entry(i, j - 1)) for j in cols)
-        rows.append(row)
+    rows = [[*row, *(row[j - 1] for j in cols)] for row in a.rows]
     nonneg = [True] * a.n + [False] * len(cols)
-    return feasible_point(rows, [Fraction(x) for x in beta], nonneg) is not None
+    return feasible_point(rows, beta, nonneg) is not None
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
@@ -196,15 +191,11 @@ def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
     for comp in resonance_set(a).components:
         cols = list(comp.face_columns)
         # delta + A x = -t*shift + offset + F c,  x >= 0, t >= 1, c free
-        nvars = a.n + 1 + len(cols)
         rows = []
         rhs = []
-        for i in range(a.d):
-            row = [Fraction(a.entry(i, j)) for j in range(a.n)]
-            row.append(Fraction(comp.shift[i]))
-            row.extend(-Fraction(a.entry(i, j - 1)) for j in cols)
-            rows.append(row)
-            rhs.append(Fraction(comp.offset[i] - delta[i] - comp.shift[i]))
+        for i, arow in enumerate(a.rows):
+            rows.append([*arow, comp.shift[i], *(-arow[j - 1] for j in cols)])
+            rhs.append(comp.offset[i] - delta[i] - comp.shift[i])
         nonneg = [True] * (a.n + 1) + [False] * len(cols)
         if feasible_point(rows, rhs, nonneg) is not None:
             return False
@@ -263,9 +254,8 @@ def _line_hits_component(atilde, pair, beta) -> Optional[Fraction]:
     rows = []
     rhs = []
     for i in range(1, atilde.d):
-        row = [Fraction(atilde.entry(i, j - 1)) for j in cols]
-        rows.append(row)
-        rhs.append(Fraction(beta[i - 1]) - Fraction(pair.offset[i]))
+        rows.append([atilde.entry(i, j - 1) for j in cols])
+        rhs.append(beta[i - 1] - pair.offset[i])
     if cols:
         sol = gauss_solve(rows, rhs)
         if sol is None:

@@ -392,16 +392,16 @@ def ideal_member_bounded(
     grading = _grading_vectors(list(gens) + [target], nvars)
     t_first = next(iter(target.terms))
     t_deg = _weyl_degree(t_first[0], t_first[1], grading)
+    graded = [(mono, _weyl_degree(*mono, grading)) for mono in _monomials_up_to(nvars, bound)]
     columns: list[tuple[int, TermKey, WeylElement]] = []
     for gi, g in enumerate(gens):
         g_first = next(iter(g.terms))
         g_deg = _weyl_degree(g_first[0], g_first[1], grading)
         want = tuple(t - s for t, s in zip(t_deg, g_deg))
-        for mono in _monomials_up_to(nvars, bound):
-            u, v = mono
-            if _weyl_degree(u, v, grading) != want:
+        for mono, deg in graded:
+            if deg != want:
                 continue
-            prod = weyl_mul(WeylElement.monomial(u, v), g)
+            prod = weyl_mul(WeylElement.monomial(*mono), g)
             if not prod.is_zero():
                 columns.append((gi, mono, prod))
     if not columns:
@@ -410,11 +410,11 @@ def ideal_member_bounded(
         {k for _, _, prod in columns for k in prod.terms} | set(target.terms)
     )
     key_index = {k: i for i, k in enumerate(row_keys)}
-    matrix = [[Fraction(0)] * len(columns) for _ in row_keys]
+    matrix = [[0] * len(columns) for _ in row_keys]
     for ci, (_, _, prod) in enumerate(columns):
         for k, c in prod.terms.items():
             matrix[key_index[k]][ci] = c
-    rhs = [Fraction(0)] * len(row_keys)
+    rhs = [0] * len(row_keys)
     for k, c in target.terms.items():
         rhs[key_index[k]] = c
     sol = gauss_solve(matrix, rhs)

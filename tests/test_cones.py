@@ -13,7 +13,7 @@ from gkzkit import (
     semigroup_witness,
     support_functions,
 )
-from gkzkit.cones import interior_contains
+from gkzkit.cones import extreme_rays, interior_contains
 from gkzkit.errors import NotPointed, TooManyColumns
 from gkzkit.lp import feasible_point, gauss_solve
 
@@ -209,6 +209,13 @@ def test_membership_rejects_non_integral_point():
     assert semigroup_witness(a, (Fraction(1, 2), 1)) is None
 
 
+def test_membership_skips_zero_column():
+    # a zero column has weight 0 and used to be subtracted forever
+    a = parse_matrix("0 2")
+    assert not semigroup_contains(a, (1,))
+    assert semigroup_witness(a, (4,)) == (0, 2)
+
+
 def test_membership_not_pointed():
     with pytest.raises(NotPointed):
         semigroup_contains(parse_matrix("1 -1"), (0,))
@@ -242,6 +249,20 @@ def test_is_saturated(staircase, hat, line, wedge):
     assert is_saturated(hat)
     assert is_saturated(wedge)
     assert is_saturated(parse_matrix("2 5")) is False
+
+
+def test_extreme_ray_skips_zero_column():
+    assert extreme_rays(parse_matrix("0 2")) == [(1,)]
+
+
+def test_zero_column_not_saturated():
+    # NA = 2N, but the ray was once read off the zero column
+    assert is_saturated(parse_matrix("0 2")) is False
+
+
+def test_saturation_with_zero_column_terminates():
+    # (1, 0) is in the cone but not in NA
+    assert is_saturated(parse_matrix("2 0 3; 0 0 1")) is False
 
 
 def test_saturation_gap_matches_staircase_figure(staircase):

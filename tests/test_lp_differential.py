@@ -1,0 +1,126 @@
+"""Differential tests of the fraction-free LP kernel.
+
+`gauss_solve` and `feasible_point` work on integer rows, each a positive
+multiple of the rational row; they must return exactly what the `Fraction`
+route in `lp_oracle` returns, vertex for vertex.  `_pivot` is also checked
+against the oracle's pivot for that invariant itself.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import lp_oracle
+
+from gkzkit.lp import _cleared, _pivot, feasible_point, gauss_solve
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 7])),
+)
+
+
+@st.composite
+def systems(draw):
+    """m <= 5 rows, k <= 8 columns, int and Fraction entries, free and nonneg columns.
+
+    Later rows are often zero or a scaled copy of an earlier row, whose right
+    side is sometimes shifted off the copy to make the system inconsistent.
+    """
+    m = draw(st.integers(0, 5))
+    k = draw(st.integers(1, 8))
+    rows = [draw(st.lists(ENTRIES, min_size=k, max_size=k)) for _ in range(m)]
+    rhs = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    for i in range(1, m):
+        kind = draw(st.sampled_from(["plain", "plain", "zero", "copy"]))
+        if kind == "zero":
+            rows[i] = [0] * k
+        elif kind == "copy":
+            j = draw(st.integers(0, i - 1))
+            f = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+            rows[i] = [f * x for x in rows[j]]
+            rhs[i] = f * rhs[j] + draw(st.sampled_from([0, 0, 1]))
+    nonneg = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return rows, rhs, nonneg
+
+
+EXAMPLES = [
+    ([], [], [True, False]),  # no rows
+    ([[1, 1]], [-1], [True, True]),  # infeasible: x >= 0 cannot sum to -1
+    ([[1, 2], [2, 4]], [1, 2], [True, True]),  # redundant row, artificial stays basic
+    ([[0, 0], [1, -1]], [0, -2], [True, False]),  # zero row, negative right side
+    ([[1, -1], [-1, 1]], [0, 0], [True, True]),
+    (
+        [[Fraction(1, 2), Fraction(1, 3), 1], [1, Fraction(-2, 7), Fraction(3, 5)]],
+        [Fraction(5, 3), -1],
+        [True, False, True],
+    ),
+    # Rows cleared by different L_i: any artificial entry but L_i changes the
+    # objective row, hence the pivot path and the vertex returned.
+    (
+        [[0, 2, 0, 0], [1, 1, Fraction(1, 2), 1], [0, 0, -1, Fraction(1, 2)]],
+        [0, 0, -1],
+        [True, False, False, False],
+    ),
+]
+
+
+def with_examples(test):
+    for case in EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@SETTINGS
+@given(systems())
+@with_examples
+def test_gauss_solve_matches_oracle(system):
+    rows, rhs, _ = system
+    got = gauss_solve(rows, rhs)
+    assert got == lp_oracle.gauss_solve(rows, rhs)
+    if got is not None:
+        particular, basis = got
+        assert all(type(x) is Fraction for x in particular + sum(basis, []))
+
+
+@SETTINGS
+@given(systems())
+@with_examples
+def test_feasible_point_matches_oracle(system):
+    rows, rhs, nonneg = system
+    got = feasible_point(rows, rhs, nonneg)
+    assert got == lp_oracle.feasible_point(rows, rhs, nonneg)
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+
+
+@SETTINGS
+@given(systems(), st.data())
+def test_pivot_keeps_positive_multiples(system, data):
+    rows, rhs, _ = system
+    tableau = [[*row, b] for row, b in zip(rows, rhs)]
+    spots = [(r, c) for r, row in enumerate(tableau) for c, x in enumerate(row[:-1]) if x]
+    if not spots:
+        return
+    r, c = data.draw(st.sampled_from(spots))
+    ints = [_cleared(row)[0] for row in tableau]
+    _pivot(ints, r, c)
+    rational = [[Fraction(x) for x in row] for row in tableau]
+    lp_oracle._pivot(rational, [Fraction(0)] * len(tableau[0]), r, c)
+    for got, want in zip(ints, rational):
+        k = next((k for k, x in enumerate(want) if x), None)
+        if k is None:
+            assert not any(got)
+            continue
+        factor = got[k] / want[k]
+        assert factor > 0
+        assert got == [factor * x for x in want]
