@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import NotFullDimensional, NotFullLattice, NotPointed, TooManyColumns
+from .errors import NotFullDimensional, NotFullLattice, NotPointed, SearchBoundError, TooManyColumns
 from .intlinalg import IntMatrix, checked_vector, primitive_vector, vec_sub
 from .lp import feasible_point, gauss_solve
 
@@ -155,6 +155,22 @@ def positive_functional(a: IntMatrix) -> tuple[int, ...]:
     return tuple(int(q * den) for q in cert)
 
 
+@lru_cache(maxsize=None)
+def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
+    """Integer column weights w_i = phi . a_i >= 1, or None if there are none.
+
+    phi is the certificate of the empty face, cleared of denominators: one
+    phase-I LP, without the face lattice.  It is infeasible exactly when
+    the cone is not pointed or a column is zero.
+    """
+    cert = _face_certificate(a, frozenset())
+    if cert is None:
+        return None
+    den = lcm(*(q.denominator for q in cert))
+    phi = [int(q * den) for q in cert]
+    return tuple(sum(p * x for p, x in zip(phi, col)) for col in a.columns())
+
+
 def support_functions(a: IntMatrix) -> list[SupportFunction]:
     """One primitive integral support function per facet of the cone."""
     if not a.spans_lattice:
@@ -194,7 +210,8 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
     A non-integral b is never in NA and gets None.  Depth-first search over
     column subtractions, memoized; the functional from the face lattice is
     positive on every nonzero column and bounds the recursion.  Zero columns
-    (weight 0) never change the point, so the search skips them.
+    (weight 0) never change the point, so the search skips them.  A point
+    deeper than the interpreter's recursion limit raises SearchBoundError.
     """
     point = checked_vector(b, a.d, "point")
     phi = positive_functional(a)
@@ -225,7 +242,10 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
         memo[v] = found
         return found
 
-    return search(target)
+    try:
+        return search(target)
+    except RecursionError:
+        raise SearchBoundError("membership search exceeded the recursion depth") from None
 
 
 def extreme_rays(a: IntMatrix) -> list[tuple[int, ...]]:

@@ -6,10 +6,9 @@ equality, hashing and the sign/coefficient rendering of `pretty`) is
 `TermMap`, shared with `weyl.WeylElement`.  Buchberger keeps the leading term of each basis element
 next to it, selects S-pairs from a heap by the smallest lcm of leading
 monomials (normal selection) and prunes them with the Gebauer-Moller
-criteria.  Quotients of a homogeneous ideal by a monomial come from
-weighted-revlex bases with one variable last, with no elimination variable;
-saturation, which must also handle ideals with no positive grading, still
-eliminates one.
+criteria.  Quotients and saturations of a homogeneous ideal by monomials
+come from weighted-revlex bases with one variable last, with no elimination
+variable.
 """
 
 from __future__ import annotations
@@ -77,19 +76,6 @@ def order_by_name(name: str) -> TermOrder:
     if name not in _ORDERS:
         raise ParseError(f"unknown term order {name!r} (choose from {sorted(_ORDERS)})")
     return _ORDERS[name]()
-
-
-def elimination_order(front: int, total: int) -> TermOrder:
-    """Block order eliminating the first `front` variables, degrevlex in each block."""
-
-    def key(u: Monomial):
-        head, tail = u[:front], u[front:]
-        return (
-            (sum(head), tuple(-x for x in reversed(head))),
-            (sum(tail), tuple(-x for x in reversed(tail))),
-        )
-
-    return TermOrder(f"elim{front}", key)
 
 
 class TermMap:
@@ -402,81 +388,33 @@ def ideal_is_unit(gb: Sequence[Polynomial]) -> bool:
     return any(set(g.terms) == {(0,) * g.nvars} for g in gb)
 
 
-def _shift_vars(p: Polynomial, extra_front: int) -> Polynomial:
-    return Polynomial(
-        p.nvars + extra_front,
-        {((0,) * extra_front + m): c for m, c in p.terms.items()},
-    )
-
-
-def _drop_front_var(p: Polynomial) -> Polynomial:
-    return Polynomial(p.nvars - 1, {m[1:]: c for m, c in p.terms.items()})
-
-
 def ideal_quotient(
     gens: Sequence[Polynomial],
-    u: Monomial,
+    u: Sequence[float],
     weights: Sequence[int],
     order: TermOrder,
 ) -> list[Polynomial]:
     """Reduced GB (in `order`) of (gens : x^u), for gens homogeneous in `weights`.
 
-    Every weight must be a positive integer.  For such an ideal I, the reduced
-    basis of I in `weighted_revlex(weights, i)` has x_i dividing an element
-    exactly when it divides its leading monomial, so dividing x_i out of those
-    elements gives a basis of I : x_i (Bayer-Stillman; Sturmfels, Groebner
-    Bases and Convex Polytopes, Lemma 12.1).  This is repeated u_i times for
-    each variable, or until I : x_i = I.
+    Every weight must be a positive integer.  An exponent u_i may be
+    `math.inf`, which saturates: I : x_i^inf.  For such an ideal I, x_i
+    divides a homogeneous polynomial exactly when it divides its leading
+    monomial in `weighted_revlex(weights, i)`, so dividing every element of a
+    Groebner basis in that order by x_i^min(u_i, k), x_i^k the power of x_i
+    it holds, gives a Groebner basis of I : x_i^u_i (Bayer-Stillman;
+    Sturmfels, Groebner Bases and Convex Polytopes, Lemma 12.1).  That is
+    one basis per variable with u_i > 0, however large u_i is.
     """
     current = list(gens)
     for i, e in enumerate(u):
-        for _ in range(e):
+        if e:
             basis = groebner_basis(current, weighted_revlex(weights, i))
-            divisible = [all(m[i] for m in g.terms) for g in basis]
-            if not any(divisible):
-                break
-            current = [
-                _divide_variable(g, i) if d else g for g, d in zip(basis, divisible)
-            ]
+            current = [_divide_variable(g, i, min(e, *(m[i] for m in g.terms))) for g in basis]
     return groebner_basis(current, order)
 
 
-def _divide_variable(p: Polynomial, var: int) -> Polynomial:
+def _divide_variable(p: Polynomial, var: int, power: int) -> Polynomial:
     return Polynomial(
         p.nvars,
-        {m[:var] + (m[var] - 1,) + m[var + 1 :]: c for m, c in p.terms.items()},
+        {m[:var] + (m[var] - power,) + m[var + 1 :]: c for m, c in p.terms.items()},
     )
-
-
-def saturate_variable(
-    gens: Sequence[Polynomial], var: int, order: TermOrder
-) -> list[Polynomial]:
-    """Reduced GB of (gens : x_var^infinity), by inverting the variable."""
-    nvars = gens[0].nvars if gens else 0
-    if not gens:
-        return []
-    t_x = Polynomial.monomial(
-        (1,) + tuple(1 if i == var else 0 for i in range(nvars))
-    )
-    one = Polynomial.one(nvars + 1)
-    lifted = [_shift_vars(f, 1) for f in gens]
-    lifted.append(t_x - one)
-    elim = elimination_order(1, nvars + 1)
-    gb = groebner_basis(lifted, elim)
-    kept = [_drop_front_var(p) for p in gb if all(m[0] == 0 for m in p.terms)]
-    return groebner_basis(kept, order) if kept else []
-
-
-def saturate_all_variables(
-    gens: Sequence[Polynomial], order: TermOrder
-) -> list[Polynomial]:
-    """Reduced GB of (gens : (x_1 ... x_n)^infinity), one variable at a time."""
-    current = groebner_basis(gens, order)
-    if not current:
-        return []
-    nvars = current[0].nvars
-    for var in range(nvars):
-        current = saturate_variable(current, var, order)
-        if not current:
-            return []
-    return current

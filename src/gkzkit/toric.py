@@ -1,14 +1,16 @@
 """The toric ideal I_A and quasi-degree decompositions of S_A / <d_j>.
 
-The grading is deg(d_j) = a_j (column j of the defining matrix).  The
-quasi-degree routine builds a prime filtration of R/(I_A + <d_j>) by
+The grading is deg(d_j) = a_j (column j of the defining matrix).  I_A is
+the ideal of a lattice basis of ker_Z(A) saturated by every variable, and
+the quasi-degree routine builds a prime filtration of R/(I_A + <d_j>) by
 repeatedly splitting off a face-prime quotient; only the union of the
 resulting degree sets is contractual, the component list itself is one
-valid filtration.  Every ideal the filtration meets is homogeneous for the
-positive grading w_i = phi . a_i (phi from `positive_functional`), so each
-quotient by a monomial d^u is read off weighted-revlex Groebner bases with
-one variable last (`polynomials.ideal_quotient`); this is why every column
-must be nonzero.
+valid filtration.  Both saturation and each quotient by a monomial d^u are
+read off weighted-revlex Groebner bases with one variable last
+(`polynomials.ideal_quotient`), which needs the positive grading
+w_i = phi . a_i of `cones.positive_grading`.  A toric ideal of a matrix
+without one goes through the homogenized matrix; the filtration requires
+one, so every column must be nonzero.
 """
 
 from __future__ import annotations
@@ -16,16 +18,17 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from math import inf
+from typing import Iterable, Optional, Sequence
 
-from .cones import Face, face_lattice, positive_functional, semigroup_contains
+from .cones import Face, face_lattice, positive_grading, semigroup_contains
 from .errors import (
     ColumnIndexOutOfRange,
     DegenerateColumn,
     FiltrationBoundExceeded,
     NotPointed,
 )
-from .intlinalg import IntMatrix, lattice_kernel, vec_sub
+from .intlinalg import IntMatrix, homogenize, lattice_kernel, vec_sub
 from .polynomials import (
     Polynomial,
     TermOrder,
@@ -34,7 +37,6 @@ from .polynomials import (
     ideal_quotient,
     normal_form,
     order_by_name,
-    saturate_all_variables,
 )
 
 DEFAULT_ORDER = "degrevlex"
@@ -63,9 +65,13 @@ def box_binomial(l: Sequence[int], nvars: int) -> Polynomial:
     return Polynomial(nvars, {neg: 1, pos: -1}) if neg != pos else Polynomial.zero(nvars)
 
 
-def a_degree(p: Polynomial, a: IntMatrix) -> Optional[tuple[int, ...]]:
-    """Common A-degree of all monomials of p, or None if mixed (0 for p = 0)."""
-    degs = {a.mul_vec(m) for m in p.terms}
+def a_degree(p: Polynomial | Iterable[Sequence[int]], a: IntMatrix) -> Optional[tuple[int, ...]]:
+    """Common A-degree of all monomials of p, or None if mixed (0 for p = 0).
+
+    p is a Polynomial or an iterable of exponent vectors;
+    `WeylElement.a_degree` passes v - u for each term lambda^u d^v.
+    """
+    degs = {a.mul_vec(m) for m in (p.terms if isinstance(p, Polynomial) else p)}
     if not degs:
         return (0,) * a.d
     if len(degs) > 1:
@@ -75,19 +81,27 @@ def a_degree(p: Polynomial, a: IntMatrix) -> Optional[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def toric_ideal(a: IntMatrix, order_name: str = DEFAULT_ORDER) -> ToricIdeal:
-    """Reduced Groebner basis of the lattice ideal of ker_Z(A)."""
+    """Reduced Groebner basis of the lattice ideal of ker_Z(A).
+
+    I_A is the saturation of the ideal of a lattice basis by every variable,
+    and `ideal_quotient` computes it with u_i = inf under the grading
+    w_i = phi . a_i of `positive_grading`.  When A has no such grading (it is
+    not pointed, or a column is zero), I_A is I_A' with d_0 = 1 for
+    A' = homogenize(A), whose first row of ones grades it.
+    """
     order = order_by_name(order_name)
-    basis_vectors = lattice_kernel(a)
-    binomials = [box_binomial(l, a.n) for l in basis_vectors]
-    binomials = [b for b in binomials if not b.is_zero()]
-    gens = saturate_all_variables(binomials, order) if binomials else []
-    ideal = ToricIdeal(
-        matrix=a, order_name=order_name, generators=tuple(gens), is_groebner=True
-    )
+    weights = positive_grading(a)
+    if weights is None:
+        lifted = toric_ideal(homogenize(a)).generators
+        gens = [Polynomial(a.n, {m[1:]: c for m, c in g.terms.items()}) for g in lifted]
+        gens = groebner_basis(gens, order)
+    else:
+        binomials = [box_binomial(l, a.n) for l in lattice_kernel(a)]
+        gens = ideal_quotient(binomials, (inf,) * a.n, weights, order)
     for g in gens:
         if a_degree(g, a) is None:
             raise AssertionError("toric ideal generator is not A-homogeneous")
-    return ideal
+    return ToricIdeal(matrix=a, order_name=order_name, generators=tuple(gens), is_groebner=True)
 
 
 def toric_normal_form(p: Polynomial, ideal: ToricIdeal) -> Polynomial:
@@ -191,10 +205,7 @@ def quasi_degrees(
         if all(x == 0 for x in a.column(k - 1)):
             raise DegenerateColumn(f"column {k} is zero")
     order = order_by_name(order_name)
-    phi = positive_functional(a)
-    weights = [
-        sum(p * c for p, c in zip(phi, a.column(i))) for i in range(a.n)
-    ]
+    weights = positive_grading(a)
     primes = [
         (face, gb)
         for face, gb in _face_primes(a, order_name)

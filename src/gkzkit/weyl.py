@@ -26,10 +26,11 @@ from .intlinalg import (
     homogeneity_vector,
     homogenize,
     lattice_kernel,
+    vec_sub,
 )
 from .lp import gauss_solve
 from .polynomials import TermMap
-from .toric import toric_ideal
+from .toric import a_degree, toric_ideal
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]  # (lambda exponents, d exponents)
 
@@ -80,18 +81,7 @@ class WeylElement(TermMap):
 
     def a_degree(self, a: IntMatrix) -> Optional[tuple[int, ...]]:
         """Common degree under deg(lambda_j) = -a_j, deg(d_j) = a_j; None if mixed."""
-        degs = {
-            tuple(
-                sum(aa * (vv - uu) for aa, uu, vv in zip(row, u, v))
-                for row in a.rows
-            )
-            for u, v in self.terms
-        }
-        if not degs:
-            return (0,) * a.d
-        if len(degs) > 1:
-            return None
-        return degs.pop()
+        return a_degree((vec_sub(v, u) for u, v in self.terms), a)
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         return sorted(

@@ -2,7 +2,8 @@
 
 `face_lattice` finds faces as intersections of sign-checked facets and
 `is_saturated` tests box points against facet certificates; both are checked
-against the per-subset LP route in `face_oracle`.
+against the per-subset LP route in `face_oracle`.  `positive_grading` skips
+the lattice and is checked against the face lattice's `positive_functional`.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from face_oracle import face_lattice_by_subsets, is_saturated_by_lp
 
 from gkzkit import IntMatrix, parse_matrix
-from gkzkit.cones import face_lattice, is_saturated
+from gkzkit.cones import face_lattice, is_saturated, positive_functional, positive_grading
 
 SETTINGS = settings(
     max_examples=60,
@@ -65,3 +66,19 @@ def test_face_lattice_matches_subset_oracle(a):
 @example(parse_matrix("1 1 1; 0 1 2; 0 2 4"))
 def test_is_saturated_matches_lp_oracle(a):
     assert is_saturated(a) == is_saturated_by_lp(a)
+
+
+@SETTINGS
+@given(matrices())
+@example(parse_matrix("1 -1"))  # not pointed: None
+@example(parse_matrix("0 2 3"))  # zero column: None
+@example(parse_matrix("3 2 0; 1 1 1"))
+def test_positive_grading_matches_positive_functional(a):
+    # The weights fix quasi_degrees' filtration order, so the reports rest on this.
+    weights = positive_grading(a)
+    if not face_lattice(a).pointed or not all(any(col) for col in a.columns()):
+        assert weights is None
+    else:
+        phi = positive_functional(a)
+        assert weights == tuple(sum(p * x for p, x in zip(phi, col)) for col in a.columns())
+        assert min(weights) >= 1

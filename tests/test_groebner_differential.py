@@ -1,22 +1,27 @@
 """Differential tests of the Groebner engine.
 
-`ideal_quotient` divides variables out of weighted-revlex bases; it is checked
-against the elimination route in `quotient_oracle`.  Heap-driven `buchberger`
-output is checked against Buchberger's criterion in several orders.
+`ideal_quotient` divides variables out of weighted-revlex bases, and
+`toric_ideal` saturates with it; both are checked against the elimination
+route in `quotient_oracle`.  Heap-driven `buchberger` output is checked
+against Buchberger's criterion in several orders.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from quotient_oracle import ideal_quotient_by_elimination
+from quotient_oracle import (
+    elimination_order,
+    ideal_quotient_by_elimination,
+    saturate_all_variables,
+)
 
-from gkzkit import IntMatrix
+from gkzkit import IntMatrix, parse_matrix
 from gkzkit.cones import positive_functional
+from gkzkit.intlinalg import lattice_kernel
 from gkzkit.polynomials import (
     Polynomial,
     buchberger,
     degrevlex,
-    elimination_order,
     groebner_basis,
     ideal_quotient,
     lex,
@@ -24,7 +29,7 @@ from gkzkit.polynomials import (
     passes_buchberger_criterion,
     weighted_revlex,
 )
-from gkzkit.toric import toric_ideal
+from gkzkit.toric import box_binomial, toric_ideal
 
 SETTINGS = settings(
     max_examples=40,
@@ -67,6 +72,30 @@ def test_ideal_quotient_matches_elimination_oracle(case):
     gens, u, weights, order = case
     expected = ideal_quotient_by_elimination(gens, Polynomial.monomial(u), order)
     assert ideal_quotient(gens, u, weights, order) == expected
+
+
+@st.composite
+def small_matrices(draw):
+    """d in 1..3, n in d+1..d+3, entries in [-2, 2]: often not pointed or with a zero column."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, d + 3))
+    rows = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(d)]
+    return IntMatrix.from_rows(rows)
+
+
+@SETTINGS
+@given(small_matrices())
+@example(parse_matrix("0 2 3"))
+@example(parse_matrix("2 0 3; 0 0 1"))
+@example(parse_matrix("1 -1"))
+@example(parse_matrix("2 -2 1 0 -2; 0 1 0 1 -2"))
+@example(parse_matrix("0 2 3 -2 -2; 2 -2 3 1 0; 2 -3 2 3 -3"))
+@example(parse_matrix("1 -2 -2 -2 -1 -1; -2 1 -2 -2 1 2; 2 0 1 1 2 -1"))  # needs phi.a_i
+def test_toric_ideal_matches_elimination_saturation(a):
+    binomials = [box_binomial(l, a.n) for l in lattice_kernel(a)]
+    for name, order in (("degrevlex", degrevlex()), ("lex", lex())):
+        expected = saturate_all_variables(binomials, order) if binomials else []
+        assert list(toric_ideal(a, name).generators) == expected
 
 
 def polynomials(nvars):

@@ -1,19 +1,22 @@
 import random
 from fractions import Fraction
 
+from quotient_oracle import (
+    elimination_order,
+    saturate_all_variables,
+    saturate_variable,
+)
+
 from gkzkit.polynomials import (
     Polynomial,
     degrevlex,
     deglex,
-    elimination_order,
     groebner_basis,
     ideal_quotient,
     lex,
     monomial_divides,
     normal_form,
     passes_buchberger_criterion,
-    saturate_all_variables,
-    saturate_variable,
 )
 
 

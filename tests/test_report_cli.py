@@ -220,6 +220,22 @@ def test_cli_qdeg_zero_column_exits_3():
     assert json.loads(proc.stderr)["error"]["code"] == "degenerate_column"
 
 
+def test_cli_deep_member_exits_4():
+    # The membership search recurses once per column step; a point deeper than
+    # the recursion limit used to end in a RecursionError traceback.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gkzkit.cli", "member", "--matrix", "1", "--point", "5000"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 4
+    assert json.loads(proc.stderr)["error"]["code"] == "search_bound"
+
+
 @pytest.mark.parametrize("j", ["0", "5"])
 def test_cli_qdeg_column_index_out_of_range_exits_3(capsys, j):
     assert main(["qdeg", "--matrix", "1 1; 0 1", "--j", j]) == 3

@@ -12,13 +12,22 @@ from gkzkit import (
     toric_normal_form,
     true_degree_contains,
 )
-from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed
+from gkzkit.cones import face_lattice
+from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed, TooManyColumns
 from gkzkit.polynomials import Polynomial, passes_buchberger_criterion
 from gkzkit.toric import a_degree
 
 
 def test_trivial_kernel_gives_empty_ideal(wedge):
     assert toric_ideal(wedge).generators == ()
+
+
+def test_toric_ideal_skips_the_face_lattice():
+    # The grading comes from one LP, so the face-enumeration cap does not apply.
+    wide = parse_matrix(" ".join(["1"] * 13))
+    assert len(toric_ideal(wide).generators) == 12
+    with pytest.raises(TooManyColumns):
+        face_lattice(wide)
 
 
 def test_hat_ideal(hat):
