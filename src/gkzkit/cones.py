@@ -7,19 +7,27 @@ and the faces are their intersections.  One phase-I LP per face then finds
 its supporting functional, so the LP count is the number of faces, not 2^n;
 enumeration stays capped at n <= 12.  The dimension of a face is its column
 count minus the nullity that `lp.gauss_solve` returns for those columns.
+
+Membership in NA is an iterative depth-first search with one memo per
+matrix, for points of the cone only.  A deep point is first lowered by LP
+proximity (Cook, Gerards, Schrijver, Tardos, *Sensitivity theorems in
+integer linear programming*, Math. Prog. 1986): if A x = b has a solution
+in N^n, one lies within n * Delta of any rational solution x* >= 0, Delta
+the largest absolute minor of A.  So the search starts from phi-height at
+most n * Delta * sum_j phi . a_j, and the memo size is bounded by A alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import ceil, lcm
 from typing import Optional, Sequence
 
-from .errors import NotFullDimensional, NotFullLattice, NotPointed, SearchBoundError, TooManyColumns
-from .intlinalg import IntMatrix, checked_vector, primitive_vector, vec_sub
+from .errors import NotFullDimensional, NotFullLattice, NotPointed, TooManyColumns
+from .intlinalg import IntMatrix, checked_vector, determinant, primitive_vector, vec_sub
 from .lp import feasible_point, gauss_solve
 
 MAX_FACE_COLUMNS = 12
@@ -144,15 +152,19 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
     )
 
 
+def _integral(vec: Sequence[Fraction]) -> tuple[int, ...]:
+    """A rational vector times the least common multiple of its denominators."""
+    den = lcm(*(q.denominator for q in vec))
+    return tuple(int(q * den) for q in vec)
+
+
 def positive_functional(a: IntMatrix) -> tuple[int, ...]:
     """Integer phi with phi . a_j >= 1 for every nonzero column; requires a pointed cone."""
     lat = face_lattice(a)
     if not lat.pointed:
         raise NotPointed("cone has a nonzero lineality space")
-    cert = lat.minimal.certificate
-    den = lcm(*(q.denominator for q in cert))
     # Clearing denominators keeps phi . a_j >= 1 on every nonzero column.
-    return tuple(int(q * den) for q in cert)
+    return _integral(lat.minimal.certificate)
 
 
 @lru_cache(maxsize=None)
@@ -166,8 +178,7 @@ def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
     cert = _face_certificate(a, frozenset())
     if cert is None:
         return None
-    den = lcm(*(q.denominator for q in cert))
-    phi = [int(q * den) for q in cert]
+    phi = _integral(cert)
     return tuple(sum(p * x for p, x in zip(phi, col)) for col in a.columns())
 
 
@@ -182,8 +193,7 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
     for face in lat.proper_faces:
         if face.dim != a.d - 1:
             continue
-        den = lcm(*(q.denominator for q in face.certificate))
-        vec = primitive_vector(tuple(int(q * den) for q in face.certificate))
+        vec = primitive_vector(_integral(face.certificate))
         out.append(SupportFunction(facet=face, functional=vec))
     out.sort(key=lambda s: s.functional)
     return out
@@ -204,48 +214,142 @@ def semigroup_contains(a: IntMatrix, b: Sequence[int]) -> bool:
     return semigroup_witness(a, b) is not None
 
 
+_UNKNOWN = object()
+
+
+class _Semigroup:
+    """The NA-membership search on one matrix, with one memo for all its calls.
+
+    phi is positive on every nonzero column, so the column weights
+    w_j = phi . a_j bound the search; zero columns (weight 0) never change
+    the point and are not steps.  memo maps each point searched to its
+    depth-first witness, or None; that witness is a pure function of the
+    point, so sharing the memo across calls never changes an answer.  A
+    pointed cone is cut out of span(A) by its facet certificates, so
+    `in_cone` tests integer dot products with them and (when A spans less
+    than Q^d) with the normals of span(A), each cleared of denominators.
+    """
+
+    def __init__(self, a: IntMatrix):
+        self.a = a
+        self.phi = positive_functional(a)
+        self.cols = a.columns()
+        lat = face_lattice(a)
+        rank = lat.improper.dim
+        self.facets = [_integral(f.certificate) for f in lat.proper_faces if f.dim == rank - 1]
+        self.normals = [_integral(y) for y in gauss_solve(self.cols, [0] * a.n)[1]] if rank < a.d else []
+        self.weights = [sum(p * c for p, c in zip(self.phi, col)) for col in self.cols]
+        self.steps = [j for j in range(a.n) if self.weights[j] > 0]
+        self.min_weight = min((self.weights[j] for j in self.steps), default=0)
+        self.memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
+
+    def in_cone(self, v: Sequence[int]) -> bool:
+        """Whether v lies in the cone R+A."""
+
+        def dot(u):
+            return sum(p * x for p, x in zip(u, v))
+
+        return all(dot(y) == 0 for y in self.normals) and all(dot(f) >= 0 for f in self.facets)
+
+    @cached_property
+    def delta(self) -> int:
+        """The largest absolute minor of A, over square submatrices of every size."""
+        rows = self.a.rows
+        return max(
+            abs(determinant(IntMatrix(tuple(tuple(rows[i][j] for j in cs) for i in rs))))
+            for k in range(1, min(self.a.d, self.a.n) + 1)
+            for rs in combinations(range(self.a.d), k)
+            for cs in combinations(range(self.a.n), k)
+        )
+
+    def witness(self, target: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        """x in N^n with A x = target, or None.
+
+        A point of height above n * Delta * min w is first lowered by LP
+        proximity (Cook, Gerards, Schrijver, Tardos 1986): some witness z,
+        if any, lies within n * Delta of the rational x* = cone_witness, so
+        z >= y with y_j = max(0, ceil(x*_j) - n * Delta), and target is in NA
+        exactly when target - A y is.  The rest then has height at most
+        n * Delta * sum(w), a bound fixed by A alone.
+        """
+        if not self.in_cone(target):
+            return None  # not searched, so the memo only holds points reached from the cone
+        n = self.a.n
+        height = sum(p * x for p, x in zip(self.phi, target))
+        offset = [0] * n
+        # Below n * min w no x*_j exceeds n <= n * Delta, so y = 0 and Delta is not needed.
+        if self.steps and height > n * self.min_weight:
+            bound = n * self.delta
+            while height > bound * self.min_weight:
+                x = cone_witness(self.a, target)
+                y = [max(0, ceil(x[j]) - bound) if self.weights[j] else 0 for j in range(n)]
+                if not any(y):
+                    break
+                target = vec_sub(target, self.a.mul_vec(y))
+                height -= sum(w * k for w, k in zip(self.weights, y))
+                offset = [o + k for o, k in zip(offset, y)]
+        found = self.search(target, height)
+        if found is None:
+            return None
+        return tuple(f + o for f, o in zip(found, offset))
+
+    def search(self, root: tuple[int, ...], height: int) -> Optional[tuple[int, ...]]:
+        """The depth-first witness of root: subtract the first step that leads to 0.
+
+        An explicit stack of (point, height) pairs stands in for recursion.
+        The top point scans the steps in order and reads each point one step
+        lower from the memo.  At the first one not there it pushes that
+        point, and scans again once the point is settled.
+        """
+        memo, cols, weights = self.memo, self.cols, self.weights
+        zero = (0,) * self.a.n
+        if not any(root):
+            return zero
+        stack = [] if root in memo else [(root, height)]
+        while stack:
+            v, h = stack[-1]
+            for j in self.steps:
+                if weights[j] > h:
+                    continue
+                u = vec_sub(v, cols[j])
+                rest = zero if h == weights[j] and not any(u) else memo.get(u, _UNKNOWN)
+                if rest is _UNKNOWN:
+                    stack.append((u, h - weights[j]))
+                    break
+                if rest is not None:
+                    memo[v] = rest[:j] + (rest[j] + 1,) + rest[j + 1 :]
+                    stack.pop()
+                    break
+            else:
+                memo[v] = None
+                stack.pop()
+        return memo[root]
+
+
+@lru_cache(maxsize=None)
+def _semigroup(a: IntMatrix) -> _Semigroup:
+    """The shared search state of one matrix; `cache_clear` drops its memo too."""
+    return _Semigroup(a)
+
+
 def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """x in N^n with A x = b, or None.  Requires NA pointed.
 
-    A non-integral b is never in NA and gets None.  Depth-first search over
-    column subtractions, memoized; the functional from the face lattice is
-    positive on every nonzero column and bounds the recursion.  Zero columns
-    (weight 0) never change the point, so the search skips them.  A point
-    deeper than the interpreter's recursion limit raises SearchBoundError.
+    A non-integral b is never in NA and gets None.  The search is
+    depth-first over column subtractions, in column order, with one memo
+    per matrix, and iterative, so no input reaches a recursion limit.  A
+    point deeper than n * Delta * min w (Delta the largest absolute minor
+    of A, w_j = phi . a_j the column weights) is first lowered by the LP
+    proximity theorem of Cook, Gerards, Schrijver and Tardos (Math. Prog.
+    1986): the search then starts from height at most n * Delta * sum(w).
+    Below the threshold the witness is the depth-first one; above it, it
+    is a valid witness, not necessarily that one.
     """
     point = checked_vector(b, a.d, "point")
-    phi = positive_functional(a)
+    semigroup = _semigroup(a)
     if any(x.denominator != 1 for x in point):
         return None
-    target = tuple(int(x) for x in point)
-    cols = a.columns()
-    weights = [sum(p * c for p, c in zip(phi, col)) for col in cols]
-    steps = [j for j in range(a.n) if weights[j] > 0]
-    memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-
-    def search(v: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if all(x == 0 for x in v):
-            return (0,) * a.n
-        if v in memo:
-            return memo[v]
-        height = sum(p * x for p, x in zip(phi, v))
-        found = None
-        for j in steps:
-            if weights[j] > height:
-                continue
-            rest = search(vec_sub(v, cols[j]))
-            if rest is not None:
-                sol = list(rest)
-                sol[j] += 1
-                found = tuple(sol)
-                break
-        memo[v] = found
-        return found
-
-    try:
-        return search(target)
-    except RecursionError:
-        raise SearchBoundError("membership search exceeded the recursion depth") from None
+    return semigroup.witness(tuple(int(x) for x in point))
 
 
 def extreme_rays(a: IntMatrix) -> list[tuple[int, ...]]:
@@ -272,10 +376,9 @@ def is_saturated(a: IntMatrix) -> bool:
 
     Every Hilbert-basis element of the cone lies in the zonotope spanned by
     the primitive extreme rays, so checking all lattice points of the
-    zonotope's bounding box that lie in the cone is conclusive.  A pointed
-    cone is cut out of span(A) by its facet certificates, so a box point is
-    tested by signs of dot products (and, when A spans less than Q^d, by the
-    normals of span(A) from one `gauss_solve`), with no LP per point.
+    zonotope's bounding box that lie in the cone is conclusive.  Box points
+    are tested against the facets by integer dot products, with no LP per
+    point.
     """
     lat = face_lattice(a)
     if not lat.pointed:
@@ -283,17 +386,11 @@ def is_saturated(a: IntMatrix) -> bool:
     rays = extreme_rays(a)
     if not rays:
         return True
-    rank = lat.improper.dim
-    facets = [f.certificate for f in lat.proper_faces if f.dim == rank - 1]
-    normals = gauss_solve(a.columns(), [0] * a.n)[1] if rank < a.d else []
+    semigroup = _semigroup(a)
     lo = [sum(min(0, r[i]) for r in rays) for i in range(a.d)]
     hi = [sum(max(0, r[i]) for r in rays) for i in range(a.d)]
     for point in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if any(sum(y * x for y, x in zip(normal, point)) != 0 for normal in normals):
-            continue
-        if any(sum(p * x for p, x in zip(phi, point)) < 0 for phi in facets):
-            continue
-        if not semigroup_contains(a, point):
+        if semigroup.in_cone(point) and not semigroup_contains(a, point):
             return False
     return True
 

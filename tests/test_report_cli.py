@@ -220,9 +220,8 @@ def test_cli_qdeg_zero_column_exits_3():
     assert json.loads(proc.stderr)["error"]["code"] == "degenerate_column"
 
 
-def test_cli_deep_member_exits_4():
-    # The membership search recurses once per column step; a point deeper than
-    # the recursion limit used to end in a RecursionError traceback.
+def test_cli_deep_member_exits_0():
+    # 5000 column steps, deeper than the interpreter's recursion limit.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
@@ -232,8 +231,8 @@ def test_cli_deep_member_exits_4():
         text=True,
         timeout=60,
     )
-    assert proc.returncode == 4
-    assert json.loads(proc.stderr)["error"]["code"] == "search_bound"
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {"member": True, "witness": [5000]}
 
 
 @pytest.mark.parametrize("j", ["0", "5"])

@@ -1,0 +1,174 @@
+"""Differential tests of the NA-membership search.
+
+`semigroup_witness` shares one memo per matrix, searches with an explicit
+stack and lowers deep points by LP proximity first.  `semigroup_oracle`
+keeps the recursive search it replaces.  Both must agree on membership
+everywhere, and on the witness itself wherever the point is too shallow to
+be lowered (phi-height at most n * min w); elsewhere the witness must still
+satisfy A x = b with x in N^n.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import semigroup_oracle
+
+from gkzkit import parse_matrix, semigroup_witness
+from gkzkit.cones import _semigroup, positive_functional
+
+SETTINGS = settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+FIXED = [
+    "1 1 1 1; 0 1 2 3",
+    "1 1; 0 1",
+    "2 5",
+    "3 5 7",
+    "1 1 1; 0 1 -1",
+    "3 2 0; 1 1 1",
+    "1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0",
+    "0 2",
+    "2 0 3; 0 0 1",
+]
+
+
+@st.composite
+def matrices(draw):
+    """A corpus matrix, or a random one with d <= 2, n <= 4 (not always pointed)."""
+    if draw(st.booleans()):
+        return parse_matrix(draw(st.sampled_from(FIXED)))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n)) for _ in range(d)]
+    return parse_matrix("; ".join(" ".join(map(str, row)) for row in rows))
+
+
+@st.composite
+def cases(draw):
+    """A matrix and a point: a column combination up to 60 steps out, nudged, or any small point."""
+    a = draw(matrices())
+    if draw(st.booleans()):
+        c = draw(st.lists(st.integers(0, 15), min_size=a.n, max_size=a.n))
+        nudge = draw(st.lists(st.integers(-1, 1), min_size=a.d, max_size=a.d))
+        point = tuple(x + e for x, e in zip(a.mul_vec(c), nudge))
+    else:
+        point = tuple(draw(st.lists(st.integers(-3, 12), min_size=a.d, max_size=a.d)))
+    return a, point
+
+
+def height(a, point):
+    return sum(p * x for p, x in zip(positive_functional(a), point))
+
+
+def min_weight(a):
+    phi = positive_functional(a)
+    return min((w for w in (sum(p * x for p, x in zip(phi, col)) for col in a.columns()) if w > 0), default=0)
+
+
+def assert_valid(a, point, x):
+    assert len(x) == a.n and all(isinstance(v, int) and v >= 0 for v in x)
+    assert a.mul_vec(x) == tuple(point)
+
+
+@SETTINGS
+@given(cases())
+@example((parse_matrix("0 2"), (6,)))
+@example((parse_matrix("0 2"), (7,)))
+@example((parse_matrix("0 2"), (0,)))
+@example((parse_matrix("2 0 3; 0 0 1"), (5, 1)))
+@example((parse_matrix("2 0 3; 0 0 1"), (1, 0)))
+@example((parse_matrix("2 0 3; 0 0 1"), (301, 1)))
+@example((parse_matrix("1 1; 0 1"), (Fraction(1, 2), 0)))
+@example((parse_matrix("3 2 0; 1 1 1"), (Fraction(1, 2), 1)))
+@example((parse_matrix("1 1; 0 1"), (40, 41)))  # outside the cone, deep enough for the LP
+@example((parse_matrix("1 1; 0 1"), (-40, 0)))  # outside the cone, negative height
+@example((parse_matrix("2 5"), (3,)))  # in the cone, not in NA
+@example((parse_matrix("2 5"), (301,)))
+def test_search_matches_oracle(case):
+    a, point = case
+    try:
+        old = semigroup_oracle.semigroup_witness(a, point)
+    except Exception as exc:
+        with pytest.raises(type(exc)):
+            semigroup_witness(a, point)
+        return
+    new = semigroup_witness(a, point)
+    assert (old is None) == (new is None)
+    if new is not None:
+        assert_valid(a, point, new)
+    if all(Fraction(x).denominator == 1 for x in point) and height(a, point) <= a.n * min_weight(a):
+        assert new == old
+
+
+def test_non_integral_and_outside_points_are_not_members():
+    a = parse_matrix("1 1 1 1; 0 1 2 3")
+    assert semigroup_witness(a, (Fraction(5, 2), 3)) is None
+    assert semigroup_witness(a, (500, 1501)) is None  # beyond the ray (1, 3)
+    assert semigroup_witness(a, (500, -1)) is None  # below the ray (1, 0)
+    assert semigroup_witness(a, (-500, 0)) is None
+
+
+def largest_minor(rows):
+    """Largest absolute minor, by Laplace expansion over every square submatrix."""
+
+    def det(m):
+        if len(m) == 1:
+            return m[0][0]
+        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1 :] for r in m[1:]]) for j in range(len(m)))
+
+    d, n = len(rows), len(rows[0])
+    return max(
+        abs(det([[rows[i][j] for j in cs] for i in rs]))
+        for k in range(1, min(d, n) + 1)
+        for rs in combinations(range(d), k)
+        for cs in combinations(range(n), k)
+    )
+
+
+def test_memo_stays_in_a_box_fixed_by_a():
+    # 12 points 1,100-1,400 column steps out on the twisted cubic, and 200
+    # shallow points far outside the cone.  The latter are not searched;
+    # each deep point is lowered to a rest A x' with 0 <= x' <= n * Delta,
+    # and the search subtracts at most C = n * Delta * sum(w) / min w
+    # columns from it, so every memo key lies in a box fixed by A alone.
+    a = parse_matrix("1 1 1 1; 0 1 2 3")
+    _semigroup.cache_clear()
+    rng = random.Random(7)
+    for _ in range(12):
+        c = [0] * a.n
+        for _ in range(rng.randint(1100, 1400)):
+            c[rng.randrange(a.n)] += 1
+        point = a.mul_vec(c)
+        assert_valid(a, point, semigroup_witness(a, point))
+    for _ in range(100):
+        height = rng.randint(0, 4)
+        assert semigroup_witness(a, (height, rng.randint(3 * height + 1, 10**6))) is None
+        assert semigroup_witness(a, (height, -rng.randint(1, 10**6))) is None
+    phi = positive_functional(a)
+    weights = [sum(p * x for p, x in zip(phi, col)) for col in a.columns()]
+    reach = a.n * largest_minor(a.rows)
+    steps = reach * sum(weights) // min(weights)
+    size = 1
+    for row in a.rows:
+        lo = reach * sum(min(0, x) for x in row) - steps * max(0, *row)
+        hi = reach * sum(max(0, x) for x in row) - steps * min(0, *row)
+        size *= hi - lo + 1
+    assert 0 < len(_semigroup(a).memo) <= size
+
+
+def test_cache_clear_empties_memo():
+    a = parse_matrix("1 1; 0 1")
+    semigroup_witness(a, (5, 2))
+    assert _semigroup(a).memo
+    _semigroup.cache_clear()
+    assert not _semigroup(a).memo
