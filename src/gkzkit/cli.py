@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--matrix")
         p.add_argument("--beta")
         p.add_argument("--order", default="degrevlex")
-        p.add_argument("--bound", type=int, default=None)
         p.set_defaults(func=func)
         return p
 
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("toric-ideal", cmd_toric_ideal, help="reduced Groebner basis of I_A")
     p = add("qdeg", cmd_qdeg, help="quasi-degree components of S_A/<d_j>")
     p.add_argument("--j", type=int, required=True)
-    p.set_defaults(bound=toric.DEFAULT_FILTRATION_BOUND)
+    p.add_argument("--bound", type=int, default=toric.DEFAULT_FILTRATION_BOUND)
     add("sres", cmd_sres, help="strong-resonance membership")
     add("dsres", cmd_dsres, help="dual resonance-set membership")
     add("delta", cmd_delta, help="cone shift avoiding sRes")
@@ -298,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--gens")
     p.add_argument("--nvars", type=int, default=None)
-    p.set_defaults(bound=4)
+    p.add_argument("--bound", type=int, default=4)
     add("factor", cmd_factor, help="family factorization B = C D1 A")
     p = add("index-sets", cmd_index_sets, help="congruence representatives I / I'")
     p.add_argument("--kind", default="I", choices=("I", "Iprime", "I'"))
-    p.set_defaults(bound=family.SECTION_SEARCH_CAP)
+    p.add_argument("--bound", type=int, default=family.SECTION_SEARCH_CAP)
     p = add("psi", cmd_psi, help="exponent image of a monomial section")
     p.add_argument("--m", required=True)
     p.add_argument("--s", type=int, default=0)

@@ -6,7 +6,8 @@ equality, hashing and the sign/coefficient rendering of `pretty`) is
 `TermMap`, shared with `weyl.WeylElement`.  Buchberger keeps the leading term of each basis element
 next to it, selects S-pairs from a heap by the smallest lcm of leading
 monomials (normal selection) and prunes them with the Gebauer-Moller
-criteria.  Quotients and saturations of a homogeneous ideal by monomials
+criteria; it can extend a reduced basis, pairing only the new generators.
+Quotients and saturations of a homogeneous ideal by monomials
 come from weighted-revlex bases with one variable last, with no elimination
 variable.
 """
@@ -285,8 +286,12 @@ def s_polynomial(
     return Polynomial(f.nvars, out)
 
 
-def buchberger(gens: Iterable[Polynomial], order: TermOrder) -> list[Polynomial]:
-    """A Groebner basis of gens (not reduced), by Buchberger's algorithm.
+def buchberger(
+    gens: Iterable[Polynomial],
+    order: TermOrder,
+    known: Sequence[Polynomial] = (),
+) -> list[Polynomial]:
+    """A Groebner basis of known + gens (not reduced), by Buchberger's algorithm.
 
     Leading terms are computed once per basis element.  Pending pairs sit in
     a heap keyed by the order key of the lcm of their leading monomials
@@ -294,10 +299,16 @@ def buchberger(gens: Iterable[Polynomial], order: TermOrder) -> list[Polynomial]
     element prunes the pairs with the Gebauer-Moller criteria (Gebauer and
     Moller 1988; Becker and Weispfenning, UPDATE): coprime leading monomials,
     and lcms made redundant by a chain through another element.
+
+    `known`, when given, must be a reduced Groebner basis in `order`.  Its
+    elements start the basis as they are, with no pairs among them (their
+    S-polynomials already reduce to 0), and only gens are inserted, so
+    extending a basis by a few generators costs only the pairs they make.
     """
-    basis: list[Polynomial] = []
-    leads: list[tuple[Monomial, Fraction]] = []
-    active: list[int] = []  # elements no later leading monomial divides
+    basis: list[Polynomial] = list(known)
+    leads: list[tuple[Monomial, Fraction]] = [g.leading(order) for g in basis]
+    # Elements no later leading monomial divides; in a reduced basis, all.
+    active: list[int] = list(range(len(basis)))
     pairs: list = []  # heap of (order key of lcm, sequence number, lcm, i, j)
     queued = count()
 
@@ -367,12 +378,21 @@ def reduce_basis(basis: Sequence[Polynomial], order: TermOrder) -> list[Polynomi
     ]
 
 
-def groebner_basis(gens: Iterable[Polynomial], order: TermOrder) -> list[Polynomial]:
-    """The reduced Groebner basis of the ideal generated by gens."""
+def groebner_basis(
+    gens: Iterable[Polynomial],
+    order: TermOrder,
+    known: Sequence[Polynomial] = (),
+) -> list[Polynomial]:
+    """The reduced Groebner basis of the ideal generated by known + gens.
+
+    `known`, when given, must be a reduced Groebner basis in `order` (as this
+    function returns); `buchberger` then starts from it and adds only the
+    pairs of gens, and the answer is exactly `groebner_basis(known + gens)`.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return []
-    return reduce_basis(buchberger(gens, order), order)
+        return list(known)
+    return reduce_basis(buchberger(gens, order, known), order)
 
 
 def passes_buchberger_criterion(basis: Sequence[Polynomial], order: TermOrder) -> bool:

@@ -10,7 +10,12 @@ read off weighted-revlex Groebner bases with one variable last
 (`polynomials.ideal_quotient`), which needs the positive grading
 w_i = phi . a_i of `cones.positive_grading`.  A toric ideal of a matrix
 without one goes through the homogenized matrix; the filtration requires
-one, so every column must be nonzero.
+one, so every column must be nonzero.  A candidate d^u reaches that
+quotient only if the set of i with d^u d_i in the ideal is exactly the
+complement of a face, a test of n normal forms; and every basis of the
+filtration (the face primes, the start ideal and each step) extends a
+reduced basis instead of being rebuilt (Saito, Sturmfels and Takayama,
+Groebner Deformations of Hypergeometric Differential Equations, ch. 3).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, homogenize, lattice_kernel, vec_sub
 from .polynomials import (
+    Monomial,
     Polynomial,
     TermOrder,
     groebner_basis,
@@ -172,20 +178,24 @@ def _monomials_by_weight(weights: Sequence[int], bound: int):
                 heapq.heappush(heap, (w + weights[i], v))
 
 
+def _variable(i: int, n: int) -> Polynomial:
+    """The monomial d_i (i 1-based) in n variables."""
+    return Polynomial.monomial(tuple(1 if k == i - 1 else 0 for k in range(n)))
+
+
 @lru_cache(maxsize=None)
-def _face_primes(a: IntMatrix, order_name: str) -> list[tuple[Face, tuple[Polynomial, ...]]]:
-    """Reduced GB of I_A + <d_i : i not in F> for every proper face F."""
+def _face_primes(a: IntMatrix, order_name: str) -> tuple[tuple[Face, tuple[Polynomial, ...]], ...]:
+    """Reduced GB of I_A + <d_i : i not in F> for every proper face F.
+
+    Each basis extends the reduced basis of I_A by the variables off F.
+    """
     order = order_by_name(order_name)
-    ideal = toric_ideal(a, order_name)
+    ideal = toric_ideal(a, order_name).generators
     out = []
     for face in face_lattice(a).proper_faces:
-        gens = list(ideal.generators)
-        for i in range(1, a.n + 1):
-            if i not in face.columns:
-                expo = tuple(1 if k == i - 1 else 0 for k in range(a.n))
-                gens.append(Polynomial.monomial(expo))
-        out.append((face, tuple(groebner_basis(gens, order))))
-    return out
+        off = [_variable(i, a.n) for i in range(1, a.n + 1) if i not in face.columns]
+        out.append((face, tuple(groebner_basis(off, order, known=ideal))))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -195,7 +205,25 @@ def quasi_degrees(
     order_name: str = DEFAULT_ORDER,
     bound: int = DEFAULT_FILTRATION_BOUND,
 ) -> QuasiDegreeSet:
-    """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based)."""
+    """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based).
+
+    Starting from I = I_A + <d_j>, each step scans the monomials d^u outside
+    I by increasing phi-weight w.u, up to and including weight `bound`, and
+    takes the first whose quotient I : d^u is a face prime
+    P_F = I_A + <d_i : i not in F> with j not in F; the component is
+    (A u, F) and I grows to I + <d^u>.  The loop ends when I is the unit
+    ideal, and raises FiltrationBoundExceeded when a step finds no such u.
+
+    If I : d^u = P_F, then d^u d_i lies in I exactly for the i off F: P_F
+    holds those d_i, and no d_i with i in F, since it meets k[d_i : i in F]
+    in the toric ideal of F, which holds no monomial.  So each candidate
+    first gets the set of i with d^u d_i not in I (n normal forms against
+    the basis of I, its leads computed once per step), and the full
+    quotient is computed, and compared with P_F, only when that set is the
+    column set of a face F.  Every basis extends a reduced one
+    (`groebner_basis(..., known=...)`): the start ideal that of I_A, each
+    step that of the step before.
+    """
     _check_column_index(a, j)
     if not face_lattice(a).pointed:
         raise NotPointed("quasi-degree decomposition requires a pointed semigroup")
@@ -206,32 +234,39 @@ def quasi_degrees(
             raise DegenerateColumn(f"column {k} is zero")
     order = order_by_name(order_name)
     weights = positive_grading(a)
-    primes = [
-        (face, gb)
+    primes = {
+        face.columns: (face, gb)
         for face, gb in _face_primes(a, order_name)
         if j not in face.columns
-    ]
-    start = Polynomial.monomial(tuple(1 if k == j - 1 else 0 for k in range(a.n)))
-    current = groebner_basis(list(toric_ideal(a, order_name).generators) + [start], order)
+    }
+    current = groebner_basis(
+        [_variable(j, a.n)], order, known=toric_ideal(a, order_name).generators
+    )
     components: list[DegreePair] = []
     while not ideal_is_unit(current):
+        leads = [g.leading(order) for g in current]
+
+        def in_ideal(u: Monomial) -> bool:
+            return normal_form(Polynomial.monomial(u), current, order, leads).is_zero()
+
         step = None
         for u in _monomials_by_weight(weights, bound):
-            mono = Polynomial.monomial(u)
-            if normal_form(mono, current, order).is_zero():
-                continue  # already in the ideal
-            quotient = ideal_quotient(current, u, weights, order)
-            for face, gb in primes:
-                if tuple(quotient) == gb:
-                    step = (u, face)
-                    break
-            if step is not None:
+            if in_ideal(u):
+                continue
+            spared = frozenset(
+                i + 1 for i in range(a.n) if not in_ideal(u[:i] + (u[i] + 1,) + u[i + 1 :])
+            )
+            if spared not in primes:
+                continue
+            face, gb = primes[spared]
+            if tuple(ideal_quotient(current, u, weights, order)) == gb:
+                step = (u, face)
                 break
         if step is None:
             raise FiltrationBoundExceeded(
-                f"no face-prime quotient found below weight {bound}"
+                f"no face-prime quotient found up to weight {bound}"
             )
         u, face = step
         components.append(DegreePair(offset=a.mul_vec(u), face=face))
-        current = groebner_basis(list(current) + [Polynomial.monomial(u)], order)
+        current = groebner_basis([Polynomial.monomial(u)], order, known=current)
     return QuasiDegreeSet(matrix=a, j=j, components=tuple(components))

@@ -1,0 +1,93 @@
+"""The quasi-degree filtration with no shortcuts, kept as an oracle.
+
+This is `toric.quasi_degrees` as it was before the face prefilter and the
+incremental bases: it computes the full quotient `current : d^u` for every
+candidate monomial outside the ideal, compares it with every face prime, and
+builds each basis (start ideal, face primes, every filtration step) from
+scratch.  The fast routine must return the same components in the same
+order.
+"""
+
+from __future__ import annotations
+
+from gkzkit.cones import face_lattice, positive_grading
+from gkzkit.errors import DegenerateColumn, FiltrationBoundExceeded, NotPointed
+from gkzkit.intlinalg import IntMatrix
+from gkzkit.polynomials import (
+    Polynomial,
+    groebner_basis,
+    ideal_is_unit,
+    ideal_quotient,
+    normal_form,
+    order_by_name,
+)
+from gkzkit.toric import (
+    DEFAULT_FILTRATION_BOUND,
+    DEFAULT_ORDER,
+    DegreePair,
+    QuasiDegreeSet,
+    _check_column_index,
+    _monomials_by_weight,
+    toric_ideal,
+)
+
+
+def face_primes(a: IntMatrix, order_name: str):
+    """Reduced GB of I_A + <d_i : i not in F> for every proper face F."""
+    order = order_by_name(order_name)
+    ideal = toric_ideal(a, order_name)
+    out = []
+    for face in face_lattice(a).proper_faces:
+        gens = list(ideal.generators)
+        for i in range(1, a.n + 1):
+            if i not in face.columns:
+                expo = tuple(1 if k == i - 1 else 0 for k in range(a.n))
+                gens.append(Polynomial.monomial(expo))
+        out.append((face, tuple(groebner_basis(gens, order))))
+    return out
+
+
+def quasi_degrees(
+    a: IntMatrix,
+    j: int,
+    order_name: str = DEFAULT_ORDER,
+    bound: int = DEFAULT_FILTRATION_BOUND,
+) -> QuasiDegreeSet:
+    """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based)."""
+    _check_column_index(a, j)
+    if not face_lattice(a).pointed:
+        raise NotPointed("quasi-degree decomposition requires a pointed semigroup")
+    for k in range(1, a.n + 1):
+        if all(x == 0 for x in a.column(k - 1)):
+            raise DegenerateColumn(f"column {k} is zero")
+    order = order_by_name(order_name)
+    weights = positive_grading(a)
+    primes = [
+        (face, gb)
+        for face, gb in face_primes(a, order_name)
+        if j not in face.columns
+    ]
+    start = Polynomial.monomial(tuple(1 if k == j - 1 else 0 for k in range(a.n)))
+    current = groebner_basis(list(toric_ideal(a, order_name).generators) + [start], order)
+    components: list[DegreePair] = []
+    while not ideal_is_unit(current):
+        step = None
+        for u in _monomials_by_weight(weights, bound):
+            mono = Polynomial.monomial(u)
+            if normal_form(mono, current, order).is_zero():
+                continue  # already in the ideal
+            quotient = ideal_quotient(current, u, weights, order)
+            for face, gb in primes:
+                if tuple(quotient) == gb:
+                    step = (u, face)
+                    break
+            if step is not None:
+                break
+        if step is None:
+            raise FiltrationBoundExceeded(
+                f"no face-prime quotient found below weight {bound}"
+            )
+        u, face = step
+        components.append(DegreePair(offset=a.mul_vec(u), face=face))
+        current = groebner_basis(list(current) + [Polynomial.monomial(u)], order)
+    return QuasiDegreeSet(matrix=a, j=j, components=tuple(components))

@@ -3,7 +3,8 @@
 `ideal_quotient` divides variables out of weighted-revlex bases, and
 `toric_ideal` saturates with it; both are checked against the elimination
 route in `quotient_oracle`.  Heap-driven `buchberger` output is checked
-against Buchberger's criterion in several orders.
+against Buchberger's criterion in several orders, and a basis extended
+from a reduced one against the basis rebuilt from scratch.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -125,6 +126,38 @@ def test_heap_buchberger_passes_criterion(gens, order_name):
     reduced = groebner_basis(gens, order)
     assert passes_buchberger_criterion(reduced, order)
     assert groebner_basis(list(reversed(gens)), order) == reduced
+
+
+@st.composite
+def extension_cases(draw):
+    """A reduced basis of I_A in some order, and monomials and binomials to add."""
+    a = draw(pointed_matrices())
+    n = a.n
+    order_name = draw(st.sampled_from(["degrevlex", "lex", "weighted_revlex"]))
+    if order_name == "weighted_revlex":
+        phi = positive_functional(a)
+        weights = [sum(p * c for p, c in zip(phi, a.column(i))) for i in range(n)]
+        order = weighted_revlex(weights, draw(st.integers(0, n - 1)))
+        known = groebner_basis(toric_ideal(a).generators, order)
+    else:
+        order = ORDERS[order_name]
+        known = list(toric_ideal(a, order_name).generators)
+    monomials = st.builds(Polynomial.monomial, exponents(n))
+    binomials = st.builds(
+        lambda u, v, c: Polynomial(n, {u: 1, v: c}) if u != v else Polynomial.monomial(u),
+        exponents(n),
+        exponents(n),
+        st.sampled_from([-1, 1, 2]),
+    )
+    extra = draw(st.lists(st.one_of(monomials, binomials), min_size=1, max_size=3))
+    return known, extra, order
+
+
+@SETTINGS
+@given(extension_cases())
+def test_extending_a_reduced_basis_matches_rebuilding(case):
+    known, extra, order = case
+    assert groebner_basis(extra, order, known=known) == groebner_basis(known + extra, order)
 
 
 def test_weighted_revlex_puts_last_variable_last():

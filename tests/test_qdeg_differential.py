@@ -1,0 +1,72 @@
+"""Differential tests of the quasi-degree filtration.
+
+`toric.quasi_degrees` computes the quotient `I : d^u` only for a candidate
+whose products d^u d_i already lie in I exactly off some face, and extends
+each Groebner basis instead of rebuilding it.  `qdeg_oracle` keeps the
+filtration it replaces: a full quotient for every candidate and every basis
+from scratch.  Both must return the same components, offset and face, in
+the same order.
+"""
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import qdeg_oracle
+
+from gkzkit import IntMatrix, parse_matrix
+from gkzkit.cones import face_lattice
+from gkzkit.errors import FiltrationBoundExceeded
+from gkzkit.intlinalg import homogenize
+from gkzkit.toric import quasi_degrees
+
+SETTINGS = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def _usable(a: IntMatrix) -> bool:
+    return all(any(col) for col in a.columns()) and face_lattice(a).pointed
+
+
+@st.composite
+def pointed_matrices(draw):
+    """d <= 3, n <= 5, entries in [-1, 2] ([-1, 1] when d = 3).
+
+    Three rows with entries up to 2 give weights whose filtrations take the
+    oracle minutes, so d = 3 draws smaller entries.
+    """
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    top = 1 if d == 3 else 2
+    rows = [draw(st.lists(st.integers(-1, top), min_size=n, max_size=n)) for _ in range(d)]
+    return IntMatrix.from_rows(rows)
+
+
+def _outcome(fn, a, j, order_name):
+    try:
+        return fn(a, j, order_name).components
+    except FiltrationBoundExceeded:
+        return FiltrationBoundExceeded
+
+
+def assert_same_filtration(a):
+    for m in (a, homogenize(a)):
+        for order_name in ("degrevlex", "lex"):
+            for j in range(1, m.n + 1):
+                expected = _outcome(qdeg_oracle.quasi_degrees, m, j, order_name)
+                assert _outcome(quasi_degrees, m, j, order_name) == expected, (m, j, order_name)
+
+
+@SETTINGS
+@given(pointed_matrices().filter(_usable))
+@example(parse_matrix("1 1 1 1 1 1; 0 1 2 3 4 5"))
+@example(parse_matrix("1 1 1 1 1 1; 0 1 0 1 2 0; 0 0 1 1 0 2"))
+# In these a candidate passes the face prefilter but its quotient is not P_F.
+@example(parse_matrix("0 1 1 2 1; 2 2 -1 -1 1"))
+@example(parse_matrix("0 0 1 1 -1; 1 0 0 -1 -1; 1 1 0 1 0"))
+def test_quasi_degrees_match_full_quotient_oracle(a):
+    assert_same_filtration(a)

@@ -254,6 +254,38 @@ def test_cli_index_sets(capsys):
     assert len(out["members"]) == 2
 
 
+# Only qdeg, verify-member and index-sets read --bound; every other command
+# must reject it rather than ignore it.  The required options are given so
+# that the only parse error left is the --bound.
+NO_BOUND = {
+    "analyze": [], "smith": [], "homogenize": [], "faces": [],
+    "member": ["--point", "1"], "saturated": [], "toric-ideal": [], "sres": [],
+    "dsres": [], "delta": [], "nbeta": [], "dual-param": [], "present": [],
+    "restrict": [], "factor": [], "psi": ["--m", "0"], "diagram": ["--box", "0 1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_BOUND))
+def test_cli_bound_rejected_where_unused(capsys, command):
+    argv = [command, "--matrix", "2 5", "--beta", "1/3", *NO_BOUND[command], "--bound", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bound 1" in capsys.readouterr().err
+
+
+def test_cli_bound_read_where_registered(capsys):
+    # The 2 5 filtration needs the monomial d2 of weight 5.
+    assert main(["qdeg", "--matrix", "2 5", "--j", "1", "--bound", "5"]) == 0
+    capsys.readouterr()
+    assert main(["qdeg", "--matrix", "2 5", "--j", "1", "--bound", "4"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "no face-prime quotient found up to weight 4"
+    )
+    assert main(["index-sets", "--matrix", "2", "--kind", "I", "--bound", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["members"]) == 2
+
+
 def test_cli_psi(capsys):
     assert main(["psi", "--m", "0,0", "--s", "0"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -172,6 +172,21 @@ def test_filtration_bound_error(numerical):
         quasi_degrees(numerical, 2, bound=1)
 
 
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_filtration_bound_is_inclusive(j):
+    from gkzkit.cones import positive_grading
+    from gkzkit.errors import FiltrationBoundExceeded
+
+    a = parse_matrix("3 5 7")
+    # phi = 1 grades 3 5 7, so the phi-weight of d^u is its offset A u.
+    assert positive_grading(a) == (3, 5, 7)
+    components = quasi_degrees(a, j).components
+    need = max(c.offset[0] for c in components)
+    assert quasi_degrees(a, j, bound=need).components == components
+    with pytest.raises(FiltrationBoundExceeded, match=f"up to weight {need - 1}$"):
+        quasi_degrees(a, j, bound=need - 1)
+
+
 def test_toric_ideal_order_flag(staircase):
     lex_ideal = toric_ideal(staircase, "lex")
     gens = lex_ideal.generators
