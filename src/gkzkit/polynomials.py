@@ -362,7 +362,7 @@ def reduce_basis(basis: Sequence[Polynomial], order: TermOrder) -> list[Polynomi
     for g in basis:
         if not g.is_zero():
             lm, lc = g.leading(order)
-            leading.append((order.key(lm), lm, g.scale(Fraction(1) / lc)))
+            leading.append((order.key(lm), lm, g if lc == 1 else g.scale(Fraction(1) / lc)))
     leading.sort(key=lambda t: t[0])
     minimal: list[tuple[Monomial, Polynomial]] = []
     for _, lm, g in leading:

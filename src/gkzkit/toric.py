@@ -10,12 +10,12 @@ read off weighted-revlex Groebner bases with one variable last
 (`polynomials.ideal_quotient`), which needs the positive grading
 w_i = phi . a_i of `cones.positive_grading`.  A toric ideal of a matrix
 without one goes through the homogenized matrix; the filtration requires
-one, so every column must be nonzero.  A candidate d^u reaches that
-quotient only if the set of i with d^u d_i in the ideal is exactly the
-complement of a face, a test of n normal forms; and every basis of the
-filtration (the face primes, the start ideal and each step) extends a
-reduced basis instead of being rebuilt (Saito, Sturmfels and Takayama,
-Groebner Deformations of Hypergeometric Differential Equations, ch. 3).
+one, so every column must be nonzero.  No face prime gets a Groebner
+basis: an A-homogeneous polynomial lies in I_A exactly when its
+coefficients sum to 0 (Sturmfels, Groebner Bases and Convex Polytopes,
+Lemma 4.1), so whether a quotient lies in a face prime is read off such
+sums (Saito, Sturmfels and Takayama, Groebner Deformations of
+Hypergeometric Differential Equations, ch. 3).
 """
 
 from __future__ import annotations
@@ -183,19 +183,10 @@ def _variable(i: int, n: int) -> Polynomial:
     return Polynomial.monomial(tuple(1 if k == i - 1 else 0 for k in range(n)))
 
 
-@lru_cache(maxsize=None)
-def _face_primes(a: IntMatrix, order_name: str) -> tuple[tuple[Face, tuple[Polynomial, ...]], ...]:
-    """Reduced GB of I_A + <d_i : i not in F> for every proper face F.
-
-    Each basis extends the reduced basis of I_A by the variables off F.
-    """
-    order = order_by_name(order_name)
-    ideal = toric_ideal(a, order_name).generators
-    out = []
-    for face in face_lattice(a).proper_faces:
-        off = [_variable(i, a.n) for i in range(1, a.n + 1) if i not in face.columns]
-        out.append((face, tuple(groebner_basis(off, order, known=ideal))))
-    return tuple(out)
+def _in_face_prime(g: Polynomial, columns: frozenset[int]) -> bool:
+    """Whether an A-homogeneous g lies in I_A + <d_i : i not in F> (see `quasi_degrees`)."""
+    off = [k for k in range(g.nvars) if k + 1 not in columns]
+    return sum(c for m, c in g.terms.items() if not any(m[k] for k in off)) == 0
 
 
 @lru_cache(maxsize=None)
@@ -215,14 +206,22 @@ def quasi_degrees(
     ideal, and raises FiltrationBoundExceeded when a step finds no such u.
 
     If I : d^u = P_F, then d^u d_i lies in I exactly for the i off F: P_F
-    holds those d_i, and no d_i with i in F, since it meets k[d_i : i in F]
-    in the toric ideal of F, which holds no monomial.  So each candidate
-    first gets the set of i with d^u d_i not in I (n normal forms against
-    the basis of I, its leads computed once per step), and the full
-    quotient is computed, and compared with P_F, only when that set is the
-    column set of a face F.  Every basis extends a reduced one
-    (`groebner_basis(..., known=...)`): the start ideal that of I_A, each
-    step that of the step before.
+    holds those d_i, and no d_i with i in F, since it meets k[d_F] =
+    k[d_i : i in F] in the toric ideal of F, which holds no monomial.  So
+    each candidate first gets the set of i with d^u d_i not in I (n normal
+    forms, the leads of I computed once per step), and the quotient is
+    computed only when that set is the column set of a face F.  Then P_F
+    lies in I : d^u (I holds I_A and each d^u d_i off F), so the two are
+    equal exactly when each element g of the quotient's basis lies in P_F.
+    Lemma: an A-homogeneous g lies in P_F exactly when the coefficients of
+    its terms on F (those using no d_i off F) sum to 0.  Proof: g lies in
+    P_F iff g_F, g with d_i = 0 off F, lies in P_F cap k[d_F], which is
+    I_A cap k[d_F], as the face functional vanishes on both sides of a
+    binomial of I_A or on neither.  That is the kernel of d^m -> t^(A m),
+    which sends the A-homogeneous g_F to its coefficient sum times one
+    monomial (Sturmfels, Groebner Bases and Convex Polytopes, Lemma 4.1).
+    Every basis extends a reduced one (`groebner_basis(..., known=...)`):
+    the start ideal that of I_A, each step that of the step before.
     """
     _check_column_index(a, j)
     if not face_lattice(a).pointed:
@@ -234,11 +233,7 @@ def quasi_degrees(
             raise DegenerateColumn(f"column {k} is zero")
     order = order_by_name(order_name)
     weights = positive_grading(a)
-    primes = {
-        face.columns: (face, gb)
-        for face, gb in _face_primes(a, order_name)
-        if j not in face.columns
-    }
+    faces = {f.columns: f for f in face_lattice(a).proper_faces if j not in f.columns}
     current = groebner_basis(
         [_variable(j, a.n)], order, known=toric_ideal(a, order_name).generators
     )
@@ -256,11 +251,10 @@ def quasi_degrees(
             spared = frozenset(
                 i + 1 for i in range(a.n) if not in_ideal(u[:i] + (u[i] + 1,) + u[i + 1 :])
             )
-            if spared not in primes:
-                continue
-            face, gb = primes[spared]
-            if tuple(ideal_quotient(current, u, weights, order)) == gb:
-                step = (u, face)
+            if spared in faces and all(
+                _in_face_prime(g, spared) for g in ideal_quotient(current, u, weights, order)
+            ):
+                step = (u, faces[spared])
                 break
         if step is None:
             raise FiltrationBoundExceeded(

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .errors import FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
@@ -165,6 +165,9 @@ def parse_weyl(text: str, nvars: Optional[int] = None) -> WeylElement:
 
 
 class _WeylParser:
+    """Operator parser; each open parenthesis pushes the enclosing sum onto
+    an explicit stack, so nesting depth costs no recursion."""
+
     def __init__(self, tokens: list[str], nvars: int):
         self.tokens = tokens
         self.nvars = nvars
@@ -180,63 +183,64 @@ class _WeylParser:
         self.pos += 1
         return tok
 
-    def parse_sum(self) -> WeylElement:
+    def signs(self) -> int:
         sign = 1
         while self.peek() in ("+", "-"):
             if self.take() == "-":
                 sign = -sign
-        total = self.parse_product().scale(sign)
-        while self.peek() in ("+", "-"):
-            sign = 1
-            while self.peek() in ("+", "-"):
-                if self.take() == "-":
-                    sign = -sign
-            total = total + self.parse_product().scale(sign)
-        return total
+        return sign
 
-    def parse_product(self) -> WeylElement:
-        result = self.parse_factor()
+    def parse_sum(self) -> WeylElement:
+        """sum := sign* product (sign+ product)*, product := factor ('*'? factor)*,
+        factor := ('(' sum ')' | l<i> | d<i> | number) ('^' digits)?."""
+        zero, one = WeylElement.zero(self.nvars), WeylElement.one(self.nvars)
+        stack = []  # (total, sign, product) of the sum around each open '('
+        total, sign, product = zero, self.signs(), one
         while True:
-            tok = self.peek()
-            if tok == "*":
-                self.take()
-                result = weyl_mul(result, self.parse_factor())
-            elif tok is not None and (tok[0] in "ld(" or tok[0].isdigit()):
-                result = weyl_mul(result, self.parse_factor())
-            else:
-                return result
+            tok = self.take()
+            if tok == "(":
+                stack.append((total, sign, product))
+                total, sign, product = zero, self.signs(), one
+                continue
+            factor = self.atom(tok)
+            while True:
+                product = weyl_mul(product, self.power(factor))
+                tok = self.peek()
+                if tok == "*":
+                    self.take()
+                if tok == "*" or tok is not None and (tok[0] in "ld(" or tok[0].isdigit()):
+                    break
+                total, product = total + product.scale(sign), one
+                if tok in ("+", "-"):
+                    sign = self.signs()
+                    break
+                if not stack:
+                    return total
+                if self.take() != ")":
+                    raise ParseError("unbalanced parentheses")
+                factor, (total, sign, product) = total, stack.pop()
 
-    def parse_factor(self) -> WeylElement:
-        tok = self.take()
-        if tok == "(":
-            inner = self.parse_sum()
-            if self.take() != ")":
-                raise ParseError("unbalanced parentheses")
-            base = inner
-        elif tok[0] in "ld" and tok[1:].isdigit():
-            idx = int(tok[1:])
-            if idx >= self.nvars:
-                raise ParseError(f"variable index {idx} out of range")
-            base = (
-                WeylElement.lam(idx, self.nvars)
-                if tok[0] == "l"
-                else WeylElement.dee(idx, self.nvars)
-            )
-        elif tok[0].isdigit():
-            base = WeylElement.scalar(self.nvars, Fraction(tok))
-        else:
-            raise ParseError(f"unexpected token {tok!r}")
-        if self.peek() == "^":
-            self.take()
-            expo_tok = self.take()
-            if not expo_tok.isdigit():
-                raise ParseError(f"bad exponent {expo_tok!r}")
-            power = int(expo_tok)
-            out = WeylElement.one(self.nvars)
-            for _ in range(power):
-                out = weyl_mul(out, base)
-            return out
-        return base
+    def atom(self, tok: str) -> WeylElement:
+        if tok[0] in "ld" and tok[1:].isdigit():
+            if int(tok[1:]) >= self.nvars:
+                raise ParseError(f"variable index {int(tok[1:])} out of range")
+            make = WeylElement.lam if tok[0] == "l" else WeylElement.dee
+            return make(int(tok[1:]), self.nvars)
+        if tok[0].isdigit():
+            return WeylElement.scalar(self.nvars, Fraction(tok))
+        raise ParseError(f"unexpected token {tok!r}")
+
+    def power(self, base: WeylElement) -> WeylElement:
+        if self.peek() != "^":
+            return base
+        self.take()
+        expo_tok = self.take()
+        if not expo_tok.isdigit():
+            raise ParseError(f"bad exponent {expo_tok!r}")
+        out = WeylElement.one(self.nvars)
+        for _ in range(int(expo_tok)):
+            out = weyl_mul(out, base)
+        return out
 
 
 @dataclass(frozen=True)
@@ -353,9 +357,8 @@ def _grading_vectors(elements: Sequence[WeylElement], nvars: int) -> list[tuple[
 
 
 def _weyl_degree(u, v, grading) -> tuple[int, ...]:
-    return tuple(
-        sum(g[i] * (v[i] - u[i]) for i in range(len(u))) for g in grading
-    )
+    diff = [(i, y - x) for i, (x, y) in enumerate(zip(u, v)) if x != y]
+    return tuple(sum(g[i] * e for i, e in diff) for g in grading)
 
 
 def ideal_member_bounded(
@@ -424,17 +427,13 @@ def ideal_member_bounded(
 
 
 def _monomials_up_to(nvars: int, bound: int) -> Iterable[TermKey]:
-    """All (lambda, d) exponent pairs of total degree <= bound."""
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
+    """All (lambda, d) exponent pairs of total degree <= bound, each degree in
+    lexicographic order: the 2 nvars - 1 bars among its stars, as combinations."""
+    parts = 2 * nvars
     for total in range(bound + 1):
-        for combo in compositions(total, 2 * nvars):
+        end = total + parts - 1
+        for bars in combinations(range(end), parts - 1):
+            combo = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (end,)))
             yield combo[:nvars], combo[nvars:]
 
 

@@ -1,11 +1,13 @@
 """Differential tests of the quasi-degree filtration.
 
 `toric.quasi_degrees` computes the quotient `I : d^u` only for a candidate
-whose products d^u d_i already lie in I exactly off some face, and extends
-each Groebner basis instead of rebuilding it.  `qdeg_oracle` keeps the
-filtration it replaces: a full quotient for every candidate and every basis
-from scratch.  Both must return the same components, offset and face, in
-the same order.
+whose products d^u d_i already lie in I exactly off some face F, accepts it
+when every element of the quotient's basis passes the coefficient-sum test
+for P_F = I_A + <d_i : i not in F>, and extends each Groebner basis instead
+of rebuilding it.  `qdeg_oracle` keeps the filtration it replaces: a full
+quotient for every candidate, compared with a basis of every face prime,
+and every basis from scratch.  Both must return the same components, offset
+and face, in the same order.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -17,7 +19,7 @@ from gkzkit import IntMatrix, parse_matrix
 from gkzkit.cones import face_lattice
 from gkzkit.errors import FiltrationBoundExceeded
 from gkzkit.intlinalg import homogenize
-from gkzkit.toric import quasi_degrees
+from gkzkit.toric import _in_face_prime, _variable, quasi_degrees
 
 SETTINGS = settings(
     max_examples=40,
@@ -70,3 +72,15 @@ def assert_same_filtration(a):
 @example(parse_matrix("0 0 1 1 -1; 1 0 0 -1 -1; 1 1 0 1 0"))
 def test_quasi_degrees_match_full_quotient_oracle(a):
     assert_same_filtration(a)
+
+
+@SETTINGS
+@given(pointed_matrices().filter(_usable), st.sampled_from(["degrevlex", "lex"]))
+@example(parse_matrix("0 1 1 2 1; 2 2 -1 -1 1"), "degrevlex")
+@example(parse_matrix("0 0 1 1 -1; 1 0 0 -1 -1; 1 1 0 1 0"), "lex")
+def test_coefficient_sum_test_recognizes_face_primes(a, order_name):
+    """Every basis element of P_F passes; d_i passes exactly when i is off F."""
+    for face, basis in qdeg_oracle.face_primes(a, order_name):
+        assert all(_in_face_prime(g, face.columns) for g in basis), (a, face)
+        for i in range(1, a.n + 1):
+            assert _in_face_prime(_variable(i, a.n), face.columns) == (i not in face.columns)

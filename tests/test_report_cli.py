@@ -286,6 +286,58 @@ def test_cli_bound_read_where_registered(capsys):
     assert len(json.loads(capsys.readouterr().out)["members"]) == 2
 
 
+# Only analyze, toric-ideal, qdeg, present, restrict and verify-member read
+# --order; every other command must reject it rather than compute in degrevlex.
+NO_ORDER = {
+    "smith": [], "homogenize": [], "faces": [], "member": ["--point", "1"],
+    "saturated": [], "sres": [], "dsres": [], "delta": [], "nbeta": [],
+    "dual-param": [], "factor": [], "index-sets": [], "psi": ["--m", "0"],
+    "diagram": ["--box", "0 1"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_ORDER))
+def test_cli_order_rejected_where_unused(capsys, command):
+    argv = [command, "--matrix", "2 5", "--beta", "1/3", *NO_ORDER[command], "--order", "lex"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qdeg", "--matrix", "2 5", "--j", "1"],
+        ["index-sets", "--matrix", "2"],
+        ["verify-member", "--gens", "l0", "--target", "l0"],
+    ],
+)
+def test_cli_negative_bound_is_a_parse_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--bound", "-1"])
+    assert exc.value.code == 2
+    assert "argument --bound: must be nonnegative, got -1" in capsys.readouterr().err
+    assert main([*argv, "--bound", "0"]) in (0, 4)
+
+
+def test_cli_verify_member_deep_parentheses(capsys):
+    deep = "(" * 1200 + "l0" + ")" * 1200
+    assert main(["verify-member", "--gens", deep, "--target", "l0"]) == 0
+    assert json.loads(capsys.readouterr().out)["cofactors"] == ["1"]
+    # Unclosed, the same depth is a parse error, not a RecursionError.
+    assert main(["verify-member", "--gens", "(" * 1200 + "l0", "--target", "l0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "unexpected end of operator expression"
+    )
+
+
+def test_cli_verify_member_many_variables(capsys):
+    argv = ["verify-member", "--gens", "l0*d0", "--nvars", "600", "--target", "l0*d0", "--bound", "1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["cofactors"] == ["1"]
+
+
 def test_cli_psi(capsys):
     assert main(["psi", "--m", "0,0", "--s", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
