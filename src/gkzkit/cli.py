@@ -271,17 +271,24 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be nonnegative, got {int(text)}")
         return int(text)
 
-    def add(name, func, order=False, **kw):
+    def positive(text: str) -> int:
+        if int(text) < 1:
+            raise argparse.ArgumentTypeError(f"must be positive, got {int(text)}")
+        return int(text)
+
+    def add(name, func, matrix=True, beta=False, order=False, **kw):
         p = sub.add_parser(name, **kw)
-        p.add_argument("-A", "--matrix-file", dest="matrix_file")
-        p.add_argument("--matrix")
-        p.add_argument("--beta")
+        if matrix:
+            p.add_argument("-A", "--matrix-file", dest="matrix_file")
+            p.add_argument("--matrix")
+        if beta:
+            p.add_argument("--beta")
         if order:
             p.add_argument("--order", default="degrevlex")
         p.set_defaults(func=func)
         return p
 
-    add("analyze", cmd_analyze, order=True, help="full analysis report")
+    add("analyze", cmd_analyze, beta=True, order=True, help="full analysis report")
     add("smith", cmd_smith, help="Smith factorization C D1 D2 M")
     add("homogenize", cmd_homogenize, help="prepend the homogenizing row/column")
     add("faces", cmd_faces, help="face lattice with certificates")
@@ -292,23 +299,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("qdeg", cmd_qdeg, order=True, help="quasi-degree components of S_A/<d_j>")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--bound", type=nonnegative, default=toric.DEFAULT_FILTRATION_BOUND)
-    add("sres", cmd_sres, help="strong-resonance membership")
-    add("dsres", cmd_dsres, help="dual resonance-set membership")
+    add("sres", cmd_sres, beta=True, help="strong-resonance membership")
+    add("dsres", cmd_dsres, beta=True, help="dual resonance-set membership")
     add("delta", cmd_delta, help="cone shift avoiding sRes")
-    add("nbeta", cmd_nbeta, help="homogenization lift bound for beta")
-    add("dual-param", cmd_dual_param, help="dual parameter search")
-    add("present", cmd_present, order=True, help="box and Euler generators")
-    add("restrict", cmd_restrict, order=True, help="generators of the lambda_0 = 1 restriction")
-    p = add("verify-member", cmd_verify_member, order=True, help="bounded left-ideal membership")
+    add("nbeta", cmd_nbeta, beta=True, help="homogenization lift bound for beta")
+    add("dual-param", cmd_dual_param, beta=True, help="dual parameter search")
+    add("present", cmd_present, beta=True, order=True, help="box and Euler generators")
+    add("restrict", cmd_restrict, beta=True, order=True,
+        help="generators of the lambda_0 = 1 restriction")
+    p = add("verify-member", cmd_verify_member, beta=True, order=True,
+            help="bounded left-ideal membership")
     p.add_argument("--target", required=True)
     p.add_argument("--gens")
-    p.add_argument("--nvars", type=int, default=None)
+    p.add_argument("--nvars", type=positive, default=None)
     p.add_argument("--bound", type=nonnegative, default=4)
     add("factor", cmd_factor, help="family factorization B = C D1 A")
     p = add("index-sets", cmd_index_sets, help="congruence representatives I / I'")
     p.add_argument("--kind", default="I", choices=("I", "Iprime", "I'"))
     p.add_argument("--bound", type=nonnegative, default=family.SECTION_SEARCH_CAP)
-    p = add("psi", cmd_psi, help="exponent image of a monomial section")
+    p = add("psi", cmd_psi, matrix=False, help="exponent image of a monomial section")
     p.add_argument("--m", required=True)
     p.add_argument("--s", type=int, default=0)
     p = add("diagram", cmd_diagram, help="2-D lattice diagram (svg or ascii)")

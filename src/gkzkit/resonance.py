@@ -1,8 +1,23 @@
 """Parameter-space analysis: strong resonance, its dual set, cone shifts.
 
-Rational parameters only.  Membership in sRes(A) is decided component-wise
-against the quasi-degree decompositions: beta lies in sRes_j(A) iff
-beta + m*a_j lands in some offset + QF with an integer m >= 1.
+Rational parameters only.  beta lies in sRes_j(A) iff beta + m*a_j lands in
+some component offset + QF of the quasi-degrees of S_A/<d_j> with an integer
+m >= 1.  Every component question is one `gauss_solve` for m
+(`_component_multiplier`) or one LP for a point of R+A + QF
+(`_beta_in_cone_plus_span`), by five lemmas:
+
+1. m is unique.  F is a face without j, so its certificate is 0 on QF and
+   positive on a_j: a_j is off QF.
+2. n_beta's t with (t, beta) in offset + QF is the multiplier of (0, beta)
+   against a j = 1 component of sRes(homogenize(A)), whose shift is e_0.
+3. The functionals vanishing on QF form a saturated lattice, whose basis
+   psi_1..psi_k extends to one of (Z^d)*.  So x -> (psi_i . x) maps Z^d onto
+   Z^k, and beta lies in Z^d + QF iff every psi_i . beta is an integer.
+4. With t = 1 + s, s >= 0, and a_j a column, delta + R+A meets -t*a_j +
+   offset + QF iff offset - delta - a_j lies in R+A + QF.
+5. Every proper face lies in a facet G whose functional is >= 0 on R+A + QF
+   and < 0 on -int(R+A), so no such point is in DsRes(A).  (Both the
+   interior and DsRes need columns spanning Z^d, so a full-dimensional cone.)
 """
 
 from __future__ import annotations
@@ -11,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import ceil
 from typing import Optional, Sequence
 
 from .cones import face_lattice, interior_contains, semigroup_contains
@@ -27,7 +43,6 @@ from .intlinalg import (
     homogeneity_vector,
     homogenize,
     lattice_kernel,
-    solve_integer,
     vec_add,
     vec_sub,
 )
@@ -81,27 +96,11 @@ def resonance_set(a: IntMatrix) -> ResonanceSet:
 
 def _component_multiplier(
     a: IntMatrix, comp: ResonanceComponent, beta: Sequence[Fraction]
-) -> Optional[tuple[str, Optional[Fraction]]]:
-    """Solve beta + m*shift in offset + QF for the multiplier m.
-
-    Returns ("free", None) when any m works (shift inside the face span),
-    ("unique", m) when the multiplier is pinned down, None when infeasible.
-    """
-    cols = list(comp.face_columns)
-    rows = []
-    rhs = []
-    for i in range(a.d):
-        row = [comp.shift[i]]
-        row.extend(-a.entry(i, j - 1) for j in cols)
-        rows.append(row)
-        rhs.append(comp.offset[i] - beta[i])
-    sol = gauss_solve(rows, rhs)
-    if sol is None:
-        return None
-    particular, nullspace = sol
-    if any(vec[0] != 0 for vec in nullspace):
-        return ("free", None)
-    return ("unique", particular[0])
+) -> Optional[Fraction]:
+    """The m with beta + m*shift in offset + QF, or None (lemma 1: m is unique)."""
+    rows = [[comp.shift[i], *(-a.entry(i, j - 1) for j in comp.face_columns)] for i in range(a.d)]
+    sol = gauss_solve(rows, [comp.offset[i] - beta[i] for i in range(a.d)])
+    return None if sol is None else sol[0][0]
 
 
 def sres_witness(
@@ -110,22 +109,11 @@ def sres_witness(
     """A component and integer multiplier certifying beta in sRes(A), or None."""
     beta = checked_vector(beta, a.d, "beta")
     for comp in resonance_set(a).components:
-        got = _component_multiplier(a, comp, beta)
-        if got is None:
-            continue
-        kind, m = got
-        if kind == "free":
-            chosen = Fraction(1)
-        elif m.denominator == 1 and m >= 1:
-            chosen = m
-        else:
-            continue
-        return ResonanceWitness(
-            j=comp.j,
-            offset=comp.offset,
-            face_columns=comp.face_columns,
-            multiplier=chosen,
-        )
+        m = _component_multiplier(a, comp, beta)
+        if m is not None and m.denominator == 1 and m >= 1:
+            return ResonanceWitness(
+                j=comp.j, offset=comp.offset, face_columns=comp.face_columns, multiplier=m
+            )
     return None
 
 
@@ -144,12 +132,9 @@ def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int,
         raise NotFullLattice("DsRes requires columns generating Z^d")
     beta = checked_vector(beta, a.d, "beta")
     for face in face_lattice(a).proper_faces:
-        cols = sorted(face.columns)
-        if not _beta_in_lattice_plus_span(a, cols, beta):
-            continue
-        if not _beta_in_cone_plus_span(a, cols, beta):
-            continue
-        return tuple(cols)
+        cols = face.sorted_columns()
+        if _beta_in_lattice_plus_span(a, cols, beta) and _beta_in_cone_plus_span(a, cols, beta):
+            return cols
     return None
 
 
@@ -157,25 +142,19 @@ def dsres_contains(a: IntMatrix, beta: Sequence[Fraction]) -> bool:
     return dsres_witness(a, beta) is not None
 
 
-def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
-    """beta in Z^d + QF, via integer functionals annihilating the face span.
+@lru_cache(maxsize=None)
+def _face_functionals(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A basis of the integer functionals vanishing on QF, kept because every
+    DsRes query meets the same faces.  The zero row keeps the matrix
+    nonempty when F is the vertex."""
+    span = IntMatrix.from_rows([(0,) * a.d, *(a.column(j - 1) for j in cols)])
+    return tuple(lattice_kernel(span))
 
-    With psi_1..psi_k a basis of the annihilator of QF in the dual lattice,
-    beta lies in Z^d + QF iff (psi_i . beta)_i is hit by some integer point.
-    """
-    if not cols:
-        return all(Fraction(x).denominator == 1 for x in beta)
-    span = IntMatrix.from_rows(
-        [[a.entry(i, j - 1) for i in range(a.d)] for j in cols]
-    )  # rows are the face columns; kernel = annihilator functionals
-    ann = lattice_kernel(span)
-    if not ann:
-        return True  # face spans Q^d
-    values = [sum(Fraction(p) * Fraction(b) for p, b in zip(psi, beta)) for psi in ann]
-    if any(v.denominator != 1 for v in values):
-        return False  # psi(Z^d) is integral
-    psi_matrix = IntMatrix.from_rows(ann)
-    return solve_integer(psi_matrix, [int(v) for v in values]) is not None
+
+def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
+    """beta in Z^d + QF: every psi . beta is an integer (lemma 3)."""
+    functionals = _face_functionals(a, cols)
+    return all(sum(p * b for p, b in zip(psi, beta)).denominator == 1 for psi in functionals)
 
 
 def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
@@ -186,20 +165,14 @@ def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
-    """Whether (R+A + delta) misses every resonance component (real t >= 1 LP)."""
+    """Whether (R+A + delta) misses every resonance component (lemma 4)."""
     delta = tuple(int(x) for x in delta)
-    for comp in resonance_set(a).components:
-        cols = list(comp.face_columns)
-        # delta + A x = -t*shift + offset + F c,  x >= 0, t >= 1, c free
-        rows = []
-        rhs = []
-        for i, arow in enumerate(a.rows):
-            rows.append([*arow, comp.shift[i], *(-arow[j - 1] for j in cols)])
-            rhs.append(comp.offset[i] - delta[i] - comp.shift[i])
-        nonneg = [True] * (a.n + 1) + [False] * len(cols)
-        if feasible_point(rows, rhs, nonneg) is not None:
-            return False
-    return True
+    return not any(
+        _beta_in_cone_plus_span(
+            a, comp.face_columns, [comp.offset[i] - delta[i] - comp.shift[i] for i in range(a.d)]
+        )
+        for comp in resonance_set(a).components
+    )
 
 
 def delta_A(a: IntMatrix) -> tuple[int, ...]:
@@ -230,45 +203,24 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
 
 
 def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
-    """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound."""
+    """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound.
+
+    The bound is the largest of 0 and the ceil(t) with (t, beta) in a j = 1
+    component of sRes(homogenize(A)), whose shift is e_0 (lemma 2).
+    """
     beta = checked_vector(beta, a.d, "beta")
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
     atilde = homogenize(a)
+    origin = (Fraction(0),) + beta
     bound = 0
-    for pair in quasi_degrees(atilde, 1).components:
-        t = _line_hits_component(atilde, pair, beta)
-        if t is not None:
-            from math import ceil
-
+    for comp in resonance_set(atilde).components:
+        if comp.j == 1 and (t := _component_multiplier(atilde, comp, origin)) is not None:
             bound = max(bound, ceil(t))
     for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
         if sres_contains(atilde, (b0,) + beta):
             raise AssertionError("n_beta bound failed its spot check")
     return bound
-
-
-def _line_hits_component(atilde, pair, beta) -> Optional[Fraction]:
-    """t with (t, beta) in offset + QF, unique when (1,0,..,0) is off the span."""
-    cols = sorted(pair.face.columns)
-    rows = []
-    rhs = []
-    for i in range(1, atilde.d):
-        rows.append([atilde.entry(i, j - 1) for j in cols])
-        rhs.append(beta[i - 1] - pair.offset[i])
-    if cols:
-        sol = gauss_solve(rows, rhs)
-        if sol is None:
-            return None
-        coeffs, _ = sol
-    else:
-        if any(x != 0 for x in rhs):
-            return None
-        coeffs = []
-    t = Fraction(pair.offset[0])
-    for c, j in zip(coeffs, cols):
-        t += c * Fraction(atilde.entry(0, j - 1))
-    return t
 
 
 def _box_shifts(d: int, radius: int):
@@ -284,7 +236,7 @@ def dual_parameter(
     """beta' congruent to -beta mod Z^d with beta' outside DsRes(A).
 
     Scans integer translates of -beta, preferring candidates in the interior
-    of the negated cone, where the dual set provably cannot reach.
+    of the negated cone, which DsRes(A) cannot reach (lemma 5).
     """
     beta = checked_vector(beta, a.d, "beta")
     if homogeneity_vector(a) is None:
@@ -292,10 +244,8 @@ def dual_parameter(
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
     for shift in _box_shifts(a.d, radius):
-        cand = tuple(-b - s for b, s in zip(beta, shift))
-        neg = tuple(-x for x in cand)
-        if interior_contains(a, neg) and not dsres_contains(a, cand):
-            return cand
+        if interior_contains(a, vec_add(beta, shift)):
+            return tuple(-b - s for b, s in zip(beta, shift))
     for shift in _box_shifts(a.d, radius):
         cand = tuple(-b - s for b, s in zip(beta, shift))
         if not dsres_contains(a, cand):

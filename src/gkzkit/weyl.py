@@ -157,6 +157,8 @@ def parse_weyl(text: str, nvars: Optional[int] = None) -> WeylElement:
         if not indices:
             raise ParseError("no variables found; pass the variable count explicitly")
         nvars = max(indices) + 1
+    if nvars < 1:
+        raise ParseError(f"the variable count must be positive, got {nvars}")
     parser = _WeylParser(tokens, nvars)
     result = parser.parse_sum()
     if parser.pos != len(tokens):

@@ -1,0 +1,230 @@
+"""The resonance routes that the face lemmas replaced, kept as an oracle.
+
+These are `sres_witness`, `dsres_witness`, `delta_valid`, `n_beta` and
+`dual_parameter` as they were before `gkzkit.resonance` answered every
+component question with one multiplier solve or one cone-plus-span LP:
+the multiplier is tagged "free" or "unique", n_beta solves its own line
+against each component of the homogenized matrix, the DsRes lattice test
+asks `solve_integer` for a point, `delta_valid` builds its own LP with a
+variable t >= 1, and the interior pass of `dual_parameter` still tests
+DsRes.  The library must return exactly what these return, exceptions
+included.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import ceil
+from typing import Optional, Sequence
+
+from gkzkit.cones import face_lattice, interior_contains
+from gkzkit.errors import (
+    NotFullLattice,
+    NotHomogeneous,
+    ParameterResonant,
+    SearchBoundError,
+)
+from gkzkit.intlinalg import (
+    IntMatrix,
+    checked_vector,
+    homogeneity_vector,
+    homogenize,
+    lattice_kernel,
+    solve_integer,
+)
+from gkzkit.lp import feasible_point, gauss_solve
+from gkzkit.resonance import (
+    DUAL_SEARCH_RADIUS,
+    ResonanceComponent,
+    ResonanceWitness,
+    _box_shifts,
+    resonance_set,
+)
+from gkzkit.toric import quasi_degrees
+
+
+def _component_multiplier(
+    a: IntMatrix, comp: ResonanceComponent, beta: Sequence[Fraction]
+) -> Optional[tuple[str, Optional[Fraction]]]:
+    """Solve beta + m*shift in offset + QF for the multiplier m.
+
+    Returns ("free", None) when any m works (shift inside the face span),
+    ("unique", m) when the multiplier is pinned down, None when infeasible.
+    """
+    cols = list(comp.face_columns)
+    rows = []
+    rhs = []
+    for i in range(a.d):
+        row = [comp.shift[i]]
+        row.extend(-a.entry(i, j - 1) for j in cols)
+        rows.append(row)
+        rhs.append(comp.offset[i] - beta[i])
+    sol = gauss_solve(rows, rhs)
+    if sol is None:
+        return None
+    particular, nullspace = sol
+    if any(vec[0] != 0 for vec in nullspace):
+        return ("free", None)
+    return ("unique", particular[0])
+
+
+def sres_witness(
+    a: IntMatrix, beta: Sequence[Fraction]
+) -> Optional[ResonanceWitness]:
+    """A component and integer multiplier certifying beta in sRes(A), or None."""
+    beta = checked_vector(beta, a.d, "beta")
+    for comp in resonance_set(a).components:
+        got = _component_multiplier(a, comp, beta)
+        if got is None:
+            continue
+        kind, m = got
+        if kind == "free":
+            chosen = Fraction(1)
+        elif m.denominator == 1 and m >= 1:
+            chosen = m
+        else:
+            continue
+        return ResonanceWitness(
+            j=comp.j,
+            offset=comp.offset,
+            face_columns=comp.face_columns,
+            multiplier=chosen,
+        )
+    return None
+
+
+def sres_contains(a: IntMatrix, beta: Sequence[Fraction]) -> bool:
+    return sres_witness(a, beta) is not None
+
+
+def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
+    """Columns of a proper face F certifying beta in DsRes(A), or None.
+
+    Membership per face is tested in the quotient modulo QF: the class of
+    beta must lie in both the image of the cone and the image of Z^d.
+    """
+    if not a.spans_lattice:
+        raise NotFullLattice("DsRes requires columns generating Z^d")
+    beta = checked_vector(beta, a.d, "beta")
+    for face in face_lattice(a).proper_faces:
+        cols = sorted(face.columns)
+        if not _beta_in_lattice_plus_span(a, cols, beta):
+            continue
+        if not _beta_in_cone_plus_span(a, cols, beta):
+            continue
+        return tuple(cols)
+    return None
+
+
+def dsres_contains(a: IntMatrix, beta: Sequence[Fraction]) -> bool:
+    return dsres_witness(a, beta) is not None
+
+
+def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
+    """beta in Z^d + QF, via integer functionals annihilating the face span.
+
+    With psi_1..psi_k a basis of the annihilator of QF in the dual lattice,
+    beta lies in Z^d + QF iff (psi_i . beta)_i is hit by some integer point.
+    """
+    if not cols:
+        return all(Fraction(x).denominator == 1 for x in beta)
+    span = IntMatrix.from_rows(
+        [[a.entry(i, j - 1) for i in range(a.d)] for j in cols]
+    )  # rows are the face columns; kernel = annihilator functionals
+    ann = lattice_kernel(span)
+    if not ann:
+        return True  # face spans Q^d
+    values = [sum(Fraction(p) * Fraction(b) for p, b in zip(psi, beta)) for psi in ann]
+    if any(v.denominator != 1 for v in values):
+        return False  # psi(Z^d) is integral
+    psi_matrix = IntMatrix.from_rows(ann)
+    return solve_integer(psi_matrix, [int(v) for v in values]) is not None
+
+
+def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
+    """beta in Q+A + QF via LP feasibility."""
+    rows = [[*row, *(row[j - 1] for j in cols)] for row in a.rows]
+    nonneg = [True] * a.n + [False] * len(cols)
+    return feasible_point(rows, beta, nonneg) is not None
+
+
+def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
+    """Whether (R+A + delta) misses every resonance component (real t >= 1 LP)."""
+    delta = tuple(int(x) for x in delta)
+    for comp in resonance_set(a).components:
+        cols = list(comp.face_columns)
+        # delta + A x = -t*shift + offset + F c,  x >= 0, t >= 1, c free
+        rows = []
+        rhs = []
+        for i, arow in enumerate(a.rows):
+            rows.append([*arow, comp.shift[i], *(-arow[j - 1] for j in cols)])
+            rhs.append(comp.offset[i] - delta[i] - comp.shift[i])
+        nonneg = [True] * (a.n + 1) + [False] * len(cols)
+        if feasible_point(rows, rhs, nonneg) is not None:
+            return False
+    return True
+
+
+def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
+    """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound."""
+    beta = checked_vector(beta, a.d, "beta")
+    if sres_contains(a, beta):
+        raise ParameterResonant("beta is strongly resonant")
+    atilde = homogenize(a)
+    bound = 0
+    for pair in quasi_degrees(atilde, 1).components:
+        t = _line_hits_component(atilde, pair, beta)
+        if t is not None:
+            bound = max(bound, ceil(t))
+    for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
+        if sres_contains(atilde, (b0,) + beta):
+            raise AssertionError("n_beta bound failed its spot check")
+    return bound
+
+
+def _line_hits_component(atilde, pair, beta) -> Optional[Fraction]:
+    """t with (t, beta) in offset + QF, unique when (1,0,..,0) is off the span."""
+    cols = sorted(pair.face.columns)
+    rows = []
+    rhs = []
+    for i in range(1, atilde.d):
+        rows.append([atilde.entry(i, j - 1) for j in cols])
+        rhs.append(beta[i - 1] - pair.offset[i])
+    if cols:
+        sol = gauss_solve(rows, rhs)
+        if sol is None:
+            return None
+        coeffs, _ = sol
+    else:
+        if any(x != 0 for x in rhs):
+            return None
+        coeffs = []
+    t = Fraction(pair.offset[0])
+    for c, j in zip(coeffs, cols):
+        t += c * Fraction(atilde.entry(0, j - 1))
+    return t
+
+
+def dual_parameter(
+    a: IntMatrix, beta: Sequence[Fraction], radius: int = DUAL_SEARCH_RADIUS
+) -> tuple[Fraction, ...]:
+    """beta' congruent to -beta mod Z^d with beta' outside DsRes(A).
+
+    Scans integer translates of -beta, preferring candidates in the interior
+    of the negated cone, where the dual set provably cannot reach.
+    """
+    beta = checked_vector(beta, a.d, "beta")
+    if homogeneity_vector(a) is None:
+        raise NotHomogeneous("dual parameters need a homogeneous matrix")
+    if sres_contains(a, beta):
+        raise ParameterResonant("beta is strongly resonant")
+    for shift in _box_shifts(a.d, radius):
+        cand = tuple(-b - s for b, s in zip(beta, shift))
+        neg = tuple(-x for x in cand)
+        if interior_contains(a, neg) and not dsres_contains(a, cand):
+            return cand
+    for shift in _box_shifts(a.d, radius):
+        cand = tuple(-b - s for b, s in zip(beta, shift))
+        if not dsres_contains(a, cand):
+            return cand
+    raise SearchBoundError(f"no dual parameter within radius {radius}")

@@ -9,10 +9,12 @@ import pytest
 
 from gkzkit import (
     DiagramSpec,
+    delta_A,
     dual_parameter,
     gkz_presentation,
     n_beta,
     parse_matrix,
+    quasi_degrees,
     render_diagram,
     restrict_presentation,
     run_report,
@@ -94,6 +96,22 @@ def test_diagram_classification_is_sound(staircase):
             staircase, point
         )
         assert flags["saturation-gap"] == gap
+
+
+@pytest.mark.parametrize("text, box", [("3 2 0; 1 1 1", (-3, 6, -2, 3)), ("2 5", (-8, 12, 0, 0))])
+def test_diagram_resonance_layers_match_library(text, box):
+    a = parse_matrix(text)
+    spec = DiagramSpec(box=box, layers=("qdeg", "dsres", "delta-cone"), output_format="ascii")
+    table = classification_table(a, spec)
+    qdeg, delta = quasi_degrees(a, 1), delta_A(a)
+    for point, flags in table.items():
+        assert flags == {
+            "qdeg": qdeg.degree_set_contains(point),
+            "dsres": dsres_witness(a, tuple(F(x) for x in point)) is not None,
+            "delta-cone": saturation_contains(a, tuple(x - y for x, y in zip(point, delta))),
+        }
+    for layer in spec.layers:  # each layer marks some points of the box and not others
+        assert {flags[layer] for flags in table.values()} == {False, True}
 
 
 def test_diagram_identity_box_all_filled():
@@ -254,20 +272,29 @@ def test_cli_index_sets(capsys):
     assert len(out["members"]) == 2
 
 
-# Only qdeg, verify-member and index-sets read --bound; every other command
-# must reject it rather than ignore it.  The required options are given so
-# that the only parse error left is the --bound.
-NO_BOUND = {
-    "analyze": [], "smith": [], "homogenize": [], "faces": [],
-    "member": ["--point", "1"], "saturated": [], "toric-ideal": [], "sres": [],
-    "dsres": [], "delta": [], "nbeta": [], "dual-param": [], "present": [],
-    "restrict": [], "factor": [], "psi": ["--m", "0"], "diagram": ["--box", "0 1"],
+# The options each command registers, with values that parse: the matrix
+# options on all but psi, --beta only where a parameter is read, and the
+# required options.  A test that adds one more option then meets no other
+# parse error.
+MATRIX = ["--matrix", "2 5"]
+BETA = [*MATRIX, "--beta", "1/3"]
+OWN_OPTIONS = {
+    "analyze": BETA, "smith": MATRIX, "homogenize": MATRIX, "faces": MATRIX,
+    "member": [*MATRIX, "--point", "1"], "saturated": MATRIX, "toric-ideal": MATRIX,
+    "qdeg": [*MATRIX, "--j", "1"], "sres": BETA, "dsres": BETA, "delta": MATRIX,
+    "nbeta": BETA, "dual-param": BETA, "present": BETA, "restrict": BETA,
+    "verify-member": [*BETA, "--target", "l0"], "factor": MATRIX,
+    "index-sets": MATRIX, "psi": ["--m", "0"], "diagram": [*MATRIX, "--box", "0 1"],
 }
 
+# Only qdeg, verify-member and index-sets read --bound; every other command
+# must reject it rather than ignore it.
+NO_BOUND = sorted(set(OWN_OPTIONS) - {"qdeg", "verify-member", "index-sets"})
 
-@pytest.mark.parametrize("command", sorted(NO_BOUND))
+
+@pytest.mark.parametrize("command", NO_BOUND)
 def test_cli_bound_rejected_where_unused(capsys, command):
-    argv = [command, "--matrix", "2 5", "--beta", "1/3", *NO_BOUND[command], "--bound", "1"]
+    argv = [command, *OWN_OPTIONS[command], "--bound", "1"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -288,21 +315,47 @@ def test_cli_bound_read_where_registered(capsys):
 
 # Only analyze, toric-ideal, qdeg, present, restrict and verify-member read
 # --order; every other command must reject it rather than compute in degrevlex.
-NO_ORDER = {
-    "smith": [], "homogenize": [], "faces": [], "member": ["--point", "1"],
-    "saturated": [], "sres": [], "dsres": [], "delta": [], "nbeta": [],
-    "dual-param": [], "factor": [], "index-sets": [], "psi": ["--m", "0"],
-    "diagram": ["--box", "0 1"],
-}
+NO_ORDER = sorted(
+    set(OWN_OPTIONS) - {"analyze", "toric-ideal", "qdeg", "present", "restrict", "verify-member"}
+)
 
 
-@pytest.mark.parametrize("command", sorted(NO_ORDER))
+@pytest.mark.parametrize("command", NO_ORDER)
 def test_cli_order_rejected_where_unused(capsys, command):
-    argv = [command, "--matrix", "2 5", "--beta", "1/3", *NO_ORDER[command], "--order", "lex"]
+    argv = [command, *OWN_OPTIONS[command], "--order", "lex"]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
+# Only the commands that read a parameter take --beta, and psi takes no
+# matrix; elsewhere these options are parse errors, not silently ignored.
+BETA_READERS = {"analyze", "sres", "dsres", "nbeta", "dual-param", "present", "restrict", "verify-member"}
+
+
+@pytest.mark.parametrize("command", sorted(set(OWN_OPTIONS) - BETA_READERS))
+def test_cli_beta_rejected_where_unused(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *OWN_OPTIONS[command], "--beta", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --beta 7" in capsys.readouterr().err
+
+
+def test_cli_psi_rejects_a_matrix(capsys):
+    for option in (["--matrix", "1 2"], ["-A", "matrix.txt"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["psi", "--m", "0,0", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(option) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+def test_cli_nonpositive_nvars_is_a_parse_error(capsys, nvars):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-member", "--gens", "1", "--target", "1", "--nvars=" + nvars])
+    assert exc.value.code == 2
+    assert f"argument --nvars: must be positive, got {nvars}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

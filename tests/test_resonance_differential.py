@@ -1,0 +1,116 @@
+"""Differential tests of the resonance answers.
+
+`gkzkit.resonance` answers every component question with one multiplier
+solve or one cone-plus-span LP, by the five lemmas of its module docstring.
+`resonance_oracle` keeps the routes those lemmas replaced: the "free" and
+"unique" multiplier tags, n_beta's own line solve, the `solve_integer`
+lattice test, the t >= 1 LP of `delta_valid` and the DsRes test in the
+interior pass of `dual_parameter`.  Both must return the same answers and
+raise the same exceptions with the same messages, on pointed and
+non-pointed matrices.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+import resonance_oracle
+
+from gkzkit import IntMatrix, parse_matrix, resonance
+
+SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+FIXED = [
+    "3 2 0; 1 1 1",
+    "1 1 1; 0 1 -1",
+    "2 5",
+    "1",
+    "1 1; 0 1",
+    "1 1 1 1; 0 1 2 3",
+    "1 1 1; 0 1 2",
+    "1 1 1; 0 2 1",
+    "1 1; 0 2",  # homogeneous, does not span Z^2
+    "1 2 0; 0 0 1",  # two columns on one ray
+    "1 1 1; 0 1 -1; 0 0 0",  # not full-dimensional
+    "1 -1 0; 0 0 1",  # not pointed
+]
+
+
+@st.composite
+def matrices(draw):
+    """A fixed matrix, or a random one with d <= 2, n <= 4.
+
+    Half the random draws get a first row of ones, so that dual_parameter
+    and n_beta see homogeneous matrices; none is forced to be pointed.
+    """
+    if draw(st.booleans()):
+        return parse_matrix(draw(st.sampled_from(FIXED)))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n)) for _ in range(d)]
+    if d == 2 and draw(st.booleans()):
+        rows[0] = [1] * n
+    return IntMatrix.from_rows(rows)
+
+
+def rationals():
+    return st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@st.composite
+def cases(draw):
+    a = draw(matrices())
+    beta = tuple(draw(st.lists(rationals(), min_size=a.d, max_size=a.d)))
+    delta = tuple(draw(st.lists(st.integers(-3, 10), min_size=a.d, max_size=a.d)))
+    radius = draw(st.sampled_from([0, 1, 2, resonance.DUAL_SEARCH_RADIUS]))
+    return a, beta, delta, radius
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the exception itself is part of the answer
+        return "raised", type(exc), str(exc)
+
+
+def assert_same(name, *args):
+    assert outcome(getattr(resonance, name), *args) == outcome(getattr(resonance_oracle, name), *args), name
+
+
+@SETTINGS
+@given(cases())
+@example((parse_matrix("1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0"), (Fraction(0),) * 3, (3, 4, 2), 8))
+@example((parse_matrix("1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0"), (-1, -1, 0), (1, 1, 1), 1))
+@example((parse_matrix("1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0"), (-2, -1, Fraction(-1, 2)), (2, 2, 1), 0))
+@example((parse_matrix("3 2 0; 1 1 1"), (-1, 0), (2, 2), 8))
+@example((parse_matrix("3 2 0; 1 1 1"), (Fraction(1, 2), 0), (4, 2), 0))
+@example((parse_matrix("2 5"), (Fraction(1, 3),), (7,), 8))
+@example((parse_matrix("2 5"), (3,), (4,), 8))
+@example((parse_matrix("1 1 1; 0 1 -1"), (Fraction(-1, 2), Fraction(1, 2)), (2, 0), 0))
+@example((parse_matrix("1 1; 0 2"), (Fraction(1, 3), 0), (1, 0), 8))
+@example((parse_matrix("1 2 0; 0 0 1"), (-1, 0), (2, 1), 8))
+@example((parse_matrix("1"), (0,), (0,), 8))  # -beta = 0 is on the cone and in DsRes
+def test_resonance_matches_oracle(case):
+    a, beta, delta, radius = case
+    assert_same("sres_witness", a, beta)
+    assert_same("dsres_witness", a, beta)
+    assert_same("n_beta", a, beta)
+    assert_same("delta_valid", a, delta)
+    assert_same("dual_parameter", a, beta, radius)
+
+
+def test_delta_A_passes_both_verifiers():
+    for text in ("3 2 0; 1 1 1", "2 5", "1 1 1 1; 0 1 2 3", "1 2 0; 0 0 1"):
+        a = parse_matrix(text)
+        delta = resonance.delta_A(a)
+        assert resonance.delta_valid(a, delta) and resonance_oracle.delta_valid(a, delta)
+        for j in range(a.n):
+            below = tuple(x - y for x, y in zip(delta, a.column(j)))
+            assert resonance.delta_valid(a, below) == resonance_oracle.delta_valid(a, below)

@@ -90,6 +90,12 @@ def test_parser_rejects_garbage():
         parse_weyl("q0", 1)
 
 
+@pytest.mark.parametrize("nvars", [0, -1])
+def test_parser_rejects_nonpositive_variable_count(nvars):
+    with pytest.raises(ParseError, match=f"must be positive, got {nvars}"):
+        parse_weyl("1", nvars)
+
+
 def test_presentation_line(line):
     pres = gkz_presentation(line, (F(3),))
     assert pres.boxes == ()
