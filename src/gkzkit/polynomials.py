@@ -1,15 +1,20 @@
-"""Multivariate polynomials over Q with exact Groebner machinery.
+"""Multivariate polynomials over Q, and Groebner bases of binomial ideals.
 
 Monomials are plain exponent tuples; polynomials are mappings from monomial
 to nonzero Fraction.  That sparse term-map core (construction, +, -, scale,
 equality, hashing and the sign/coefficient rendering of `pretty`) is
-`TermMap`, shared with `weyl.WeylElement`.  Buchberger keeps the leading term of each basis element
-next to it, selects S-pairs from a heap by the smallest lcm of leading
-monomials (normal selection) and prunes them with the Gebauer-Moller
-criteria; it can extend a reduced basis, pairing only the new generators.
-Quotients and saturations of a homogeneous ideal by monomials
-come from weighted-revlex bases with one variable last, with no elimination
-variable.
+`TermMap`, shared with `weyl.WeylElement`.  The Groebner engine takes only
+monomials and pure-difference binomials d^u - d^v, which generate every
+ideal the toric layer builds, and whose reduced bases keep that form
+(Eisenbud and Sturmfels, Binomial ideals, 1996, Prop. 1.1).  It stores an
+element as an exponent pair (lead, tail): d^lead - d^tail with lead > tail,
+or d^lead when tail is None.  An S-pair of two is one or 0, and a monomial
+reduces to one monomial or to 0, so no coefficient is stored and the normal
+form of d^l - d^t is NF(l) - NF(t).  Buchberger selects S-pairs from a heap
+by the smallest lcm of leading monomials (normal selection), prunes them
+with the Gebauer-Moller criteria and can extend a reduced basis, pairing
+only the new generators.  Quotients and saturations of a homogeneous ideal
+by monomials come from weighted-revlex bases with one variable last.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .intlinalg import format_fraction
 
 Monomial = tuple[int, ...]
 OrderKey = Callable[[Monomial], tuple]
+Binomial = tuple[Monomial, Optional[Monomial]]  # (lead, tail); tail None for a monomial
 
 
 class TermOrder:
@@ -192,12 +198,6 @@ class Polynomial(TermMap):
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def monic(self, order: TermOrder) -> "Polynomial":
-        if self.is_zero():
-            return self
-        _, c = self.leading(order)
-        return self.scale(Fraction(1) / c)
-
     def sorted_terms(self, order: TermOrder) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
@@ -267,63 +267,98 @@ def normal_form(
     return Polynomial(p.nvars, remainder)
 
 
-def s_polynomial(
-    f: Polynomial,
-    g: Polynomial,
-    order: TermOrder,
-    leads: Optional[tuple[tuple[Monomial, Fraction], tuple[Monomial, Fraction]]] = None,
-) -> Polynomial:
-    """lcm/lt(f) * f - lcm/lt(g) * g; `leads` may hold the two leading terms."""
-    (fm, fc), (gm, gc) = leads or (f.leading(order), g.leading(order))
-    l = monomial_lcm(fm, gm)
-    qf, qg = monomial_div(l, fm), monomial_div(l, gm)
-    # The leading terms cancel exactly, so they are left out.
-    out = {monomial_mul(m, qf): c / fc for m, c in f.terms.items() if m != fm}
-    for m, c in g.terms.items():
-        if m != gm:
-            key = monomial_mul(m, qg)
-            out[key] = out.get(key, Fraction(0)) - c / gc
-    return Polynomial(f.nvars, out)
+def binomial(p: Polynomial) -> Binomial:
+    """p as a pair: c*d^u is (u, None), and c*(d^u - d^v) with c > 0 is (u, v).
 
-
-def buchberger(
-    gens: Iterable[Polynomial],
-    order: TermOrder,
-    known: Sequence[Polynomial] = (),
-) -> list[Polynomial]:
-    """A Groebner basis of known + gens (not reduced), by Buchberger's algorithm.
-
-    Leading terms are computed once per basis element.  Pending pairs sit in
-    a heap keyed by the order key of the lcm of their leading monomials
-    (normal selection), ties going to the pair queued first.  Each new
-    element prunes the pairs with the Gebauer-Moller criteria (Gebauer and
-    Moller 1988; Becker and Weispfenning, UPDATE): coprime leading monomials,
-    and lcms made redundant by a chain through another element.
-
-    `known`, when given, must be a reduced Groebner basis in `order`.  Its
-    elements start the basis as they are, with no pairs among them (their
-    S-polynomials already reduce to 0), and only gens are inserted, so
-    extending a basis by a few generators costs only the pairs they make.
+    So a monic basis element comes back as (lead, tail).  Any other p, the
+    zero polynomial too, has no pair and raises ValueError.
     """
-    basis: list[Polynomial] = list(known)
-    leads: list[tuple[Monomial, Fraction]] = [g.leading(order) for g in basis]
+    terms = list(p.terms.items())
+    if len(terms) == 1:
+        return terms[0][0], None
+    if len(terms) == 2:
+        (u, c), (v, e) = terms
+        if c + e == 0:
+            return (u, v) if c > 0 else (v, u)
+    raise ValueError(f"{p!r} is neither a monomial nor a pure-difference binomial")
+
+
+def binomial_polynomial(b: Binomial) -> Polynomial:
+    """The monic polynomial d^lead - d^tail, or d^lead, of a pair."""
+    lead, tail = b
+    return Polynomial(len(lead), {lead: 1} if tail is None else {lead: 1, tail: -1})
+
+
+def reduce_monomial(m: Monomial, basis: Sequence[Binomial]) -> Optional[Monomial]:
+    """The normal form of d^m under basis: d^r as r, or None when it is 0.
+
+    d^l - d^t rewrites a multiple d^m of d^l to d^(m - l + t), and a monomial
+    d^l sends it to 0, so every step keeps one term with coefficient 1.
+    """
+    while True:
+        for lead, tail in basis:
+            if all(map(le, lead, m)):  # monomial_divides, inlined in the innermost loop
+                if tail is None:
+                    return None
+                m = tuple([x - y + z for x, y, z in zip(m, lead, tail)])
+                break
+        else:
+            return m
+
+
+def _oriented(u: Optional[Monomial], v: Optional[Monomial], key: OrderKey) -> Optional[Binomial]:
+    """The pair of d^u - d^v, None standing for 0, or None when it is 0."""
+    if u == v:
+        return None
+    if u is None or v is None:
+        return (v if u is None else u), None
+    return (u, v) if key(u) > key(v) else (v, u)
+
+
+def groebner_basis(
+    gens: Iterable[Binomial],
+    order: TermOrder,
+    known: Sequence[Binomial] = (),
+) -> list[Binomial]:
+    """The reduced Groebner basis, as pairs, of the ideal of known + gens.
+
+    A generator (u, v) is d^u - d^v in either orientation, or d^u when v is
+    None.  Pending S-pairs sit in a heap keyed by the order key of the lcm of
+    their leading monomials (normal selection), ties going to the pair
+    queued first.  Each new element prunes the pairs with the Gebauer-Moller
+    criteria (Gebauer and Moller 1988; Becker and Weispfenning, UPDATE):
+    coprime leading monomials, and lcms made redundant by a chain through
+    another element.  Two monomials, whose S-polynomial is 0, are never
+    queued.  Order keys are computed per element and queued pair, never per
+    reduction step.
+
+    `known`, when given, must be a reduced Groebner basis in `order`, as
+    this function returns.  Its elements start the basis as they are, with
+    no pairs among them (their S-polynomials already reduce to 0), and only
+    gens are inserted, so extending a basis by a few generators costs only
+    the pairs they make; the answer is exactly `groebner_basis(known + gens)`.
+    """
+    key = order.key
+    new = [b for b in (_oriented(u, v, key) for u, v in gens) if b is not None]
+    if not new:
+        return list(known)
+    basis: list[Binomial] = list(known)
     # Elements no later leading monomial divides; in a reduced basis, all.
     active: list[int] = list(range(len(basis)))
     pairs: list = []  # heap of (order key of lcm, sequence number, lcm, i, j)
     queued = count()
 
-    def insert(h: Polynomial) -> None:
+    def insert(b: Binomial) -> None:
         nonlocal pairs, active
         t = len(basis)
-        basis.append(h)
-        leads.append(h.leading(order))
-        mt = leads[t][0]
-        lcms = [(monomial_lcm(leads[i][0], mt), i) for i in active]
+        basis.append(b)
+        mt = b[0]
+        lcms = [(monomial_lcm(basis[i][0], mt), i) for i in active]
         # Keep (i, t) unless the lcm of a later new pair, or of one kept
         # already, divides its lcm; keep coprime pairs so they can prune.
         kept = []
         for k, (l, i) in enumerate(lcms):
-            if l == monomial_mul(leads[i][0], mt) or not any(
+            if l == monomial_mul(basis[i][0], mt) or not any(
                 monomial_divides(l2, l) for l2, _ in chain(lcms[k + 1 :], kept)
             ):
                 kept.append((l, i))
@@ -332,88 +367,50 @@ def buchberger(
             p
             for p in pairs
             if not monomial_divides(mt, p[2])
-            or monomial_lcm(leads[p[3]][0], mt) == p[2]
-            or monomial_lcm(leads[p[4]][0], mt) == p[2]
+            or monomial_lcm(basis[p[3]][0], mt) == p[2]
+            or monomial_lcm(basis[p[4]][0], mt) == p[2]
         ]
         if len(old) < len(pairs):
             heapq.heapify(old)
             pairs = old
         for l, i in kept:
-            if l != monomial_mul(leads[i][0], mt):
-                heapq.heappush(pairs, (order.key(l), next(queued), l, i, t))
-        active = [i for i in active if not monomial_divides(mt, leads[i][0])]
+            if l != monomial_mul(basis[i][0], mt) and (b[1] is not None or basis[i][1] is not None):
+                heapq.heappush(pairs, (key(l), next(queued), l, i, t))
+        active = [i for i in active if not monomial_divides(mt, basis[i][0])]
         active.append(t)
 
-    for g in gens:
-        if not g.is_zero():
-            insert(g)
+    def shifted(l: Monomial, b: Binomial) -> Optional[Monomial]:
+        lead, tail = b
+        if tail is None:
+            return None
+        return reduce_monomial(tuple([x - y + z for x, y, z in zip(l, lead, tail)]), basis)
+
+    for b in new:
+        insert(b)
     while pairs:
-        _, _, _, i, j = heapq.heappop(pairs)
-        s = s_polynomial(basis[i], basis[j], order, (leads[i], leads[j]))
-        s = normal_form(s, basis, order, leads)
-        if not s.is_zero():
+        _, _, l, i, j = heapq.heappop(pairs)
+        # S(b_i, b_j) = (l / lead_j) tail_j - (l / lead_i) tail_i.
+        s = _oriented(shifted(l, basis[i]), shifted(l, basis[j]), key)
+        if s is not None:
             insert(s)
-    return basis
-
-
-def reduce_basis(basis: Sequence[Polynomial], order: TermOrder) -> list[Polynomial]:
-    """Minimal, interreduced, monic basis sorted by leading monomial."""
-    leading = []
-    for g in basis:
-        if not g.is_zero():
-            lm, lc = g.leading(order)
-            leading.append((order.key(lm), lm, g if lc == 1 else g.scale(Fraction(1) / lc)))
-    leading.sort(key=lambda t: t[0])
-    minimal: list[tuple[Monomial, Polynomial]] = []
-    for _, lm, g in leading:
-        if not any(monomial_divides(h, lm) for h, _ in minimal):
-            minimal.append((lm, g))
-    # No other leading monomial divides lm, so each remainder keeps lm with
-    # coefficient 1 and the list stays sorted.
-    polys = [g for _, g in minimal]
-    leads = [(lm, Fraction(1)) for lm, _ in minimal]
+    # Keep the leads no smaller lead divides, then reduce each tail.  A lead
+    # divides no monomial below it, so an element never reduces its own tail.
+    minimal: list[Binomial] = []
+    for b in sorted(basis, key=lambda b: key(b[0])):
+        if not any(monomial_divides(h, b[0]) for h, _ in minimal):
+            minimal.append(b)
     return [
-        normal_form(g, polys[:i] + polys[i + 1 :], order, leads[:i] + leads[i + 1 :])
-        for i, g in enumerate(polys)
+        (lead, None if tail is None else reduce_monomial(tail, minimal))
+        for lead, tail in minimal
     ]
 
 
-def groebner_basis(
-    gens: Iterable[Polynomial],
-    order: TermOrder,
-    known: Sequence[Polynomial] = (),
-) -> list[Polynomial]:
-    """The reduced Groebner basis of the ideal generated by known + gens.
-
-    `known`, when given, must be a reduced Groebner basis in `order` (as this
-    function returns); `buchberger` then starts from it and adds only the
-    pairs of gens, and the answer is exactly `groebner_basis(known + gens)`.
-    """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return list(known)
-    return reduce_basis(buchberger(gens, order, known), order)
-
-
-def passes_buchberger_criterion(basis: Sequence[Polynomial], order: TermOrder) -> bool:
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            s = s_polynomial(basis[i], basis[j], order)
-            if not normal_form(s, basis, order).is_zero():
-                return False
-    return True
-
-
-def ideal_is_unit(gb: Sequence[Polynomial]) -> bool:
-    return any(set(g.terms) == {(0,) * g.nvars} for g in gb)
-
-
 def ideal_quotient(
-    gens: Sequence[Polynomial],
+    gens: Sequence[Binomial],
     u: Sequence[float],
     weights: Sequence[int],
     order: TermOrder,
-) -> list[Polynomial]:
+) -> list[Binomial]:
     """Reduced GB (in `order`) of (gens : x^u), for gens homogeneous in `weights`.
 
     Every weight must be a positive integer.  An exponent u_i may be
@@ -429,12 +426,10 @@ def ideal_quotient(
     for i, e in enumerate(u):
         if e:
             basis = groebner_basis(current, weighted_revlex(weights, i))
-            current = [_divide_variable(g, i, min(e, *(m[i] for m in g.terms))) for g in basis]
+            current = []
+            for b in basis:
+                k = min(e, *(m[i] for m in b if m is not None))
+                current.append(
+                    tuple(None if m is None else m[:i] + (m[i] - k,) + m[i + 1 :] for m in b)
+                )
     return groebner_basis(current, order)
-
-
-def _divide_variable(p: Polynomial, var: int, power: int) -> Polynomial:
-    return Polynomial(
-        p.nvars,
-        {m[:var] + (m[var] - power,) + m[var + 1 :]: c for m, c in p.terms.items()},
-    )

@@ -35,6 +35,7 @@ from .errors import (
     NotHomogeneous,
     NotPointed,
     ParameterResonant,
+    ParseError,
     SearchBoundError,
 )
 from .intlinalg import (
@@ -165,7 +166,10 @@ def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
-    """Whether (R+A + delta) misses every resonance component (lemma 4)."""
+    """Whether (R+A + delta) misses every resonance component (lemma 4), delta in Z^d."""
+    delta = checked_vector(delta, a.d, "delta")
+    if any(x.denominator != 1 for x in delta):
+        raise ParseError(f"delta has a non-integer entry: {[str(x) for x in delta]}")
     delta = tuple(int(x) for x in delta)
     return not any(
         _beta_in_cone_plus_span(

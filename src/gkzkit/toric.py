@@ -10,12 +10,13 @@ read off weighted-revlex Groebner bases with one variable last
 (`polynomials.ideal_quotient`), which needs the positive grading
 w_i = phi . a_i of `cones.positive_grading`.  A toric ideal of a matrix
 without one goes through the homogenized matrix; the filtration requires
-one, so every column must be nonzero.  No face prime gets a Groebner
-basis: an A-homogeneous polynomial lies in I_A exactly when its
-coefficients sum to 0 (Sturmfels, Groebner Bases and Convex Polytopes,
-Lemma 4.1), so whether a quotient lies in a face prime is read off such
-sums (Saito, Sturmfels and Takayama, Groebner Deformations of
-Hypergeometric Differential Equations, ch. 3).
+one, so every column must be nonzero.  The filtration works on the exponent
+pairs of `polynomials`, and no face prime gets a Groebner basis: an
+A-homogeneous polynomial lies in I_A exactly when its coefficients sum to 0
+(Sturmfels, Groebner Bases and Convex Polytopes, Lemma 4.1), so a monomial
+lies in a face prime when it uses a variable off the face, and a binomial
+when both its terms do or neither does (Saito, Sturmfels and Takayama,
+Groebner Deformations of Hypergeometric Differential Equations, ch. 3).
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ from .errors import (
 )
 from .intlinalg import IntMatrix, homogenize, lattice_kernel, vec_sub
 from .polynomials import (
-    Monomial,
+    Binomial,
     Polynomial,
     TermOrder,
+    binomial,
+    binomial_polynomial,
     groebner_basis,
-    ideal_is_unit,
     ideal_quotient,
     normal_form,
     order_by_name,
+    reduce_monomial,
 )
 
 DEFAULT_ORDER = "degrevlex"
@@ -64,11 +67,9 @@ class ToricIdeal:
         return order_by_name(self.order_name)
 
 
-def box_binomial(l: Sequence[int], nvars: int) -> Polynomial:
-    """d^(l-) - d^(l+) for an integer relation l."""
-    neg = tuple(-x if x < 0 else 0 for x in l)
-    pos = tuple(x if x > 0 else 0 for x in l)
-    return Polynomial(nvars, {neg: 1, pos: -1}) if neg != pos else Polynomial.zero(nvars)
+def box_binomial(l: Sequence[int]) -> Binomial:
+    """d^(l-) - d^(l+) for an integer relation l, as an exponent pair."""
+    return tuple(-x if x < 0 else 0 for x in l), tuple(x if x > 0 else 0 for x in l)
 
 
 def a_degree(p: Polynomial | Iterable[Sequence[int]], a: IntMatrix) -> Optional[tuple[int, ...]]:
@@ -98,12 +99,12 @@ def toric_ideal(a: IntMatrix, order_name: str = DEFAULT_ORDER) -> ToricIdeal:
     order = order_by_name(order_name)
     weights = positive_grading(a)
     if weights is None:
-        lifted = toric_ideal(homogenize(a)).generators
-        gens = [Polynomial(a.n, {m[1:]: c for m, c in g.terms.items()}) for g in lifted]
-        gens = groebner_basis(gens, order)
+        lifted = [binomial(g) for g in toric_ideal(homogenize(a)).generators]
+        pairs = groebner_basis([(u[1:], v[1:]) for u, v in lifted], order)
     else:
-        binomials = [box_binomial(l, a.n) for l in lattice_kernel(a)]
-        gens = ideal_quotient(binomials, (inf,) * a.n, weights, order)
+        box = [box_binomial(l) for l in lattice_kernel(a)]
+        pairs = ideal_quotient(box, (inf,) * a.n, weights, order)
+    gens = [binomial_polynomial(b) for b in pairs]
     for g in gens:
         if a_degree(g, a) is None:
             raise AssertionError("toric ideal generator is not A-homogeneous")
@@ -178,15 +179,12 @@ def _monomials_by_weight(weights: Sequence[int], bound: int):
                 heapq.heappush(heap, (w + weights[i], v))
 
 
-def _variable(i: int, n: int) -> Polynomial:
-    """The monomial d_i (i 1-based) in n variables."""
-    return Polynomial.monomial(tuple(1 if k == i - 1 else 0 for k in range(n)))
-
-
-def _in_face_prime(g: Polynomial, columns: frozenset[int]) -> bool:
+def _in_face_prime(g: Binomial, columns: frozenset[int]) -> bool:
     """Whether an A-homogeneous g lies in I_A + <d_i : i not in F> (see `quasi_degrees`)."""
-    off = [k for k in range(g.nvars) if k + 1 not in columns]
-    return sum(c for m, c in g.terms.items() if not any(m[k] for k in off)) == 0
+    lead, tail = g
+    off = [k for k in range(len(lead)) if k + 1 not in columns]
+    lead_off = any(lead[k] for k in off)
+    return lead_off if tail is None else lead_off == any(tail[k] for k in off)
 
 
 @lru_cache(maxsize=None)
@@ -208,20 +206,22 @@ def quasi_degrees(
     If I : d^u = P_F, then d^u d_i lies in I exactly for the i off F: P_F
     holds those d_i, and no d_i with i in F, since it meets k[d_F] =
     k[d_i : i in F] in the toric ideal of F, which holds no monomial.  So
-    each candidate first gets the set of i with d^u d_i not in I (n normal
-    forms, the leads of I computed once per step), and the quotient is
-    computed only when that set is the column set of a face F.  Then P_F
-    lies in I : d^u (I holds I_A and each d^u d_i off F), so the two are
-    equal exactly when each element g of the quotient's basis lies in P_F.
-    Lemma: an A-homogeneous g lies in P_F exactly when the coefficients of
-    its terms on F (those using no d_i off F) sum to 0.  Proof: g lies in
-    P_F iff g_F, g with d_i = 0 off F, lies in P_F cap k[d_F], which is
-    I_A cap k[d_F], as the face functional vanishes on both sides of a
-    binomial of I_A or on neither.  That is the kernel of d^m -> t^(A m),
-    which sends the A-homogeneous g_F to its coefficient sum times one
-    monomial (Sturmfels, Groebner Bases and Convex Polytopes, Lemma 4.1).
-    Every basis extends a reduced one (`groebner_basis(..., known=...)`):
-    the start ideal that of I_A, each step that of the step before.
+    each candidate first gets the set of i with d^u d_i not in I (n monomial
+    reductions), and the quotient is computed only when that set is the
+    column set of a face F.  Then P_F lies in I : d^u (I holds I_A and each
+    d^u d_i off F), so the two are equal exactly when each element g of the
+    quotient's basis lies in P_F.  Lemma: an A-homogeneous g lies in P_F
+    exactly when the coefficients of its terms on F (those using no d_i off
+    F) sum to 0.  Proof: g lies in P_F iff g_F, g with d_i = 0 off F, lies
+    in P_F cap k[d_F], which is I_A cap k[d_F], as the face functional
+    vanishes on both sides of a binomial of I_A or on neither.  That is the
+    kernel of d^m -> t^(A m), which sends the A-homogeneous g_F to its
+    coefficient sum times one monomial (Sturmfels, Groebner Bases and
+    Convex Polytopes, Lemma 4.1).  As g is an exponent pair, the test reads:
+    a monomial lies in P_F iff it uses some d_i off F, and a binomial iff
+    both its terms do or neither does.  Every basis extends a reduced one
+    (`groebner_basis(..., known=...)`): the start ideal that of I_A, each
+    step that of the step before.
     """
     _check_column_index(a, j)
     if not face_lattice(a).pointed:
@@ -234,22 +234,19 @@ def quasi_degrees(
     order = order_by_name(order_name)
     weights = positive_grading(a)
     faces = {f.columns: f for f in face_lattice(a).proper_faces if j not in f.columns}
-    current = groebner_basis(
-        [_variable(j, a.n)], order, known=toric_ideal(a, order_name).generators
-    )
+    known = [binomial(g) for g in toric_ideal(a, order_name).generators]
+    d_j = tuple(1 if k == j - 1 else 0 for k in range(a.n))
+    current = groebner_basis([(d_j, None)], order, known=known)
     components: list[DegreePair] = []
-    while not ideal_is_unit(current):
-        leads = [g.leading(order) for g in current]
-
-        def in_ideal(u: Monomial) -> bool:
-            return normal_form(Polynomial.monomial(u), current, order, leads).is_zero()
-
+    while current != [((0,) * a.n, None)]:  # the reduced basis of the unit ideal
         step = None
         for u in _monomials_by_weight(weights, bound):
-            if in_ideal(u):
+            if reduce_monomial(u, current) is None:
                 continue
             spared = frozenset(
-                i + 1 for i in range(a.n) if not in_ideal(u[:i] + (u[i] + 1,) + u[i + 1 :])
+                i + 1
+                for i in range(a.n)
+                if reduce_monomial(u[:i] + (u[i] + 1,) + u[i + 1 :], current) is not None
             )
             if spared in faces and all(
                 _in_face_prime(g, spared) for g in ideal_quotient(current, u, weights, order)
@@ -262,5 +259,5 @@ def quasi_degrees(
             )
         u, face = step
         components.append(DegreePair(offset=a.mul_vec(u), face=face))
-        current = groebner_basis([Polynomial.monomial(u)], order, known=current)
+        current = groebner_basis([(u, None)], order, known=current)
     return QuasiDegreeSet(matrix=a, j=j, components=tuple(components))

@@ -340,8 +340,8 @@ class MembershipCertificate:
         return total
 
 
-def _grading_vectors(elements: Sequence[WeylElement], nvars: int) -> list[tuple[int, ...]]:
-    """Integer vectors g making every element homogeneous via deg d_i = g_i."""
+def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[list[tuple[int, ...]]]:
+    """Vectors g making every element homogeneous via deg d_i = g_i; None for the identity."""
     rows = []
     for el in elements:
         keys = list(el.terms)
@@ -354,11 +354,13 @@ def _grading_vectors(elements: Sequence[WeylElement], nvars: int) -> list[tuple[
                 tuple((vv - uu) - b for uu, vv, b in zip(u, v, base))
             )
     if not rows:
-        return [tuple(1 if i == k else 0 for i in range(nvars)) for k in range(nvars)]
+        return None
     return lattice_kernel(IntMatrix.from_rows(rows))
 
 
 def _weyl_degree(u, v, grading) -> tuple[int, ...]:
+    if grading is None:
+        return vec_sub(v, u)
     diff = [(i, y - x) for i, (x, y) in enumerate(zip(u, v)) if x != y]
     return tuple(sum(g[i] * e for i, e in diff) for g in grading)
 
@@ -384,7 +386,7 @@ def ideal_member_bounded(
         return MembershipCertificate(
             cofactors=tuple(WeylElement.zero(nvars) for _ in gens), bound=bound
         )
-    grading = _grading_vectors(list(gens) + [target], nvars)
+    grading = _grading_vectors(list(gens) + [target])
     t_first = next(iter(target.terms))
     t_deg = _weyl_degree(t_first[0], t_first[1], grading)
     graded = [(mono, _weyl_degree(*mono, grading)) for mono in _monomials_up_to(nvars, bound)]

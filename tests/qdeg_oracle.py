@@ -13,14 +13,9 @@ from __future__ import annotations
 from gkzkit.cones import face_lattice, positive_grading
 from gkzkit.errors import DegenerateColumn, FiltrationBoundExceeded, NotPointed
 from gkzkit.intlinalg import IntMatrix
-from gkzkit.polynomials import (
-    Polynomial,
-    groebner_basis,
-    ideal_is_unit,
-    ideal_quotient,
-    normal_form,
-    order_by_name,
-)
+from groebner_oracle import groebner_basis, ideal_is_unit, ideal_quotient
+
+from gkzkit.polynomials import Polynomial, normal_form, order_by_name
 from gkzkit.toric import (
     DEFAULT_FILTRATION_BOUND,
     DEFAULT_ORDER,

@@ -12,11 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from groebner_oracle import groebner_basis
+
 from gkzkit.polynomials import (
     Monomial,
     Polynomial,
     TermOrder,
-    groebner_basis,
     monomial_div,
     monomial_divides,
 )

@@ -1,15 +1,19 @@
-"""Differential tests of the Groebner engine.
+"""Differential tests of the Groebner engines.
 
 `ideal_quotient` divides variables out of weighted-revlex bases, and
 `toric_ideal` saturates with it; both are checked against the elimination
-route in `quotient_oracle`.  Heap-driven `buchberger` output is checked
-against Buchberger's criterion in several orders, and a basis extended
-from a reduced one against the basis rebuilt from scratch.
+route in `quotient_oracle`.  The binomial engine of `polynomials` is checked
+against the general one in `groebner_oracle` on monomials and pure-difference
+binomials.  The general engine's heap-driven `buchberger` output is checked
+against Buchberger's criterion in several orders, and a basis extended from
+a reduced one against the basis rebuilt from scratch.
 """
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import groebner_oracle
 from quotient_oracle import (
     elimination_order,
     ideal_quotient_by_elimination,
@@ -21,13 +25,14 @@ from gkzkit.cones import positive_functional
 from gkzkit.intlinalg import lattice_kernel
 from gkzkit.polynomials import (
     Polynomial,
-    buchberger,
+    binomial,
+    binomial_polynomial,
+    deglex,
     degrevlex,
     groebner_basis,
     ideal_quotient,
     lex,
     normal_form,
-    passes_buchberger_criterion,
     weighted_revlex,
 )
 from gkzkit.toric import box_binomial, toric_ideal
@@ -72,7 +77,8 @@ def monomial_quotient_cases(draw):
 def test_ideal_quotient_matches_elimination_oracle(case):
     gens, u, weights, order = case
     expected = ideal_quotient_by_elimination(gens, Polynomial.monomial(u), order)
-    assert ideal_quotient(gens, u, weights, order) == expected
+    quotient = ideal_quotient([binomial(g) for g in gens], u, weights, order)
+    assert [binomial_polynomial(b) for b in quotient] == expected
 
 
 @st.composite
@@ -93,7 +99,7 @@ def small_matrices(draw):
 @example(parse_matrix("0 2 3 -2 -2; 2 -2 3 1 0; 2 -3 2 3 -3"))
 @example(parse_matrix("1 -2 -2 -2 -1 -1; -2 1 -2 -2 1 2; 2 0 1 1 2 -1"))  # needs phi.a_i
 def test_toric_ideal_matches_elimination_saturation(a):
-    binomials = [box_binomial(l, a.n) for l in lattice_kernel(a)]
+    binomials = [binomial_polynomial(box_binomial(l)) for l in lattice_kernel(a)]
     for name, order in (("degrevlex", degrevlex()), ("lex", lex())):
         expected = saturate_all_variables(binomials, order) if binomials else []
         assert list(toric_ideal(a, name).generators) == expected
@@ -119,13 +125,13 @@ ORDERS = {
 )
 def test_heap_buchberger_passes_criterion(gens, order_name):
     order = ORDERS[order_name]
-    basis = buchberger(gens, order)
-    assert passes_buchberger_criterion(basis, order)
+    basis = groebner_oracle.buchberger(gens, order)
+    assert groebner_oracle.passes_buchberger_criterion(basis, order)
     for g in gens:
         assert normal_form(g, basis, order).is_zero()
-    reduced = groebner_basis(gens, order)
-    assert passes_buchberger_criterion(reduced, order)
-    assert groebner_basis(list(reversed(gens)), order) == reduced
+    reduced = groebner_oracle.groebner_basis(gens, order)
+    assert groebner_oracle.passes_buchberger_criterion(reduced, order)
+    assert groebner_oracle.groebner_basis(list(reversed(gens)), order) == reduced
 
 
 @st.composite
@@ -138,7 +144,7 @@ def extension_cases(draw):
         phi = positive_functional(a)
         weights = [sum(p * c for p, c in zip(phi, a.column(i))) for i in range(n)]
         order = weighted_revlex(weights, draw(st.integers(0, n - 1)))
-        known = groebner_basis(toric_ideal(a).generators, order)
+        known = groebner_oracle.groebner_basis(toric_ideal(a).generators, order)
     else:
         order = ORDERS[order_name]
         known = list(toric_ideal(a, order_name).generators)
@@ -156,8 +162,14 @@ def extension_cases(draw):
 @SETTINGS
 @given(extension_cases())
 def test_extending_a_reduced_basis_matches_rebuilding(case):
+    """The general engine on every case; the binomial one when c = -1 throughout."""
     known, extra, order = case
-    assert groebner_basis(extra, order, known=known) == groebner_basis(known + extra, order)
+    rebuilt = groebner_oracle.groebner_basis(known + extra, order)
+    assert groebner_oracle.groebner_basis(extra, order, known=known) == rebuilt
+    if all(len(g.terms) == 1 or sum(g.terms.values()) == 0 for g in extra):
+        pairs = [binomial(g) for g in extra]
+        extended = groebner_basis(pairs, order, known=[binomial(g) for g in known])
+        assert [binomial_polynomial(b) for b in extended] == rebuilt
 
 
 def test_weighted_revlex_puts_last_variable_last():
@@ -165,3 +177,71 @@ def test_weighted_revlex_puts_last_variable_last():
     # higher weight wins; within a weight, less of x_0 wins
     assert o.key((0, 1, 0)) > o.key((1, 0, 0))
     assert o.key((0, 0, 2)) > o.key((1, 0, 1)) > o.key((2, 0, 0))
+
+
+# Weights with x_1 of weight 1, so any pair of monomials can be padded to one weight.
+WEIGHTS = [(1, 1, 1), (2, 1, 3), (1, 1, 2)]
+
+
+@st.composite
+def binomial_cases(draw):
+    """Monomials and pure-difference binomials in 3 variables, homogeneous in
+    `weights`, a second such set to extend a reduced basis of the first by,
+    and an order."""
+    weights = draw(st.sampled_from(WEIGHTS))
+
+    def homogeneous(u, v):
+        gap = sum(w * (y - x) for w, x, y in zip(weights, u, v))
+        pad = lambda m, k: m[:1] + (m[1] + k,) + m[2:]
+        return (pad(u, gap), v) if gap > 0 else (u, pad(v, -gap))
+
+    monomials = exponents(3).map(lambda u: (u, None))
+    binomials = st.builds(homogeneous, exponents(3), exponents(3))
+    sets = st.lists(st.one_of(monomials, binomials), min_size=1, max_size=3)
+    orders = {
+        "degrevlex": degrevlex(),
+        "lex": lex(),
+        "deglex": deglex(),
+        "weighted_revlex": weighted_revlex(weights, draw(st.integers(0, 2))),
+    }
+    order = orders[draw(st.sampled_from(sorted(orders)))]
+    u = draw(exponents(3).filter(lambda m: 0 < sum(m) <= 3))
+    return draw(sets), draw(sets), weights, order, u
+
+
+def _polynomials(pairs):
+    return [binomial_polynomial(b) for b in pairs if b[0] != b[1]]
+
+
+@SETTINGS
+@given(binomial_cases())
+@example(([((0, 0, 0), None)], [((1, 0, 0), (0, 1, 0))], (1, 1, 1), lex(), (1, 0, 0)))
+def test_binomial_engine_matches_general_engine(case):
+    first, second, weights, order, u = case
+    gens = _polynomials(first)
+    expected = groebner_oracle.groebner_basis(gens, order)
+    assert _polynomials(groebner_basis(first, order)) == expected
+    known = groebner_basis(first, order)
+    rebuilt = groebner_oracle.groebner_basis(gens + _polynomials(second), order)
+    assert _polynomials(groebner_basis(second, order, known=known)) == rebuilt
+    quotient = groebner_oracle.ideal_quotient(gens, u, weights, order)
+    assert _polynomials(ideal_quotient(first, u, weights, order)) == quotient
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {},
+        {(1, 0): 1, (0, 1): 1},
+        {(1, 0): 1, (0, 1): -2},
+        {(2, 0): 1, (1, 1): -1, (0, 2): 1},
+    ],
+)
+def test_binomial_rejects_other_polynomials(terms):
+    with pytest.raises(ValueError):
+        binomial(Polynomial(2, terms))
+
+
+def test_binomial_reads_pairs_off_scaled_polynomials():
+    assert binomial(Polynomial(2, {(0, 1): -3, (1, 0): 3})) == ((1, 0), (0, 1))
+    assert binomial(Polynomial(2, {(1, 1): 5})) == ((1, 1), None)

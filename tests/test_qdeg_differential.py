@@ -3,8 +3,9 @@
 `toric.quasi_degrees` computes the quotient `I : d^u` only for a candidate
 whose products d^u d_i already lie in I exactly off some face F, accepts it
 when every element of the quotient's basis passes the coefficient-sum test
-for P_F = I_A + <d_i : i not in F>, and extends each Groebner basis instead
-of rebuilding it.  `qdeg_oracle` keeps the filtration it replaces: a full
+for P_F = I_A + <d_i : i not in F> (in pair form: a monomial uses some d_i
+off F, a binomial's two terms both do or neither does), and extends each
+Groebner basis instead of rebuilding it.  `qdeg_oracle` keeps the filtration it replaces: a full
 quotient for every candidate, compared with a basis of every face prime,
 and every basis from scratch.  Both must return the same components, offset
 and face, in the same order.
@@ -19,7 +20,8 @@ from gkzkit import IntMatrix, parse_matrix
 from gkzkit.cones import face_lattice
 from gkzkit.errors import FiltrationBoundExceeded
 from gkzkit.intlinalg import homogenize
-from gkzkit.toric import _in_face_prime, _variable, quasi_degrees
+from gkzkit.polynomials import binomial
+from gkzkit.toric import _in_face_prime, quasi_degrees
 
 SETTINGS = settings(
     max_examples=40,
@@ -81,6 +83,7 @@ def test_quasi_degrees_match_full_quotient_oracle(a):
 def test_coefficient_sum_test_recognizes_face_primes(a, order_name):
     """Every basis element of P_F passes; d_i passes exactly when i is off F."""
     for face, basis in qdeg_oracle.face_primes(a, order_name):
-        assert all(_in_face_prime(g, face.columns) for g in basis), (a, face)
+        assert all(_in_face_prime(binomial(g), face.columns) for g in basis), (a, face)
         for i in range(1, a.n + 1):
-            assert _in_face_prime(_variable(i, a.n), face.columns) == (i not in face.columns)
+            d_i = tuple(1 if k == i - 1 else 0 for k in range(a.n))
+            assert _in_face_prime((d_i, None), face.columns) == (i not in face.columns)

@@ -16,7 +16,7 @@ from gkzkit import (
     sres_witness,
 )
 from gkzkit.cones import interior_contains, saturation_contains
-from gkzkit.errors import NotHomogeneous, ParameterResonant
+from gkzkit.errors import NotHomogeneous, ParameterResonant, ParseError
 from gkzkit.resonance import dsres_witness
 
 SATURATED_HOMOGENEOUS = ["1", "1 1; 0 1", "1 1 1; 0 1 -1"]
@@ -87,6 +87,13 @@ def test_delta_staircase(staircase):
     assert semigroup_contains(staircase, delta)
     assert delta_valid(staircase, delta)
     assert delta_valid(staircase, (4, 2))
+
+
+@pytest.mark.parametrize("delta", [(5, 2, 99), (5,), (5.7, 2)])
+def test_delta_valid_rejects_malformed_delta(staircase, delta):
+    # A third entry used to be ignored, 5.7 truncated to 5, and (5,) an IndexError.
+    with pytest.raises(ParseError):
+        delta_valid(staircase, delta)
 
 
 def test_delta_saturated_shrinks_to_zero(line):

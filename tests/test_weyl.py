@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkzkit import (
     WeylElement,
@@ -14,7 +16,7 @@ from gkzkit import (
     weyl_mul,
 )
 from gkzkit.errors import FirstRowNotOnes, ParseError, VariableMismatch
-from gkzkit.weyl import euler_field
+from gkzkit.weyl import _weyl_degree, euler_field
 
 
 def rand_element(rng, nvars, nterms=2, maxexp=2):
@@ -48,6 +50,28 @@ def test_associativity_and_distributivity():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
+
+
+def weyl_elements(nvars):
+    keys = st.tuples(*[st.integers(0, 2)] * (2 * nvars)).map(lambda e: (e[:nvars], e[nvars:]))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(keys, coeffs, max_size=3).map(lambda t: WeylElement(nvars, t))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 2).flatmap(lambda n: st.tuples(*[weyl_elements(n)] * 3)))
+def test_weyl_multiplication_is_associative(triple):
+    f, g, h = triple
+    assert weyl_mul(weyl_mul(f, g), h) == weyl_mul(f, weyl_mul(g, h))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)))
+def test_identity_grading_degree_is_v_minus_u(exps):
+    n = len(exps) // 2
+    u, v = tuple(exps[:n]), tuple(exps[n:])
+    identity = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
+    assert _weyl_degree(u, v, None) == _weyl_degree(u, v, identity)
 
 
 def test_grading_is_multiplicative(staircase):
