@@ -7,6 +7,8 @@ and the faces are their intersections.  One phase-I LP per face then finds
 its supporting functional, so the LP count is the number of faces, not 2^n;
 enumeration stays capped at n <= 12.  The dimension of a face is its column
 count minus the nullity that `lp.gauss_solve` returns for those columns.
+Membership in R+A + QF, F a face, is read off the signs of the integer
+facet certificates (`cone_contains`), with no LP.
 
 Membership in NA is an iterative depth-first search with one memo per
 matrix, for points of the cone only.  A deep point is first lowered by LP
@@ -199,6 +201,27 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _cone_inequalities(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Integer y with R+A + QF = {x : y . x >= 0 for all y}, F the smallest face
+    holding the 1-based cols: the certificates of the facets that contain F,
+    which cut the set out of span(A), then +-y for a basis y of the
+    annihilator of span(A), all cleared of denominators."""
+    lat = face_lattice(a)
+    rank = lat.improper.dim
+    facets = [f for f in lat.proper_faces if f.dim == rank - 1 and f.columns.issuperset(cols)]
+    normals = [_integral(y) for y in gauss_solve(a.columns(), [0] * a.n)[1]] if rank < a.d else []
+    return (*(_integral(f.certificate) for f in facets), *normals, *(tuple(-x for x in y) for y in normals))
+
+
+def cone_contains(a: IntMatrix, v: Sequence, cols: Sequence[int] = (), strict: bool = False) -> bool:
+    """Whether v lies in R+A + QF (F the smallest face holding the 1-based
+    cols), by the signs of integer dot products.  With strict, whether all
+    are > 0: for a full-dimensional cone and no cols, the interior of R+A."""
+    dots = (sum(p * x for p, x in zip(y, v)) for y in _cone_inequalities(a, tuple(cols)))
+    return all(s > 0 for s in dots) if strict else all(s >= 0 for s in dots)
+
+
 def saturation_contains(a: IntMatrix, b: Sequence) -> bool:
     """Membership of a rational point b in the rational cone Q+A."""
     return cone_witness(a, b) is not None
@@ -224,32 +247,17 @@ class _Semigroup:
     w_j = phi . a_j bound the search; zero columns (weight 0) never change
     the point and are not steps.  memo maps each point searched to its
     depth-first witness, or None; that witness is a pure function of the
-    point, so sharing the memo across calls never changes an answer.  A
-    pointed cone is cut out of span(A) by its facet certificates, so
-    `in_cone` tests integer dot products with them and (when A spans less
-    than Q^d) with the normals of span(A), each cleared of denominators.
+    point, so sharing the memo across calls never changes an answer.
     """
 
     def __init__(self, a: IntMatrix):
         self.a = a
         self.phi = positive_functional(a)
         self.cols = a.columns()
-        lat = face_lattice(a)
-        rank = lat.improper.dim
-        self.facets = [_integral(f.certificate) for f in lat.proper_faces if f.dim == rank - 1]
-        self.normals = [_integral(y) for y in gauss_solve(self.cols, [0] * a.n)[1]] if rank < a.d else []
         self.weights = [sum(p * c for p, c in zip(self.phi, col)) for col in self.cols]
         self.steps = [j for j in range(a.n) if self.weights[j] > 0]
         self.min_weight = min((self.weights[j] for j in self.steps), default=0)
         self.memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
-
-    def in_cone(self, v: Sequence[int]) -> bool:
-        """Whether v lies in the cone R+A."""
-
-        def dot(u):
-            return sum(p * x for p, x in zip(u, v))
-
-        return all(dot(y) == 0 for y in self.normals) and all(dot(f) >= 0 for f in self.facets)
 
     @cached_property
     def delta(self) -> int:
@@ -272,7 +280,7 @@ class _Semigroup:
         exactly when target - A y is.  The rest then has height at most
         n * Delta * sum(w), a bound fixed by A alone.
         """
-        if not self.in_cone(target):
+        if not cone_contains(self.a, target):
             return None  # not searched, so the memo only holds points reached from the cone
         n = self.a.n
         height = sum(p * x for p, x in zip(self.phi, target))
@@ -386,21 +394,21 @@ def is_saturated(a: IntMatrix) -> bool:
     rays = extreme_rays(a)
     if not rays:
         return True
-    semigroup = _semigroup(a)
     lo = [sum(min(0, r[i]) for r in rays) for i in range(a.d)]
     hi = [sum(max(0, r[i]) for r in rays) for i in range(a.d)]
     for point in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if semigroup.in_cone(point) and not semigroup_contains(a, point):
+        if cone_contains(a, point) and not semigroup_contains(a, point):
             return False
     return True
 
 
 def interior_contains(a: IntMatrix, b: Sequence) -> bool:
-    """Membership of b in the interior of R+A (full-dimensional cones only).
+    """Membership of b in the interior of R+A (columns spanning Z^d only).
 
-    A full-dimensional cone is cut out by its facet inequalities, so strict
-    positivity on every support function characterizes the interior; with no
-    proper facets the cone is the whole space.
+    Such a cone is full-dimensional and cut out by its facet inequalities,
+    so the interior is where all hold strictly; with no facets it is Q^d.
     """
-    return all(s(b) > 0 for s in support_functions(a))
+    if not a.spans_lattice:
+        raise NotFullLattice("columns must generate the full lattice Z^d")
+    return cone_contains(a, b, strict=True)
 

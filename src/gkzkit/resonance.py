@@ -3,8 +3,8 @@
 Rational parameters only.  beta lies in sRes_j(A) iff beta + m*a_j lands in
 some component offset + QF of the quasi-degrees of S_A/<d_j> with an integer
 m >= 1.  Every component question is one `gauss_solve` for m
-(`_component_multiplier`) or one LP for a point of R+A + QF
-(`_beta_in_cone_plus_span`), by five lemmas:
+(`_component_multiplier`) or one sign test of integer dot products for a
+point of R+A + QF (`_beta_in_cone_plus_span`), by six lemmas:
 
 1. m is unique.  F is a face without j, so its certificate is 0 on QF and
    positive on a_j: a_j is off QF.
@@ -18,6 +18,8 @@ m >= 1.  Every component question is one `gauss_solve` for m
 5. Every proper face lies in a facet G whose functional is >= 0 on R+A + QF
    and < 0 on -int(R+A), so no such point is in DsRes(A).  (Both the
    interior and DsRes need columns spanning Z^d, so a full-dimensional cone.)
+6. R+A + QF is where span(A)'s equations hold and every facet holding F is
+   >= 0, so it needs no LP; a point off it violates one (`cones.cone_contains`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import product
 from math import ceil
 from typing import Optional, Sequence
 
-from .cones import face_lattice, interior_contains, semigroup_contains
+from .cones import cone_contains, face_lattice, interior_contains, semigroup_contains
 from .errors import (
     NotFullLattice,
     NotHomogeneous,
@@ -47,7 +49,7 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
-from .lp import feasible_point, gauss_solve
+from .lp import gauss_solve
 from .toric import quasi_degrees
 
 DUAL_SEARCH_RADIUS = 8
@@ -159,10 +161,8 @@ def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
 
 
 def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
-    """beta in Q+A + QF via LP feasibility."""
-    rows = [[*row, *(row[j - 1] for j in cols)] for row in a.rows]
-    nonneg = [True] * a.n + [False] * len(cols)
-    return feasible_point(rows, beta, nonneg) is not None
+    """beta in R+A + QF: a sign test on the facets holding F (lemma 6)."""
+    return cone_contains(a, beta, cols)
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
@@ -183,7 +183,8 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
     """A semigroup element translating the cone off sRes(A).
 
     Starts from (sum of columns) + (sum of all filtration offsets) and then
-    greedily walks back along columns while the verifier still passes.
+    greedily walks back along columns while the verifier still passes and
+    the step stays in NA (both pure, so the cheap verifier is asked first).
     """
     if not a.spans_lattice:
         raise NotFullLattice("delta requires columns generating Z^d")
@@ -199,7 +200,7 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
         improved = False
         for j in range(a.n):
             cand = vec_sub(delta, a.column(j))
-            if semigroup_contains(a, cand) and delta_valid(a, cand):
+            if delta_valid(a, cand) and semigroup_contains(a, cand):
                 delta = cand
                 improved = True
                 break

@@ -9,6 +9,12 @@ asks `solve_integer` for a point, `delta_valid` builds its own LP with a
 variable t >= 1, and the interior pass of `dual_parameter` still tests
 DsRes.  The library must return exactly what these return, exceptions
 included.
+
+Three routes that the library later replaced by integer facet inequalities
+(`gkzkit.cones.cone_contains`) are kept here as well: the cone-plus-span
+LP `_beta_in_cone_plus_span`, `interior_contains` by `support_functions`,
+and the `delta_A` walk that asks `semigroup_contains` before the LP
+verifier.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
-from gkzkit.cones import face_lattice, interior_contains
+from gkzkit.cones import face_lattice, semigroup_contains, support_functions
 from gkzkit.errors import (
     NotFullLattice,
     NotHomogeneous,
+    NotPointed,
     ParameterResonant,
     SearchBoundError,
 )
@@ -31,6 +38,8 @@ from gkzkit.intlinalg import (
     homogenize,
     lattice_kernel,
     solve_integer,
+    vec_add,
+    vec_sub,
 )
 from gkzkit.lp import feasible_point, gauss_solve
 from gkzkit.resonance import (
@@ -163,6 +172,34 @@ def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
         if feasible_point(rows, rhs, nonneg) is not None:
             return False
     return True
+
+
+def delta_A(a: IntMatrix) -> tuple[int, ...]:
+    """The greedy cone-shift walk with the semigroup test asked first."""
+    if not a.spans_lattice:
+        raise NotFullLattice("delta requires columns generating Z^d")
+    if not face_lattice(a).pointed:
+        raise NotPointed("delta requires a pointed semigroup")
+    delta = a.column_sum()
+    for comp in resonance_set(a).components:
+        delta = vec_add(delta, comp.offset)
+    if not delta_valid(a, delta):
+        raise AssertionError("constructed delta failed its own verifier")
+    improved = True
+    while improved:
+        improved = False
+        for j in range(a.n):
+            cand = vec_sub(delta, a.column(j))
+            if semigroup_contains(a, cand) and delta_valid(a, cand):
+                delta = cand
+                improved = True
+                break
+    return delta
+
+
+def interior_contains(a: IntMatrix, b: Sequence) -> bool:
+    """Membership of b in the interior of R+A by strict support-function signs."""
+    return all(s(b) > 0 for s in support_functions(a))
 
 
 def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:

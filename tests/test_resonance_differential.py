@@ -8,16 +8,22 @@ lattice test, the t >= 1 LP of `delta_valid` and the DsRes test in the
 interior pass of `dual_parameter`.  Both must return the same answers and
 raise the same exceptions with the same messages, on pointed and
 non-pointed matrices.
+
+The cone-plus-span test, `interior_contains` and the `delta_A` walk now
+read integer facet inequalities instead of solving LPs; each is compared
+with the LP or `support_functions` route it replaced, on rank-deficient,
+non-pointed and repeated-column matrices too.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import resonance_oracle
 
-from gkzkit import IntMatrix, parse_matrix, resonance
+from gkzkit import IntMatrix, cones, parse_matrix, resonance
 
 SETTINGS = settings(
     max_examples=150,
@@ -114,3 +120,91 @@ def test_delta_A_passes_both_verifiers():
         for j in range(a.n):
             below = tuple(x - y for x, y in zip(delta, a.column(j)))
             assert resonance.delta_valid(a, below) == resonance_oracle.delta_valid(a, below)
+
+
+CONE_FIXED = [
+    "0; 1",  # rank 1 in Q^2: membership needs the equation of span(A)
+    "1 1 1; 0 1 -1; 0 0 0",
+    "1 1; 2 2; 3 3",
+    "1 -1",  # the cone is a line
+    "1 -1 0; 0 0 1",  # a half-plane
+    "1 0 -1 0; 0 1 0 -1",  # the cone is Q^2
+    "1 1 0; 0 0 1",  # a repeated column
+    "1 2 0; 0 0 1",  # two columns on one ray
+    "0 1; 0 1",  # a zero column
+    "1 0 0 1; 0 1 0 1; 0 0 1 1",
+    "1 1 1 1; 0 1 0 -1; 0 0 1 0",
+]
+
+
+@st.composite
+def cone_cases(draw):
+    """A matrix with d <= 3, n <= 5, and a point that is often on its boundary.
+
+    Random matrices may be rank-deficient, non-pointed or hold a repeated
+    column; the point is a rational vector or a small column combination,
+    halved or not, whose negative coefficients often put it just off the cone.
+    """
+    if draw(st.booleans()):
+        a = parse_matrix(draw(st.sampled_from(CONE_FIXED)))
+    else:
+        d = draw(st.integers(1, 3))
+        n = draw(st.integers(1, 5))
+        rows = [draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n)) for _ in range(d)]
+        if n > 1 and draw(st.booleans()):
+            k = draw(st.integers(1, n - 1))
+            rows = [row[:k] + [row[k - 1]] + row[k + 1 :] for row in rows]
+        a = IntMatrix.from_rows(rows)
+    if draw(st.booleans()):
+        point = tuple(draw(st.lists(rationals(), min_size=a.d, max_size=a.d)))
+    else:
+        coeffs = draw(st.lists(st.integers(-1, 3), min_size=a.n, max_size=a.n))
+        den = draw(st.sampled_from([1, 2]))
+        point = tuple(Fraction(x, den) for x in a.mul_vec(coeffs))
+    return a, point
+
+
+@SETTINGS
+@given(cone_cases())
+@example((parse_matrix("0; 1"), (Fraction(0), Fraction(0))))
+@example((parse_matrix("0; 1"), (Fraction(1), Fraction(2))))
+@example((parse_matrix("1 1 1; 0 1 -1; 0 0 0"), (Fraction(2), Fraction(1), Fraction(1))))
+def test_cone_plus_span_matches_lp(case):
+    """Every column subset, so every face and the empty set, against the LP."""
+    a, point = case
+    for k in range(a.n + 1):
+        for cols in combinations(range(1, a.n + 1), k):
+            got = resonance._beta_in_cone_plus_span(a, cols, point)
+            assert got == resonance_oracle._beta_in_cone_plus_span(a, list(cols), point), cols
+
+
+@SETTINGS
+@given(cone_cases())
+@example((parse_matrix("1 1 1; 0 1 -1"), (Fraction(1), Fraction(1))))
+@example((parse_matrix("1 -1"), (Fraction(0),)))
+@example((parse_matrix("1 1; 0 2"), (Fraction(1), Fraction(1))))
+def test_interior_contains_matches_support_functions(case):
+    a, point = case
+    assert outcome(cones.interior_contains, a, point) == outcome(resonance_oracle.interior_contains, a, point)
+
+
+CORPUS = [
+    "3 2 0; 1 1 1",
+    "1 1 1; 0 1 -1",
+    "2 5",
+    "3 5 7",
+    "1 1 1 1; 0 1 2 3",
+    "1 1 1 1 1; 0 1 2 3 4",
+    "1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0",
+    "2 2 2; 0 3 -3",  # does not span Z^2
+]
+
+
+NON_SATURATED = ["4 6 9", "5 7", "1 1 1; 0 3 4", "1 1 1; 0 2 5", "1 1 1 1; 0 1 3 4"]
+
+
+def test_delta_A_matches_semigroup_first_walk():
+    """Asking the facet verifier before NA membership leaves delta unchanged."""
+    for text in dict.fromkeys(FIXED + CORPUS + NON_SATURATED):
+        a = parse_matrix(text)
+        assert outcome(resonance.delta_A, a) == outcome(resonance_oracle.delta_A, a), text
