@@ -71,6 +71,7 @@ class SupportFunction:
         return sum(Fraction(a) * Fraction(x) for a, x in zip(self.functional, v))
 
 
+@lru_cache(maxsize=None)
 def _face_certificate(a: IntMatrix, subset: frozenset[int]) -> Optional[tuple[Fraction, ...]]:
     """phi with phi.a_i = 0 on the subset, phi.a_j >= 1 off it (scale-invariant strictness)."""
     off = [j for j in range(1, a.n + 1) if j not in subset]
@@ -173,9 +174,9 @@ def positive_functional(a: IntMatrix) -> tuple[int, ...]:
 def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
     """Integer column weights w_i = phi . a_i >= 1, or None if there are none.
 
-    phi is the certificate of the empty face, cleared of denominators: one
-    phase-I LP, without the face lattice.  It is infeasible exactly when
-    the cone is not pointed or a column is zero.
+    phi is the certificate of the empty face, cleared of denominators: the
+    LP `face_lattice` also asks, without the rest of the lattice.  It is
+    infeasible exactly when the cone is not pointed or a column is zero.
     """
     cert = _face_certificate(a, frozenset())
     if cert is None:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError, RankDeficient
@@ -143,11 +144,11 @@ def format_fraction(q: Fraction) -> str:
 
 
 def vec_add(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def vec_sub(a: Sequence, b: Sequence) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def determinant(m: IntMatrix) -> int:

@@ -405,13 +405,10 @@ def groebner_basis(
     ]
 
 
-def ideal_quotient(
-    gens: Sequence[Binomial],
-    u: Sequence[float],
-    weights: Sequence[int],
-    order: TermOrder,
+def quotient_generators(
+    gens: Sequence[Binomial], u: Sequence[float], weights: Sequence[int]
 ) -> list[Binomial]:
-    """Reduced GB (in `order`) of (gens : x^u), for gens homogeneous in `weights`.
+    """Generators, as pairs, of (gens : x^u), for gens homogeneous in `weights`.
 
     Every weight must be a positive integer.  An exponent u_i may be
     `math.inf`, which saturates: I : x_i^inf.  For such an ideal I, x_i
@@ -432,4 +429,14 @@ def ideal_quotient(
                 current.append(
                     tuple(None if m is None else m[:i] + (m[i] - k,) + m[i + 1 :] for m in b)
                 )
-    return groebner_basis(current, order)
+    return current
+
+
+def ideal_quotient(
+    gens: Sequence[Binomial],
+    u: Sequence[float],
+    weights: Sequence[int],
+    order: TermOrder,
+) -> list[Binomial]:
+    """Reduced GB (in `order`) of (gens : x^u), from `quotient_generators`."""
+    return groebner_basis(quotient_generators(gens, u, weights), order)

@@ -213,7 +213,7 @@ def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], 
     if "cone" in layers:
         out["cone"] = cones.saturation_contains(a, point)
     if "qdeg" in layers:
-        qd = toric.quasi_degrees(a, qdeg_j)
+        qd = toric.quasi_degrees(a, qdeg_j, toric.DEFAULT_ORDER)
         out["qdeg"] = qd.degree_set_contains(point)
     if "sres" in layers:
         out["sres"] = resonance.sres_contains(a, tuple(Fraction(x) for x in point))
@@ -307,7 +307,7 @@ def _qdeg_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     if a.d != 2:
         return []
     segments = []
-    for comp in toric.quasi_degrees(a, spec.qdeg_j).components:
+    for comp in toric.quasi_degrees(a, spec.qdeg_j, toric.DEFAULT_ORDER).components:
         cols = comp.face.sorted_columns()
         direction = a.column(cols[0] - 1) if cols else None
         anchor = tuple(Fraction(x) for x in comp.offset)

@@ -50,7 +50,7 @@ from .intlinalg import (
     vec_sub,
 )
 from .lp import gauss_solve
-from .toric import quasi_degrees
+from .toric import DEFAULT_ORDER, quasi_degrees
 
 DUAL_SEARCH_RADIUS = 8
 
@@ -83,7 +83,7 @@ class ResonanceWitness:
 def resonance_set(a: IntMatrix) -> ResonanceSet:
     comps = []
     for j in range(1, a.n + 1):
-        qd = quasi_degrees(a, j)
+        qd = quasi_degrees(a, j, DEFAULT_ORDER)
         col = a.column(j - 1)
         for pair in qd.components:
             comps.append(
@@ -179,6 +179,7 @@ def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def delta_A(a: IntMatrix) -> tuple[int, ...]:
     """A semigroup element translating the cone off sRes(A).
 

@@ -7,7 +7,7 @@ repeatedly splitting off a face-prime quotient; only the union of the
 resulting degree sets is contractual, the component list itself is one
 valid filtration.  Both saturation and each quotient by a monomial d^u are
 read off weighted-revlex Groebner bases with one variable last
-(`polynomials.ideal_quotient`), which needs the positive grading
+(`polynomials.quotient_generators`), which needs the positive grading
 w_i = phi . a_i of `cones.positive_grading`.  A toric ideal of a matrix
 without one goes through the homogenized matrix; the filtration requires
 one, so every column must be nonzero.  The filtration works on the exponent
@@ -45,6 +45,7 @@ from .polynomials import (
     ideal_quotient,
     normal_form,
     order_by_name,
+    quotient_generators,
     reduce_monomial,
 )
 
@@ -99,7 +100,7 @@ def toric_ideal(a: IntMatrix, order_name: str = DEFAULT_ORDER) -> ToricIdeal:
     order = order_by_name(order_name)
     weights = positive_grading(a)
     if weights is None:
-        lifted = [binomial(g) for g in toric_ideal(homogenize(a)).generators]
+        lifted = [binomial(g) for g in toric_ideal(homogenize(a), DEFAULT_ORDER).generators]
         pairs = groebner_basis([(u[1:], v[1:]) for u, v in lifted], order)
     else:
         box = [box_binomial(l) for l in lattice_kernel(a)]
@@ -209,15 +210,15 @@ def quasi_degrees(
     each candidate first gets the set of i with d^u d_i not in I (n monomial
     reductions), and the quotient is computed only when that set is the
     column set of a face F.  Then P_F lies in I : d^u (I holds I_A and each
-    d^u d_i off F), so the two are equal exactly when each element g of the
-    quotient's basis lies in P_F.  Lemma: an A-homogeneous g lies in P_F
-    exactly when the coefficients of its terms on F (those using no d_i off
-    F) sum to 0.  Proof: g lies in P_F iff g_F, g with d_i = 0 off F, lies
-    in P_F cap k[d_F], which is I_A cap k[d_F], as the face functional
-    vanishes on both sides of a binomial of I_A or on neither.  That is the
-    kernel of d^m -> t^(A m), which sends the A-homogeneous g_F to its
-    coefficient sum times one monomial (Sturmfels, Groebner Bases and
-    Convex Polytopes, Lemma 4.1).  As g is an exponent pair, the test reads:
+    d^u d_i off F), so the two are equal exactly when each generator of the
+    quotient lies in P_F (`quotient_generators`: no final reduced basis).
+    Lemma: an A-homogeneous g lies in P_F exactly when the coefficients of
+    its terms on F (those using no d_i off F) sum to 0.  Proof: g lies in
+    P_F iff g_F, g with d_i = 0 off F, lies in P_F cap k[d_F], which is
+    I_A cap k[d_F], as the face functional vanishes on both sides of a
+    binomial of I_A or on neither.  That is the kernel of d^m -> t^(A m),
+    which sends the A-homogeneous g_F to its coefficient sum times one
+    monomial (Sturmfels, Groebner Bases and Convex Polytopes, Lemma 4.1).  As g is an exponent pair, the test reads:
     a monomial lies in P_F iff it uses some d_i off F, and a binomial iff
     both its terms do or neither does.  Every basis extends a reduced one
     (`groebner_basis(..., known=...)`): the start ideal that of I_A, each
@@ -249,7 +250,7 @@ def quasi_degrees(
                 if reduce_monomial(u[:i] + (u[i] + 1,) + u[i + 1 :], current) is not None
             )
             if spared in faces and all(
-                _in_face_prime(g, spared) for g in ideal_quotient(current, u, weights, order)
+                _in_face_prime(g, spared) for g in quotient_generators(current, u, weights)
             ):
                 step = (u, faces[spared])
                 break

@@ -1,0 +1,78 @@
+"""One computation per cache key.
+
+The cached layers are `lru_cache` objects keyed by their argument tuple, so
+`quasi_degrees(a, j)` and `quasi_degrees(a, j, "degrevlex")` would be two
+keys and build the same filtration twice.  A cold `run_report` on a pointed
+matrix A whose columns span Z^d must build the filtration of S_A/<d_j> once
+per column of A and of homogenize(A), the toric ideals of those two
+matrices once each, and one face LP per face of each.  The nonspanning
+corpus matrix is left out: its report also builds the index-set matrices.
+"""
+
+import sys
+
+import pytest
+
+from gkzkit import parse_matrix, resonance, toric
+from gkzkit.cones import _face_certificate, face_lattice
+from gkzkit.intlinalg import homogenize, parse_rational_vector
+from gkzkit.report import DiagramSpec, classification_table, render_diagram, run_report
+
+# The spanning corpus matrices of the analyze goldens, at their betas.
+SPANNING = {
+    "staircase": ("3 2 0; 1 1 1", "5/2,-2/5"),
+    "hat": ("1 1 1; 0 1 -1", "-9/5,3/5"),
+    "two_five": ("2 5", "-5/7"),
+    "three_five_seven": ("3 5 7", "7/5"),
+    "rnc3": ("1 1 1 1; 0 1 2 3", "2/3,-3/5"),
+    "rnc4": ("1 1 1 1 1; 0 1 2 3 4", "2/7,2/5"),
+    "m3x5": ("1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0", "-1/3,-2/7,-4/5"),
+}
+
+RNC3 = "1 1 1 1; 0 1 2 3"
+
+
+def clear_caches():
+    """Empty every lru_cache of every gkzkit module, as a cold run starts."""
+    for name, module in list(sys.modules.items()):
+        if name == "gkzkit" or name.startswith("gkzkit."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize("name", SPANNING)
+def test_cold_report_computes_each_key_once(name):
+    matrix, beta = SPANNING[name]
+    a = parse_matrix(matrix)
+    clear_caches()
+    report = run_report(a, parse_rational_vector(beta))
+    assert isinstance(report["n_beta"], int), report["n_beta"]
+    atilde = homogenize(a)
+    assert toric.quasi_degrees.cache_info().misses == a.n + atilde.n
+    assert toric.toric_ideal.cache_info().misses == 2
+    faces = len(face_lattice(a).faces) + len(face_lattice(atilde).faces)
+    assert _face_certificate.cache_info().misses == faces
+
+
+def test_diagram_builds_no_second_filtration():
+    a = parse_matrix(RNC3)
+    clear_caches()
+    spec = DiagramSpec(box=(-3, 6, -3, 6), layers=("qdeg", "sres"), qdeg_j=2)
+    assert "<svg" in render_diagram(a, spec)
+    assert toric.quasi_degrees.cache_info().misses == a.n
+
+
+def test_delta_cone_table_walks_once(monkeypatch):
+    a = parse_matrix(RNC3)
+    asked = []
+    verifier = resonance.delta_valid
+    monkeypatch.setattr(resonance, "delta_valid", lambda m, d: asked.append(d) or verifier(m, d))
+    clear_caches()
+    resonance.delta_A(a)
+    one_walk = len(asked)
+    asked.clear()
+    clear_caches()
+    table = classification_table(a, DiagramSpec(box=(-2, 2, -2, 2), layers=("delta-cone",)))
+    assert len(table) == 25
+    assert len(asked) == one_walk > 0

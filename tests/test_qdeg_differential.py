@@ -2,26 +2,36 @@
 
 `toric.quasi_degrees` computes the quotient `I : d^u` only for a candidate
 whose products d^u d_i already lie in I exactly off some face F, accepts it
-when every element of the quotient's basis passes the coefficient-sum test
+when every generator of the quotient passes the coefficient-sum test
 for P_F = I_A + <d_i : i not in F> (in pair form: a monomial uses some d_i
 off F, a binomial's two terms both do or neither does), and extends each
 Groebner basis instead of rebuilding it.  `qdeg_oracle` keeps the filtration it replaces: a full
 quotient for every candidate, compared with a basis of every face prime,
 and every basis from scratch.  Both must return the same components, offset
-and face, in the same order.
+and face, in the same order.  The generators are those of
+`polynomials.quotient_generators`, with no reduced basis in the report's
+order; the test must read the same on them, on `ideal_quotient`'s reduced
+basis and on the elimination route of `quotient_oracle`.
 """
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qdeg_oracle
+from quotient_oracle import ideal_quotient_by_elimination
 
 from gkzkit import IntMatrix, parse_matrix
-from gkzkit.cones import face_lattice
+from gkzkit.cones import face_lattice, positive_grading
 from gkzkit.errors import FiltrationBoundExceeded
 from gkzkit.intlinalg import homogenize
-from gkzkit.polynomials import binomial
-from gkzkit.toric import _in_face_prime, quasi_degrees
+from gkzkit.polynomials import (
+    Polynomial,
+    binomial,
+    ideal_quotient,
+    order_by_name,
+    quotient_generators,
+)
+from gkzkit.toric import _in_face_prime, quasi_degrees, toric_ideal
 
 SETTINGS = settings(
     max_examples=40,
@@ -87,3 +97,39 @@ def test_coefficient_sum_test_recognizes_face_primes(a, order_name):
         for i in range(1, a.n + 1):
             d_i = tuple(1 if k == i - 1 else 0 for k in range(a.n))
             assert _in_face_prime((d_i, None), face.columns) == (i not in face.columns)
+
+
+def _exponents(n):
+    return st.tuples(*[st.integers(0, 2)] * n)
+
+
+@st.composite
+def face_prime_quotients(draw):
+    """I = I_A + <d_j> + 0-2 monomials, and u in the box [0, 2]^n."""
+    a = draw(pointed_matrices().filter(_usable))
+    j = draw(st.integers(1, a.n))
+    d_j = tuple(1 if k == j - 1 else 0 for k in range(a.n))
+    extra = draw(st.lists(_exponents(a.n).filter(any), max_size=2))
+    u = draw(_exponents(a.n))
+    return a, j, [d_j, *extra], u
+
+
+@settings(SETTINGS, max_examples=150)
+@given(face_prime_quotients(), st.sampled_from(["degrevlex", "lex"]))
+@example((parse_matrix("1 1 1 1; 0 1 2 3"), 1, [(1, 0, 0, 0)], (0, 1, 0, 0)), "degrevlex")
+def test_face_prime_test_reads_generators_as_the_reduced_basis(case, order_name):
+    """I : d^u lies in P_F exactly when every generator does, for each face F without j."""
+    a, j, monomials, u = case
+    order = order_by_name(order_name)
+    weights = positive_grading(a)
+    ideal = [*toric_ideal(a, order_name).generators, *map(Polynomial.monomial, monomials)]
+    pairs = [binomial(g) for g in ideal]
+    routes = (
+        quotient_generators(pairs, u, weights),
+        ideal_quotient(pairs, u, weights, order),
+        [binomial(g) for g in ideal_quotient_by_elimination(ideal, Polynomial.monomial(u), order)],
+    )
+    for face in face_lattice(a).proper_faces:
+        if j not in face.columns:
+            answers = {all(_in_face_prime(g, face.columns) for g in route) for route in routes}
+            assert len(answers) == 1, (a, j, monomials, u, face.columns)
