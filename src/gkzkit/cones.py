@@ -2,8 +2,10 @@
 
 Column indices in faces and in the `j` arguments are 1-based, matching the
 generator labels a_1..a_n.  The face lattice is found combinatorially: the
-facets come from kernels of independent column subsets, checked by sign,
-and the faces are their intersections.  One phase-I LP per face then finds
+facets come from kernels of independent column subsets, cleared to integer
+normals and checked by sign, and the faces are their intersections.  A
+subset inside a facet already found is skipped, as it can only find that
+facet again (the lemma in `_facets`).  One phase-I LP per face then finds
 its supporting functional, so the LP count is the number of faces, not 2^n;
 enumeration stays capped at n <= 12.  The dimension of a face is its column
 count minus the nullity that `lp.gauss_solve` returns for those columns.
@@ -26,9 +28,10 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import ceil, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .errors import NotFullDimensional, NotFullLattice, NotPointed, TooManyColumns
+from .errors import NotFullLattice, NotPointed, TooManyColumns
 from .intlinalg import IntMatrix, checked_vector, determinant, primitive_vector, vec_sub
 from .lp import feasible_point, gauss_solve
 
@@ -104,12 +107,20 @@ def _facets(a: IntMatrix, rank: int) -> set[frozenset[int]]:
     A facet spans a hyperplane of span(A), so it holds rank - 1 independent
     columns.  Their annihilator in span(A) is a line; it supports the cone
     exactly when its values on the columns all have one sign, and the facet
-    is then the set of columns where it vanishes.
+    is then the set of columns where it vanishes.  The kernel vector is
+    cleared to integers first: a positive scale keeps every sign, and the
+    n dot products are then int arithmetic.
+
+    Skip lemma: a subset inside a facet found before is not solved.  If its
+    rank - 1 columns are independent they span that facet's hyperplane, so
+    they can only find that facet again; if not, they find nothing.
     """
     cols = a.columns()
     identity = [[int(i == k) for k in range(a.d)] for i in range(a.d)]
-    facets = set()
+    found: list[frozenset[int]] = []
     for subset in combinations(range(a.n), rank - 1):
+        if any(f.issuperset(subset) for f in found):
+            continue
         rows = [cols[j] for j in subset]
         kernel = gauss_solve(rows, [0] * len(rows))[1] if rows else identity
         if len(kernel) != a.d - len(rows):
@@ -117,12 +128,13 @@ def _facets(a: IntMatrix, rank: int) -> set[frozenset[int]]:
         # The kernel is one dimension larger than the annihilator of span(A),
         # so some basis vector takes a nonzero value on a column.
         for phi in kernel:
-            values = [sum(p * x for p, x in zip(phi, col)) for col in cols]
+            phi = _integral(phi)
+            values = [sum(map(mul, phi, col)) for col in cols]
             if any(values):
                 break
         if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            facets.add(frozenset(j + 1 for j, v in enumerate(values) if v == 0))
-    return facets
+            found.append(frozenset(j for j, v in enumerate(values) if v == 0))
+    return {frozenset(j + 1 for j in f) for f in found}
 
 
 @lru_cache(maxsize=None)
@@ -189,11 +201,8 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
     """One primitive integral support function per facet of the cone."""
     if not a.spans_lattice:
         raise NotFullLattice("columns must generate the full lattice Z^d")
-    lat = face_lattice(a)
-    if lat.improper.dim < a.d:
-        raise NotFullDimensional("cone is not full-dimensional")
     out = []
-    for face in lat.proper_faces:
+    for face in face_lattice(a).proper_faces:
         if face.dim != a.d - 1:
             continue
         vec = primitive_vector(_integral(face.certificate))

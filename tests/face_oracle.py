@@ -5,12 +5,20 @@ positive off it, which one phase-I LP decides.  Trying all 2^n subsets needs
 no facet or sign reasoning, so it checks the facet-built `cones.face_lattice`
 without sharing its method.  `is_saturated_by_lp` likewise tests cone
 membership of each box point with an LP instead of facet certificates.
+
+`facets_by_fraction_scan` is the facet scan `cones._facets` ran before it
+cleared kernel vectors to integers and skipped subsets inside a found facet:
+every independent subset of rank - 1 columns is solved, and the signs are
+read off `Fraction` dot products.  `face_lattice_by_fraction_scan` builds
+the lattice on it, with the rest of `cones.face_lattice` unchanged.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from unittest import mock
 
+from gkzkit import cones
 from gkzkit.cones import (
     Face,
     FaceLattice,
@@ -22,6 +30,7 @@ from gkzkit.cones import (
 )
 from gkzkit.errors import NotPointed
 from gkzkit.intlinalg import IntMatrix
+from gkzkit.lp import gauss_solve
 
 
 def face_lattice_by_subsets(a: IntMatrix) -> FaceLattice:
@@ -62,3 +71,36 @@ def is_saturated_by_lp(a: IntMatrix) -> bool:
         if not semigroup_contains(a, point):
             return False
     return True
+
+
+def facets_by_fraction_scan(a: IntMatrix, rank: int) -> set[frozenset[int]]:
+    """Column sets of the facets of R+A, for a cone of dimension rank >= 1.
+
+    A facet spans a hyperplane of span(A), so it holds rank - 1 independent
+    columns.  Their annihilator in span(A) is a line; it supports the cone
+    exactly when its values on the columns all have one sign, and the facet
+    is then the set of columns where it vanishes.
+    """
+    cols = a.columns()
+    identity = [[int(i == k) for k in range(a.d)] for i in range(a.d)]
+    facets = set()
+    for subset in combinations(range(a.n), rank - 1):
+        rows = [cols[j] for j in subset]
+        kernel = gauss_solve(rows, [0] * len(rows))[1] if rows else identity
+        if len(kernel) != a.d - len(rows):
+            continue  # dependent columns span less than a hyperplane
+        # The kernel is one dimension larger than the annihilator of span(A),
+        # so some basis vector takes a nonzero value on a column.
+        for phi in kernel:
+            values = [sum(p * x for p, x in zip(phi, col)) for col in cols]
+            if any(values):
+                break
+        if all(v >= 0 for v in values) or all(v <= 0 for v in values):
+            facets.add(frozenset(j + 1 for j, v in enumerate(values) if v == 0))
+    return facets
+
+
+def face_lattice_by_fraction_scan(a: IntMatrix) -> FaceLattice:
+    """`cones.face_lattice`, uncached, with its facets from the Fraction scan."""
+    with mock.patch.object(cones, "_facets", facets_by_fraction_scan):
+        return cones.face_lattice.__wrapped__(a)

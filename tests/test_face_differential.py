@@ -2,16 +2,23 @@
 
 `face_lattice` finds faces as intersections of sign-checked facets and
 `is_saturated` tests box points against facet certificates; both are checked
-against the per-subset LP route in `face_oracle`.  `positive_grading` skips
-the lattice and is checked against the face lattice's `positive_functional`.
+against the per-subset LP route in `face_oracle`.  The integer facet scan,
+which skips subsets inside a facet already found, is checked against the
+`Fraction` scan it replaced, and its solved subsets are counted.
+`positive_grading` skips the lattice and is checked against the face
+lattice's `positive_functional`.
 """
 
+from itertools import combinations
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from face_oracle import face_lattice_by_subsets, is_saturated_by_lp
+import face_oracle
+from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, is_saturated_by_lp
 
-from gkzkit import IntMatrix, parse_matrix
+from gkzkit import IntMatrix, cones, parse_matrix
 from gkzkit.cones import face_lattice, is_saturated, positive_functional, positive_grading
 
 SETTINGS = settings(
@@ -21,6 +28,8 @@ SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+SCAN_SETTINGS = settings(SETTINGS, max_examples=400)
+GRID_3X10 = parse_matrix("1 1 1 1 1 1 1 1 1 1; 0 1 2 3 0 1 2 3 0 1; 0 0 0 0 1 1 1 1 2 2")
 
 
 @st.composite
@@ -46,6 +55,85 @@ def pointed_matrices(draw):
     rows = [draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))]
     rows += [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(d - 1)]
     return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def scan_matrices(draw):
+    """d <= 4, n <= 9, entries in [-3, 3], with the cases the facet scan must survive:
+    rank 1, a rank-deficient last row, a negated column (so not pointed), and a
+    zero or repeated column."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 9))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(d)]
+    shape = draw(st.sampled_from(("generic", "generic", "generic", "rank1", "deficient")))
+    if shape == "rank1":
+        scales = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        rows = [[k * x for x in rows[0]] for k in scales]
+    elif shape == "deficient" and d > 1:
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1 % (d - 1)])]
+    for edit in draw(st.lists(st.sampled_from(("negate", "zero", "repeat")), max_size=2)):
+        if n < 2:
+            break
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = {"negate": -row[i], "zero": 0, "repeat": row[i]}[edit]
+    return IntMatrix.from_rows(rows)
+
+
+def solved_subsets(module, scan, a, rank):
+    """The facets scan returns, and each column subset it solved, in order, with
+    whether its columns were independent.  A scan solves subsets in
+    combinations order, so each gauss_solve call is matched to the next
+    subset with its columns."""
+    cols = a.columns()
+    pending = combinations(range(1, a.n + 1), rank - 1)
+    solve = module.gauss_solve
+    solved = []
+
+    def recording(rows, rhs):
+        subset = next(s for s in pending if [cols[j - 1] for j in s] == list(rows))
+        out = solve(rows, rhs)
+        solved.append((frozenset(subset), len(out[1]) == a.d - len(rows)))
+        return out
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "gauss_solve", recording)
+        return scan(a, rank), solved
+
+
+@SCAN_SETTINGS
+@given(scan_matrices())
+@example(parse_matrix("1 -1"))
+@example(parse_matrix("0 0 0"))
+@example(parse_matrix("1 2 -1; 2 4 -2"))
+@example(parse_matrix("1 1 1 1; 0 1 1 0; 0 0 1 1; 0 0 0 0"))
+@example(parse_matrix("1 1 1 1 1 1; 0 1 0 1 0 -1; 0 0 1 1 0 0; 0 0 0 0 1 0"))
+@example(GRID_3X10)
+def test_face_lattice_matches_fraction_scan(a):
+    # columns, order, certificates, dims and pointedness of every face
+    assert face_lattice(a) == face_lattice_by_fraction_scan(a)
+
+
+@SCAN_SETTINGS
+@given(scan_matrices())
+@example(GRID_3X10)
+def test_facet_scan_solves_no_subset_inside_a_facet_found_before(a):
+    rank = cones._span_dim(a, range(1, a.n + 1))
+    if not rank:
+        return
+    facets, solved = solved_subsets(cones, cones._facets, a, rank)
+    assert facets == face_oracle.facets_by_fraction_scan(a, rank)
+    for k, (subset, _) in enumerate(solved):
+        # an independent solved subset inside a facet spans its hyperplane, so found it
+        found = [f for f in facets if any(ind and s <= f for s, ind in solved[:k])]
+        assert not any(subset <= f for f in found)
+
+
+def test_grid_3x10_facet_scan_solves_38_subsets_not_45():
+    facets, solved = solved_subsets(cones, cones._facets, GRID_3X10, 3)
+    old, old_solved = solved_subsets(face_oracle, face_oracle.facets_by_fraction_scan, GRID_3X10, 3)
+    assert facets == old and len(facets) == 5  # the grid hull is a pentagon
+    assert (len(solved), len(old_solved)) == (38, 45)
 
 
 @SETTINGS
