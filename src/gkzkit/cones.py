@@ -5,10 +5,19 @@ generator labels a_1..a_n.  The face lattice is found combinatorially: the
 facets come from kernels of independent column subsets, cleared to integer
 normals and checked by sign, and the faces are their intersections.  A
 subset inside a facet already found is skipped, as it can only find that
-facet again (the lemma in `_facets`).  One phase-I LP per face then finds
-its supporting functional, so the LP count is the number of faces, not 2^n;
-enumeration stays capped at n <= 12.  The dimension of a face is its column
-count minus the nullity that `lp.gauss_solve` returns for those columns.
+facet again (the lemma in `_facets`).  Enumeration stays capped at n <= 12.
+
+Forced certificates.  The LP of `_face_certificate` asks for phi with
+phi.a_j = 0 on a face F and phi.a_j >= 1 off it, in split form phi = phi+ -
+phi- with slacks s >= 0, and phase I stops at a basic feasible solution, a
+vertex (Schrijver, *Theory of Linear and Integer Programming*, section 8).
+If rank A = d and F is a facet with integer normal nu, nu.a_j > 0 off F, the
+feasible phi are c * nu with c >= 1 / m, m the least nu.a_j off F: one
+vertex, so the LP returns nu / m.  For the improper face every right-hand
+side is 0, every pivot is degenerate, and the LP returns 0.  So only the
+other faces run an LP.  A face's dim is rank - 1 for a facet, rank for the
+improper face, and else its column count minus the nullity that
+`lp.gauss_solve` returns for those columns.
 Membership in R+A + QF, F a face, is read off the signs of the integer
 facet certificates (`cone_contains`), with no LP.
 
@@ -76,7 +85,10 @@ class SupportFunction:
 
 @lru_cache(maxsize=None)
 def _face_certificate(a: IntMatrix, subset: frozenset[int]) -> Optional[tuple[Fraction, ...]]:
-    """phi with phi.a_i = 0 on the subset, phi.a_j >= 1 off it (scale-invariant strictness)."""
+    """phi with phi.a_i = 0 on the subset, phi.a_j >= 1 off it (scale-invariant strictness).
+
+    Always the LP, so it checks the certificates `face_lattice` sets without one.
+    """
     off = [j for j in range(1, a.n + 1) if j not in subset]
     eq = []
     rhs = []
@@ -101,15 +113,18 @@ def _span_dim(a: IntMatrix, cols: Sequence[int]) -> int:
     return len(cols) - len(gauss_solve(rows, [0] * a.d)[1])
 
 
-def _facets(a: IntMatrix, rank: int) -> set[frozenset[int]]:
-    """Column sets of the facets of R+A, for a cone of dimension rank >= 1.
+def _facets(a: IntMatrix, rank: int) -> dict[frozenset[int], Optional[tuple[Fraction, ...]]]:
+    """The facets of R+A, for a cone of dimension rank >= 1: each 1-based
+    column set, with its certificate when rank = d and None when rank < d.
 
     A facet spans a hyperplane of span(A), so it holds rank - 1 independent
     columns.  Their annihilator in span(A) is a line; it supports the cone
     exactly when its values on the columns all have one sign, and the facet
     is then the set of columns where it vanishes.  The kernel vector is
     cleared to integers first: a positive scale keeps every sign, and the
-    n dot products are then int arithmetic.
+    n dot products are then int arithmetic.  When rank = d it is the normal
+    nu, and nu / m, m its signed least value off the facet, is the forced
+    certificate of the module docstring; when rank < d none is forced.
 
     Skip lemma: a subset inside a facet found before is not solved.  If its
     rank - 1 columns are independent they span that facet's hyperplane, so
@@ -117,7 +132,7 @@ def _facets(a: IntMatrix, rank: int) -> set[frozenset[int]]:
     """
     cols = a.columns()
     identity = [[int(i == k) for k in range(a.d)] for i in range(a.d)]
-    found: list[frozenset[int]] = []
+    found: dict[frozenset[int], Optional[tuple[Fraction, ...]]] = {}
     for subset in combinations(range(a.n), rank - 1):
         if any(f.issuperset(subset) for f in found):
             continue
@@ -133,8 +148,10 @@ def _facets(a: IntMatrix, rank: int) -> set[frozenset[int]]:
             if any(values):
                 break
         if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            found.append(frozenset(j for j, v in enumerate(values) if v == 0))
-    return {frozenset(j + 1 for j in f) for f in found}
+            m = min((v for v in values if v), key=abs)  # signed, so nu / m is >= 1 off the facet
+            cert = tuple(Fraction(p, m) for p in phi) if rank == a.d else None
+            found[frozenset(j for j, v in enumerate(values) if v == 0)] = cert
+    return {frozenset(j + 1 for j in f): cert for f, cert in found.items()}
 
 
 @lru_cache(maxsize=None)
@@ -142,21 +159,27 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
     """All faces of R+A, each with a validated supporting functional.
 
     The faces are the full column set and every intersection of facets (a
-    cone with no facets is a linear space, its only face the full set).  Each
-    is certified by one LP, and they come ordered by (size, sorted columns).
+    cone with no facets is a linear space, its only face the full set).  The
+    improper face, and each facet when rank A = d, take the certificate the
+    LP is forced to return (the module docstring); every other face is
+    certified by one LP.  They come ordered by (size, sorted columns).
     """
     if a.n > MAX_FACE_COLUMNS:
         raise TooManyColumns(f"face enumeration capped at {MAX_FACE_COLUMNS} columns")
     rank = _span_dim(a, range(1, a.n + 1))
-    subsets = {frozenset(range(1, a.n + 1))}
-    for facet in _facets(a, rank) if rank else ():
+    full = frozenset(range(1, a.n + 1))
+    facets = _facets(a, rank) if rank else {}
+    subsets = {full}
+    for facet in facets:
         subsets |= {facet & g for g in subsets}
+    certs = {**facets, full: (Fraction(0),) * a.d}
+    dims = {**dict.fromkeys(facets, rank - 1), full: rank}
     faces = []
     for subset in sorted(subsets, key=lambda s: (len(s), sorted(s))):
-        cert = _face_certificate(a, subset)
+        cert = certs.get(subset) or _face_certificate(a, subset)
         if cert is None:
             raise AssertionError(f"no supporting functional for face {sorted(subset)}")
-        dim = _span_dim(a, sorted(subset))
+        dim = dims[subset] if subset in dims else _span_dim(a, sorted(subset))
         faces.append(Face(columns=subset, certificate=cert, dim=dim))
     return FaceLattice(
         faces=tuple(faces),

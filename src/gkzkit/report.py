@@ -201,15 +201,18 @@ class DiagramSpec:
 
 
 def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], qdeg_j: int = 1) -> dict:
-    """Exact per-layer classification of one lattice point."""
+    """Exact per-layer classification of one lattice point.
+
+    The saturation-gap and delta-cone layers, which build the face lattice
+    anyway, test the cone by facet signs; the cone layer keeps the LP, which
+    also serves matrices above the face-column cap."""
     out = {}
     if "semigroup" in layers or "saturation-gap" in layers:
         in_semi = cones.semigroup_contains(a, point)
-        in_cone = cones.saturation_contains(a, point)
         if "semigroup" in layers:
             out["semigroup"] = in_semi
         if "saturation-gap" in layers:
-            out["saturation-gap"] = in_cone and not in_semi
+            out["saturation-gap"] = not in_semi and cones.cone_contains(a, point)
     if "cone" in layers:
         out["cone"] = cones.saturation_contains(a, point)
     if "qdeg" in layers:
@@ -222,7 +225,7 @@ def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], 
     if "delta-cone" in layers:
         delta = resonance.delta_A(a)
         shifted = tuple(x - dx for x, dx in zip(point, delta))
-        out["delta-cone"] = cones.saturation_contains(a, shifted)
+        out["delta-cone"] = cones.cone_contains(a, shifted)
     return out
 
 

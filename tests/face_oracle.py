@@ -8,14 +8,17 @@ membership of each box point with an LP instead of facet certificates.
 
 `facets_by_fraction_scan` is the facet scan `cones._facets` ran before it
 cleared kernel vectors to integers and skipped subsets inside a found facet:
-every independent subset of rank - 1 columns is solved, and the signs are
-read off `Fraction` dot products.  `face_lattice_by_fraction_scan` builds
-the lattice on it, with the rest of `cones.face_lattice` unchanged.
+every independent subset of rank - 1 columns is solved, and the signs, and
+the facet certificates of a full-dimensional cone, are read off `Fraction`
+dot products.  `face_lattice_by_fraction_scan` builds the lattice on it,
+with the rest of `cones.face_lattice` unchanged.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
+from typing import Optional
 from unittest import mock
 
 from gkzkit import cones
@@ -73,17 +76,20 @@ def is_saturated_by_lp(a: IntMatrix) -> bool:
     return True
 
 
-def facets_by_fraction_scan(a: IntMatrix, rank: int) -> set[frozenset[int]]:
-    """Column sets of the facets of R+A, for a cone of dimension rank >= 1.
+def facets_by_fraction_scan(a: IntMatrix, rank: int) -> dict[frozenset[int], Optional[tuple[Fraction, ...]]]:
+    """The facets of R+A, for a cone of dimension rank >= 1, each with its
+    certificate when rank = d (None when rank < d), in `cones._facets`' shape.
 
     A facet spans a hyperplane of span(A), so it holds rank - 1 independent
     columns.  Their annihilator in span(A) is a line; it supports the cone
     exactly when its values on the columns all have one sign, and the facet
-    is then the set of columns where it vanishes.
+    is then the set of columns where it vanishes.  When rank = d, that line
+    scaled to be at least 1 off the facet, with equality somewhere, is the
+    certificate.
     """
     cols = a.columns()
     identity = [[int(i == k) for k in range(a.d)] for i in range(a.d)]
-    facets = set()
+    facets = {}
     for subset in combinations(range(a.n), rank - 1):
         rows = [cols[j] for j in subset]
         kernel = gauss_solve(rows, [0] * len(rows))[1] if rows else identity
@@ -96,7 +102,9 @@ def facets_by_fraction_scan(a: IntMatrix, rank: int) -> set[frozenset[int]]:
             if any(values):
                 break
         if all(v >= 0 for v in values) or all(v <= 0 for v in values):
-            facets.add(frozenset(j + 1 for j, v in enumerate(values) if v == 0))
+            scale = min((v for v in values if v), key=abs)
+            cert = tuple(Fraction(p) / scale for p in phi) if rank == a.d else None
+            facets[frozenset(j + 1 for j, v in enumerate(values) if v == 0)] = cert
     return facets
 
 

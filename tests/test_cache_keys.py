@@ -5,15 +5,18 @@ The cached layers are `lru_cache` objects keyed by their argument tuple, so
 keys and build the same filtration twice.  A cold `run_report` on a pointed
 matrix A whose columns span Z^d must build the filtration of S_A/<d_j> once
 per column of A and of homogenize(A), the toric ideals of those two
-matrices once each, and one face LP per face of each.  The nonspanning
-corpus matrix is left out: its report also builds the index-set matrices.
+matrices once each, and one face LP per face of each whose certificate is
+not forced (not the improper face, nor a facet of a full-dimensional cone),
+plus the empty face's LP for `positive_grading` where the lattice skipped
+it.  The nonspanning corpus matrix is left out: its report also builds the
+index-set matrices.
 """
 
 import sys
 
 import pytest
 
-from gkzkit import parse_matrix, resonance, toric
+from gkzkit import cones, parse_matrix, resonance, toric
 from gkzkit.cones import _face_certificate, face_lattice
 from gkzkit.intlinalg import homogenize, parse_rational_vector
 from gkzkit.report import DiagramSpec, classification_table, render_diagram, run_report
@@ -51,8 +54,16 @@ def test_cold_report_computes_each_key_once(name):
     atilde = homogenize(a)
     assert toric.quasi_degrees.cache_info().misses == a.n + atilde.n
     assert toric.toric_ideal.cache_info().misses == 2
-    faces = len(face_lattice(a).faces) + len(face_lattice(atilde).faces)
-    assert _face_certificate.cache_info().misses == faces
+    assert _face_certificate.cache_info().misses == len(lp_keys(a)) + len(lp_keys(atilde))
+
+
+def lp_keys(a):
+    """The column sets whose certificate takes an LP: each face that is neither
+    the improper face nor, when the cone is full-dimensional, a facet, and the
+    empty set, which `positive_grading` asks even where it is a facet (rank 1)."""
+    lat = face_lattice(a)
+    full = lat.improper.dim == a.d
+    return {f.columns for f in lat.proper_faces if not (full and f.dim == a.d - 1)} | {frozenset()}
 
 
 def test_diagram_builds_no_second_filtration():
@@ -61,6 +72,21 @@ def test_diagram_builds_no_second_filtration():
     spec = DiagramSpec(box=(-3, 6, -3, 6), layers=("qdeg", "sres"), qdeg_j=2)
     assert "<svg" in render_diagram(a, spec)
     assert toric.quasi_degrees.cache_info().misses == a.n
+
+
+def test_diagram_makes_one_lp_per_point(monkeypatch):
+    # Once the lattice, delta and the semigroup memo are built, only the cone
+    # layer asks an LP: saturation-gap and delta-cone read facet signs.  No
+    # point of this box is deep enough for the semigroup's proximity LP.
+    a = parse_matrix(RNC3)
+    spec = DiagramSpec(box=(-3, 6, -3, 6), layers=("semigroup", "saturation-gap", "cone", "sres", "delta-cone"))
+    clear_caches()
+    warm = classification_table(a, spec)
+    calls = []
+    solve = cones.feasible_point
+    monkeypatch.setattr(cones, "feasible_point", lambda *args: calls.append(args) or solve(*args))
+    assert classification_table(a, spec) == warm
+    assert len(calls) == len(warm) == 100
 
 
 def test_delta_cone_table_walks_once(monkeypatch):

@@ -4,7 +4,10 @@
 `is_saturated` tests box points against facet certificates; both are checked
 against the per-subset LP route in `face_oracle`.  The integer facet scan,
 which skips subsets inside a facet already found, is checked against the
-`Fraction` scan it replaced, and its solved subsets are counted.
+`Fraction` scan it replaced, and its solved subsets are counted.  The
+certificates and dims `face_lattice` sets without an LP or a span solve (the
+improper face, and the facets of a full-dimensional cone) are checked
+against `_face_certificate`'s LP and `_span_dim`.
 `positive_grading` skips the lattice and is checked against the face
 lattice's `positive_functional`.
 """
@@ -19,7 +22,14 @@ import face_oracle
 from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, is_saturated_by_lp
 
 from gkzkit import IntMatrix, cones, parse_matrix
-from gkzkit.cones import face_lattice, is_saturated, positive_functional, positive_grading
+from gkzkit.cones import (
+    _face_certificate,
+    _span_dim,
+    face_lattice,
+    is_saturated,
+    positive_functional,
+    positive_grading,
+)
 
 SETTINGS = settings(
     max_examples=60,
@@ -127,6 +137,30 @@ def test_facet_scan_solves_no_subset_inside_a_facet_found_before(a):
         # an independent solved subset inside a facet spans its hyperplane, so found it
         found = [f for f in facets if any(ind and s <= f for s, ind in solved[:k])]
         assert not any(subset <= f for f in found)
+
+
+@SCAN_SETTINGS
+@given(scan_matrices())
+@example(parse_matrix("2 5"))  # rank 1: the empty face is the facet
+@example(parse_matrix("1 2 -1; 2 4 -2"))  # rank-deficient: facets keep the LP
+@example(parse_matrix("0 0; 0 0"))  # rank 0: only the improper face
+@example(parse_matrix("1 -1"))  # a line: only the improper face
+@example(GRID_3X10)
+def test_forced_certificates_match_the_lp(a):
+    for face in face_lattice(a).faces:
+        assert face.certificate == _face_certificate(a, face.columns)
+        assert face.dim == _span_dim(a, sorted(face.columns))
+
+
+def test_grid_3x10_lattice_runs_6_lps_for_12_faces(monkeypatch):
+    calls = []
+    solve = cones.feasible_point
+    monkeypatch.setattr(cones, "feasible_point", lambda *args: calls.append(args) or solve(*args))
+    face_lattice.cache_clear()
+    _face_certificate.cache_clear()
+    lat = face_lattice(GRID_3X10)
+    # the improper face and the 5 facets of the pentagon take no LP
+    assert (len(lat.faces), len(calls)) == (12, 6)
 
 
 def test_grid_3x10_facet_scan_solves_38_subsets_not_45():

@@ -403,6 +403,13 @@ def test_cli_diagram_ascii(capsys):
     assert "x x x ." in out
 
 
+def test_cli_cone_diagram_above_the_face_column_cap(capsys):
+    # The cone layer answers by LP, so it needs no face lattice (capped at 12 columns).
+    matrix = " ".join(str(k) for k in range(1, 14))
+    assert main(["diagram", "--matrix", matrix, "--box=0,5", "--layers", "cone"]) == 0
+    assert "<svg" in capsys.readouterr().out
+
+
 def test_cli_matrix_file(tmp_path, capsys):
     path = tmp_path / "mat.txt"
     path.write_text("3 2 0\n1 1 1\n")
