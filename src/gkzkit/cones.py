@@ -21,13 +21,17 @@ improper face, and else its column count minus the nullity that
 Membership in R+A + QF, F a face, is read off the signs of the integer
 facet certificates (`cone_contains`), with no LP.
 
-Membership in NA is an iterative depth-first search with one memo per
-matrix, for points of the cone only.  A deep point is first lowered by LP
-proximity (Cook, Gerards, Schrijver, Tardos, *Sensitivity theorems in
-integer linear programming*, Math. Prog. 1986): if A x = b has a solution
-in N^n, one lies within n * Delta of any rational solution x* >= 0, Delta
-the largest absolute minor of A.  So the search starts from phi-height at
-most n * Delta * sum_j phi . a_j, and the memo size is bounded by A alone.
+Membership in NA is a depth-first search with one memo per matrix, for
+points of the cone only, up to phi-height n * min w (w_j = phi . a_j the
+column weights).  A deeper point is answered by the standard pairs (m,
+sigma) of in(I_A), I_A the toric ideal under the default order.  Lemma:
+the standard monomials of A-degree b span (S/I_A)_b, which is 1-dimensional
+exactly when b is in NA and 0 otherwise (S/I_A is the semigroup ring of
+NA).  So b is in NA exactly when b - A m lies in N A_sigma for some pair,
+and then m + lambda is the unique standard monomial of degree b.  The
+columns of A_sigma are independent, since sigma is a face of the regular
+triangulation of in(I_A) (Sturmfels, *Groebner Bases and Convex
+Polytopes*, Thm 8.3), so each pair is one product with a left inverse.
 """
 
 from __future__ import annotations
@@ -36,13 +40,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import ceil, lcm
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
 from .errors import NotFullLattice, NotPointed, TooManyColumns
-from .intlinalg import IntMatrix, checked_vector, determinant, primitive_vector, vec_sub
+from .intlinalg import IntMatrix, checked_vector, primitive_vector, vec_sub
 from .lp import feasible_point, gauss_solve
+from .polynomials import binomial, standard_pairs
 
 MAX_FACE_COLUMNS = 12
 
@@ -270,9 +275,6 @@ def semigroup_contains(a: IntMatrix, b: Sequence[int]) -> bool:
     return semigroup_witness(a, b) is not None
 
 
-_UNKNOWN = object()
-
-
 class _Semigroup:
     """The NA-membership search on one matrix, with one memo for all its calls.
 
@@ -293,98 +295,70 @@ class _Semigroup:
         self.memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 
     @cached_property
-    def delta(self) -> int:
-        """The largest absolute minor of A, over square submatrices of every size."""
-        rows = self.a.rows
-        return max(
-            abs(determinant(IntMatrix(tuple(tuple(rows[i][j] for j in cs) for i in rs))))
-            for k in range(1, min(self.a.d, self.a.n) + 1)
-            for rs in combinations(range(self.a.d), k)
-            for cs in combinations(range(self.a.n), k)
-        )
+    def pairs(self) -> list[tuple]:
+        """Each standard pair (m, sigma) of in(I_A) as (m, sigma, A m, L, q), with
+        L integral and L A_sigma = q I: as the columns of A_sigma are independent,
+        A_sigma lambda = v has no solution other than L v / q."""
+        from .toric import DEFAULT_ORDER, toric_ideal  # toric imports this module
+
+        leads = [binomial(g)[0] for g in toric_ideal(self.a, DEFAULT_ORDER).generators]
+        table = []
+        for m, sigma in standard_pairs(leads, self.a.n):
+            rows = [self.cols[j] for j in sigma]
+            inverse = [gauss_solve(rows, [int(i == k) for k in sigma])[0] for i in sigma]
+            q = lcm(*(x.denominator for y in inverse for x in y))
+            table.append((m, sigma, self.a.mul_vec(m), [tuple(int(x * q) for x in y) for y in inverse], q))
+        return table
 
     def witness(self, target: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        """x in N^n with A x = target, or None.
-
-        A point of height above n * Delta * min w is first lowered by LP
-        proximity (Cook, Gerards, Schrijver, Tardos 1986): some witness z,
-        if any, lies within n * Delta of the rational x* = cone_witness, so
-        z >= y with y_j = max(0, ceil(x*_j) - n * Delta), and target is in NA
-        exactly when target - A y is.  The rest then has height at most
-        n * Delta * sum(w), a bound fixed by A alone.
-        """
+        """x in N^n with A x = target, or None (see `semigroup_witness`)."""
         if not cone_contains(self.a, target):
             return None  # not searched, so the memo only holds points reached from the cone
-        n = self.a.n
         height = sum(p * x for p, x in zip(self.phi, target))
-        offset = [0] * n
-        # Below n * min w no x*_j exceeds n <= n * Delta, so y = 0 and Delta is not needed.
-        if self.steps and height > n * self.min_weight:
-            bound = n * self.delta
-            while height > bound * self.min_weight:
-                x = cone_witness(self.a, target)
-                y = [max(0, ceil(x[j]) - bound) if self.weights[j] else 0 for j in range(n)]
-                if not any(y):
-                    break
-                target = vec_sub(target, self.a.mul_vec(y))
-                height -= sum(w * k for w, k in zip(self.weights, y))
-                offset = [o + k for o, k in zip(offset, y)]
-        found = self.search(target, height)
-        if found is None:
-            return None
-        return tuple(f + o for f, o in zip(found, offset))
+        if height <= self.a.n * self.min_weight:
+            return self.search(target, height)
+        for m, sigma, am, inverse, q in self.pairs:
+            v = vec_sub(target, am)
+            lam = dict(zip(sigma, (sum(map(mul, y, v)) for y in inverse)))
+            x = tuple(k + lam.get(j, 0) // q for j, k in enumerate(m))
+            if all(k >= 0 and k % q == 0 for k in lam.values()) and self.a.mul_vec(x) == target:
+                return x
+        return None
 
-    def search(self, root: tuple[int, ...], height: int) -> Optional[tuple[int, ...]]:
-        """The depth-first witness of root: subtract the first step that leads to 0.
+    def search(self, v: tuple[int, ...], height: int) -> Optional[tuple[int, ...]]:
+        """The depth-first witness of v: subtract the first step that leads to 0.
 
-        An explicit stack of (point, height) pairs stands in for recursion.
-        The top point scans the steps in order and reads each point one step
-        lower from the memo.  At the first one not there it pushes that
-        point, and scans again once the point is settled.
+        Each step lowers the height by at least min w, so from a start at
+        most n * min w the recursion is at most n deep.
         """
-        memo, cols, weights = self.memo, self.cols, self.weights
-        zero = (0,) * self.a.n
-        if not any(root):
-            return zero
-        stack = [] if root in memo else [(root, height)]
-        while stack:
-            v, h = stack[-1]
+        if not any(v):
+            return (0,) * self.a.n
+        if v not in self.memo:
+            found = None
             for j in self.steps:
-                if weights[j] > h:
-                    continue
-                u = vec_sub(v, cols[j])
-                rest = zero if h == weights[j] and not any(u) else memo.get(u, _UNKNOWN)
-                if rest is _UNKNOWN:
-                    stack.append((u, h - weights[j]))
-                    break
-                if rest is not None:
-                    memo[v] = rest[:j] + (rest[j] + 1,) + rest[j + 1 :]
-                    stack.pop()
-                    break
-            else:
-                memo[v] = None
-                stack.pop()
-        return memo[root]
+                if self.weights[j] <= height:
+                    rest = self.search(vec_sub(v, self.cols[j]), height - self.weights[j])
+                    if rest is not None:
+                        found = rest[:j] + (rest[j] + 1,) + rest[j + 1 :]
+                        break
+            self.memo[v] = found
+        return self.memo[v]
 
 
 @lru_cache(maxsize=None)
 def _semigroup(a: IntMatrix) -> _Semigroup:
-    """The shared search state of one matrix; `cache_clear` drops its memo too."""
+    """The shared search state of one matrix; `cache_clear` drops its memo and pairs too."""
     return _Semigroup(a)
 
 
 def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """x in N^n with A x = b, or None.  Requires NA pointed.
 
-    A non-integral b is never in NA and gets None.  The search is
-    depth-first over column subtractions, in column order, with one memo
-    per matrix, and iterative, so no input reaches a recursion limit.  A
-    point deeper than n * Delta * min w (Delta the largest absolute minor
-    of A, w_j = phi . a_j the column weights) is first lowered by the LP
-    proximity theorem of Cook, Gerards, Schrijver and Tardos (Math. Prog.
-    1986): the search then starts from height at most n * Delta * sum(w).
-    Below the threshold the witness is the depth-first one; above it, it
-    is a valid witness, not necessarily that one.
+    A non-integral b is never in NA and gets None.  Up to phi-height
+    n * min w (w_j = phi . a_j the column weights) the witness is the
+    depth-first one: column subtractions in column order, with one memo per
+    matrix.  Above it, the witness is the degrevlex standard monomial of
+    degree b, read off the standard pairs of in(I_A) (the module docstring).
     """
     point = checked_vector(b, a.d, "point")
     semigroup = _semigroup(a)

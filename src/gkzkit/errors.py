@@ -25,10 +25,6 @@ class NotPointed(PreconditionError):
     code = "not_pointed"
 
 
-class NotFullDimensional(PreconditionError):
-    code = "not_full_dimensional"
-
-
 class NotFullLattice(PreconditionError):
     """Columns do not generate the full integer lattice."""
 

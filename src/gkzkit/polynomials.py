@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import chain, count
+from itertools import chain, count, product
 from operator import add, le, sub
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -217,6 +217,35 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     return all(map(le, a, b))
+
+
+def standard_pairs(leads: Sequence[Monomial], n: int) -> list[tuple[Monomial, tuple[int, ...]]]:
+    """The standard pairs (m, sigma) of M = <d^l : l in leads> in n variables.
+
+    m is 0 on sigma, d^m k[d_sigma] misses M, and no other such set holds
+    it; the monomials outside M are the union of the sets m + N^sigma
+    (Sturmfels, Trung and Vogel 1995).  M : d_sigma^inf is generated by the
+    leads set to 0 on sigma, and is the unit ideal exactly when d_sigma lies
+    in rad(M); such a sigma and every larger one is skipped.  m is maximal
+    exactly when d^m lies in M : d_(sigma + i)^inf for each i off sigma.  So
+    m_i is below the largest d_i exponent E_i of M : d_sigma^inf: where
+    m_i >= E_i, raising m_i never makes a generator divide d^m.
+    """
+    pairs = []
+    sigmas: list[tuple[int, ...]] = [()]
+    for sigma in sigmas:  # grows below, each sigma + i with i past max(sigma)
+        sat = [tuple(0 if i in sigma else x for i, x in enumerate(l)) for l in leads]
+        if not all(map(any, sat)):
+            continue
+        sigmas.extend(sigma + (i,) for i in range(sigma[-1] + 1 if sigma else 0, n))
+        off = [i for i in range(n) if i not in sigma]
+        box = [range(max((g[i] for g in sat), default=0)) if i in off else range(1) for i in range(n)]
+        for m in product(*box):
+            if not any(monomial_divides(g, m) for g in sat) and all(
+                any(monomial_divides(g[:i] + (0,) + g[i + 1 :], m) for g in sat) for i in off
+            ):
+                pairs.append((m, sigma))
+    return pairs
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:

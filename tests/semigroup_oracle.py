@@ -1,10 +1,11 @@
 """The recursive NA-membership search, kept as an independent oracle.
 
 This is `semigroup_witness` as it was before `gkzkit.cones` moved to one
-iterative search per matrix with LP proximity: a depth-first search over
-column subtractions with a fresh memo on every call, recursing once per
-column step.  Its witness is the depth-first one, so the new search must
-return the same witness wherever it does not lower the point first.
+memo per matrix and to the standard pairs of in(I_A) for deep points: a
+depth-first search over column subtractions with a fresh memo on every
+call, recursing once per column step.  Its witness is the depth-first one,
+so the library must return the same witness up to phi-height n * min w,
+and above it the normal form of this witness under the toric ideal.
 """
 
 from __future__ import annotations

@@ -76,8 +76,8 @@ def test_diagram_builds_no_second_filtration():
 
 def test_diagram_makes_one_lp_per_point(monkeypatch):
     # Once the lattice, delta and the semigroup memo are built, only the cone
-    # layer asks an LP: saturation-gap and delta-cone read facet signs.  No
-    # point of this box is deep enough for the semigroup's proximity LP.
+    # layer asks an LP: saturation-gap and delta-cone read facet signs, and
+    # the semigroup layer reads its memo or the standard pairs.
     a = parse_matrix(RNC3)
     spec = DiagramSpec(box=(-3, 6, -3, 6), layers=("semigroup", "saturation-gap", "cone", "sres", "delta-cone"))
     clear_caches()

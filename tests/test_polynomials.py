@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import groebner_oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from quotient_oracle import (
     elimination_order,
     saturate_all_variables,
@@ -19,6 +22,7 @@ from gkzkit.polynomials import (
     lex,
     monomial_divides,
     normal_form,
+    standard_pairs,
 )
 
 
@@ -128,3 +132,36 @@ def test_unit_ideal_detection():
     )
     assert groebner_oracle.ideal_is_unit(gb)
     assert groebner_basis([((1,), None), ((1,), (0,))], o) == [((0,), None)]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """Up to 5 generators in n <= 4 variables, exponents <= 3 (the zero one too)."""
+    n = draw(st.integers(1, 4))
+    leads = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=5))
+    return leads, n
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(monomial_ideals())
+@example(([], 3))
+@example(([(2, 0, 0), (0, 3, 0), (0, 0, 1)], 3))  # pure powers: one pair per standard monomial
+@example(([(3, 0), (0, 1)], 2))
+def test_standard_pairs_match_brute_force(case):
+    leads, n = case
+    pairs = standard_pairs(leads, n)
+    for m, sigma in pairs:
+        assert all(m[i] == 0 for i in sigma)
+
+    def covers(pair, u):
+        m, sigma = pair
+        return all(x == y if i not in sigma else x >= y for i, (x, y) in enumerate(zip(u, m)))
+
+    for u in product(range(5), repeat=n):
+        outside = not any(monomial_divides(l, u) for l in leads)
+        assert outside == any(covers(pair, u) for pair in pairs), u
+    # (m, sigma) lies in (m', sigma') when sigma is in sigma' and m - m'
+    # is >= 0 and supported on sigma'; no pair lies in another.
+    for p, q in product(pairs, repeat=2):
+        if p != q:
+            assert not (set(p[1]) <= set(q[1]) and covers(q, p[0])), (p, q)

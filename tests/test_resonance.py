@@ -89,6 +89,19 @@ def test_delta_staircase(staircase):
     assert delta_valid(staircase, (4, 2))
 
 
+@pytest.mark.parametrize(
+    "text, delta",
+    [
+        ("1 1 1 1 1; 0 1 2 3 4; 0 0 1 3 6", (3, 9, 9)),  # the twisted quartic
+        ("-1 -1 0 0 -1; 2 -1 -2 -2 1; 1 -1 0 -1 -2", (-1, -2, -1)),
+    ],
+)
+def test_delta_of_walks_through_deep_points(text, delta):
+    # Both walks ask NA membership far above n * min w; the values are
+    # those the depth-first search with LP-proximity lowering gave.
+    assert delta_A(parse_matrix(text)) == delta
+
+
 @pytest.mark.parametrize("delta", [(5, 2, 99), (5,), (5.7, 2)])
 def test_delta_valid_rejects_malformed_delta(staircase, delta):
     # A third entry used to be ignored, 5.7 truncated to 5, and (5,) an IndexError.

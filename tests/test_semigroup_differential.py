@@ -1,16 +1,16 @@
 """Differential tests of the NA-membership search.
 
-`semigroup_witness` shares one memo per matrix, searches with an explicit
-stack and lowers deep points by LP proximity first.  `semigroup_oracle`
-keeps the recursive search it replaces.  Both must agree on membership
-everywhere, and on the witness itself wherever the point is too shallow to
-be lowered (phi-height at most n * min w); elsewhere the witness must still
-satisfy A x = b with x in N^n.
+`semigroup_witness` shares one memo per matrix for its depth-first search
+and answers points above phi-height n * min w from the standard pairs of
+in(I_A).  `semigroup_oracle` keeps the recursive search with a fresh memo
+per call.  Both must agree on membership everywhere, and on the witness
+itself wherever the point is shallow enough for the search (phi-height at
+most n * min w).  Above that height the witness is the normal form of the
+oracle's under the toric ideal, and always satisfies A x = b, x in N^n.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,6 +20,8 @@ import semigroup_oracle
 
 from gkzkit import parse_matrix, semigroup_witness
 from gkzkit.cones import _semigroup, positive_functional
+from gkzkit.polynomials import binomial, reduce_monomial
+from gkzkit.toric import DEFAULT_ORDER, toric_ideal
 
 SETTINGS = settings(
     max_examples=200,
@@ -110,6 +112,42 @@ def test_search_matches_oracle(case):
         assert new == old
 
 
+DEEP = [
+    "1 1 1 1 1; 0 1 2 3 4; 0 0 1 3 6",  # the twisted quartic
+    "1 1 1 1 1 1 1 1 1; 0 1 2 0 1 2 0 1 2; 0 0 0 1 1 1 2 2 2",  # the 3x3 grid
+    "-1 -1 0 0 -1; 2 -1 -2 -2 1; 1 -1 0 -1 -2",
+    "1",
+    "1 1; 0 1",
+    "0 2",
+    "2 0 3; 0 0 1",
+    "2 5",
+    "3 5 7",
+    "2 2 2; 0 3 -3",
+]
+
+
+@pytest.mark.parametrize("text", DEEP)
+@settings(SETTINGS, max_examples=10)  # the oracle takes up to 0.7 s a point on the larger matrices
+@given(data=st.data())
+def test_deep_witness_is_the_standard_monomial(text, data):
+    # A point above n * min w, nudged, within about 60 column steps.  Its
+    # witness is the unique standard monomial of its degree: the normal
+    # form of any witness, the oracle's too.
+    a = parse_matrix(text)
+    c = data.draw(st.lists(st.integers(0, 60 // a.n), min_size=a.n, max_size=a.n))
+    nudge = data.draw(st.lists(st.integers(-1, 1), min_size=a.d, max_size=a.d))
+    point = tuple(x + e for x, e in zip(a.mul_vec(c), nudge))
+    step = max(a.columns(), key=lambda col: height(a, col))
+    while height(a, point) <= a.n * min_weight(a):
+        point = tuple(x + y for x, y in zip(point, step))
+    old = semigroup_oracle.semigroup_witness(a, point)
+    new = semigroup_witness(a, point)
+    assert (old is None) == (new is None)
+    if old is not None:
+        basis = [binomial(g) for g in toric_ideal(a, DEFAULT_ORDER).generators]
+        assert new == reduce_monomial(old, basis)
+
+
 def test_non_integral_and_outside_points_are_not_members():
     a = parse_matrix("1 1 1 1; 0 1 2 3")
     assert semigroup_witness(a, (Fraction(5, 2), 3)) is None
@@ -118,29 +156,12 @@ def test_non_integral_and_outside_points_are_not_members():
     assert semigroup_witness(a, (-500, 0)) is None
 
 
-def largest_minor(rows):
-    """Largest absolute minor, by Laplace expansion over every square submatrix."""
-
-    def det(m):
-        if len(m) == 1:
-            return m[0][0]
-        return sum((-1) ** j * m[0][j] * det([r[:j] + r[j + 1 :] for r in m[1:]]) for j in range(len(m)))
-
-    d, n = len(rows), len(rows[0])
-    return max(
-        abs(det([[rows[i][j] for j in cs] for i in rs]))
-        for k in range(1, min(d, n) + 1)
-        for rs in combinations(range(d), k)
-        for cs in combinations(range(n), k)
-    )
-
-
 def test_memo_stays_in_a_box_fixed_by_a():
     # 12 points 1,100-1,400 column steps out on the twisted cubic, and 200
-    # shallow points far outside the cone.  The latter are not searched;
-    # each deep point is lowered to a rest A x' with 0 <= x' <= n * Delta,
-    # and the search subtracts at most C = n * Delta * sum(w) / min w
-    # columns from it, so every memo key lies in a box fixed by A alone.
+    # shallow points far outside the cone.  The latter are not searched,
+    # and the deep ones are answered by the standard pairs, so the search
+    # only ever starts at phi-height <= n * min w and every memo key lies
+    # at or below that height, in a box fixed by A alone.
     a = parse_matrix("1 1 1 1; 0 1 2 3")
     _semigroup.cache_clear()
     rng = random.Random(7)
@@ -151,24 +172,20 @@ def test_memo_stays_in_a_box_fixed_by_a():
         point = a.mul_vec(c)
         assert_valid(a, point, semigroup_witness(a, point))
     for _ in range(100):
-        height = rng.randint(0, 4)
-        assert semigroup_witness(a, (height, rng.randint(3 * height + 1, 10**6))) is None
-        assert semigroup_witness(a, (height, -rng.randint(1, 10**6))) is None
-    phi = positive_functional(a)
-    weights = [sum(p * x for p, x in zip(phi, col)) for col in a.columns()]
-    reach = a.n * largest_minor(a.rows)
-    steps = reach * sum(weights) // min(weights)
-    size = 1
-    for row in a.rows:
-        lo = reach * sum(min(0, x) for x in row) - steps * max(0, *row)
-        hi = reach * sum(max(0, x) for x in row) - steps * min(0, *row)
-        size *= hi - lo + 1
-    assert 0 < len(_semigroup(a).memo) <= size
+        h = rng.randint(0, 4)
+        assert semigroup_witness(a, (h, rng.randint(3 * h + 1, 10**6))) is None
+        assert semigroup_witness(a, (h, -rng.randint(1, 10**6))) is None
+    assert "pairs" in vars(_semigroup(a))
+    assert all(0 <= height(a, key) <= a.n * min_weight(a) for key in _semigroup(a).memo)
 
 
 def test_cache_clear_empties_memo():
     a = parse_matrix("1 1; 0 1")
-    semigroup_witness(a, (5, 2))
+    assert height(a, (2, 1)) <= a.n * min_weight(a)
+    semigroup_witness(a, (2, 1))
+    semigroup_witness(a, (50, 20))
     assert _semigroup(a).memo
+    assert "pairs" in vars(_semigroup(a))
     _semigroup.cache_clear()
     assert not _semigroup(a).memo
+    assert "pairs" not in vars(_semigroup(a))
