@@ -217,8 +217,14 @@ def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
     phi is the certificate of the empty face, cleared of denominators: the
     LP `face_lattice` also asks, without the rest of the lattice.  It is
     infeasible exactly when the cone is not pointed or a column is zero.
+    A nonzero single row spans a full-dimensional cone whose facets come
+    with their forced certificates, so there the empty face is read off
+    `_facets` with no LP (absent for mixed signs or a zero column).
     """
-    cert = _face_certificate(a, frozenset())
+    if a.d == 1 and any(a.rows[0]):
+        cert = _facets(a, 1).get(frozenset())
+    else:
+        cert = _face_certificate(a, frozenset())
     if cert is None:
         return None
     phi = _integral(cert)

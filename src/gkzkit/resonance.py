@@ -20,6 +20,13 @@ point of R+A + QF (`_beta_in_cone_plus_span`), by six lemmas:
    interior and DsRes need columns spanning Z^d, so a full-dimensional cone.)
 6. R+A + QF is where span(A)'s equations hold and every facet holding F is
    >= 0, so it needs no LP; a point off it violates one (`cones.cone_contains`).
+7. If h . a_j = 1 for every column (`homogeneity_vector`), (s, b) -> (s - h.b, b)
+   carries homogenize(A) to the block matrix of (1) and A, so its semigroup
+   ring is S_A[d_0] and sRes(homogenize(A)) is lifted from sRes(A): at j = 1
+   one component, offset 0, face {2..n+1}, shift e_0; at j + 1 one component
+   ((h.o, o), {1} + (F + 1)), shift (1, a_j), per component (o, F) of A at j.
+   So (t, beta) meets the j = 1 component exactly when beta is in span(A),
+   at t = h.beta, which no choice of h changes (two differ on span(A)^perp).
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import ceil
+from operator import mul
 from typing import Optional, Sequence
 
 from .cones import cone_contains, face_lattice, interior_contains, semigroup_contains
@@ -111,7 +119,12 @@ def sres_witness(
 ) -> Optional[ResonanceWitness]:
     """A component and integer multiplier certifying beta in sRes(A), or None."""
     beta = checked_vector(beta, a.d, "beta")
-    for comp in resonance_set(a).components:
+    return _witness_in(a, resonance_set(a).components, beta)
+
+
+def _witness_in(a: IntMatrix, components, beta) -> Optional[ResonanceWitness]:
+    """The first of these components of sRes(A) holding beta, as a witness."""
+    for comp in components:
         m = _component_multiplier(a, comp, beta)
         if m is not None and m.denominator == 1 and m >= 1:
             return ResonanceWitness(
@@ -208,24 +221,63 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
     return delta
 
 
+@lru_cache(maxsize=None)
+def _lifted_resonance(a: IntMatrix) -> Optional[tuple[tuple[int, ...], tuple[ResonanceComponent, ...]]]:
+    """h and the components of sRes(homogenize(A)) lifted from sRes(A)
+    (lemma 7), or None when A is not homogeneous."""
+    h = homogeneity_vector(a)
+    if h is None:
+        return None
+    first = ResonanceComponent(1, (0,) * (a.d + 1), tuple(range(2, a.n + 2)), (1,) + (0,) * a.d)
+    lifted = dict.fromkeys(
+        ResonanceComponent(
+            j=comp.j + 1,
+            offset=(sum(map(mul, h, comp.offset)), *comp.offset),
+            face_columns=(1, *(k + 1 for k in comp.face_columns)),
+            shift=(1, *comp.shift),
+        )
+        for comp in resonance_set(a).components
+    )
+    return h, (first, *lifted)
+
+
 def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
     """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound.
 
     The bound is the largest of 0 and the ceil(t) with (t, beta) in a j = 1
-    component of sRes(homogenize(A)), whose shift is e_0 (lemma 2).
+    component of sRes(homogenize(A)), whose shift is e_0 (lemma 2).  For a
+    homogeneous A that t is h . beta when beta is in span(A), and there is
+    none otherwise; the spot check reads the components lifted from A's
+    (lemma 7), so no toric ideal, face lattice or filtration of
+    homogenize(A) is built.  Any other A takes `_n_beta_homogenized`.
     """
     beta = checked_vector(beta, a.d, "beta")
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
+    atilde = homogenize(a)
+    lifted = _lifted_resonance(a)
+    if lifted is None:
+        bound, components = _n_beta_homogenized(a, beta), resonance_set(atilde).components
+    else:
+        h, components = lifted
+        # span(A) is R+A + QF for F the improper face (lemma 6).
+        in_span = cone_contains(a, beta, range(1, a.n + 1))
+        bound = max(0, ceil(sum(map(mul, h, beta)))) if in_span else 0
+    for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
+        if _witness_in(atilde, components, (b0,) + beta) is not None:
+            raise AssertionError("n_beta bound failed its spot check")
+    return bound
+
+
+def _n_beta_homogenized(a: IntMatrix, beta: tuple[Fraction, ...]) -> int:
+    """n_beta's bound for a checked beta outside sRes(A), read off the j = 1
+    components of sRes(homogenize(A)) as its filtrations build them (lemma 2)."""
     atilde = homogenize(a)
     origin = (Fraction(0),) + beta
     bound = 0
     for comp in resonance_set(atilde).components:
         if comp.j == 1 and (t := _component_multiplier(atilde, comp, origin)) is not None:
             bound = max(bound, ceil(t))
-    for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
-        if sres_contains(atilde, (b0,) + beta):
-            raise AssertionError("n_beta bound failed its spot check")
     return bound
 
 

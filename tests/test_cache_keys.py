@@ -4,12 +4,12 @@ The cached layers are `lru_cache` objects keyed by their argument tuple, so
 `quasi_degrees(a, j)` and `quasi_degrees(a, j, "degrevlex")` would be two
 keys and build the same filtration twice.  A cold `run_report` on a pointed
 matrix A whose columns span Z^d must build the filtration of S_A/<d_j> once
-per column of A and of homogenize(A), the toric ideals of those two
-matrices once each, and one face LP per face of each whose certificate is
-not forced (not the improper face, nor a facet of a full-dimensional cone),
-plus the empty face's LP for `positive_grading` where the lattice skipped
-it.  The nonspanning corpus matrix is left out: its report also builds the
-index-set matrices.
+per column of A, the toric ideal of A once, and one face LP per face whose
+certificate is not forced (not the improper face, nor a facet of a
+full-dimensional cone).  When A is not homogeneous, `n_beta` also builds
+the same of homogenize(A); when it is, `n_beta` lifts sRes(A) and builds
+nothing of homogenize(A).  The nonspanning corpus matrix is left out: its
+report also builds the index-set matrices.
 """
 
 import sys
@@ -18,7 +18,7 @@ import pytest
 
 from gkzkit import cones, parse_matrix, resonance, toric
 from gkzkit.cones import _face_certificate, face_lattice
-from gkzkit.intlinalg import homogenize, parse_rational_vector
+from gkzkit.intlinalg import homogeneity_vector, homogenize, parse_rational_vector
 from gkzkit.report import DiagramSpec, classification_table, render_diagram, run_report
 
 # The spanning corpus matrices of the analyze goldens, at their betas.
@@ -51,19 +51,46 @@ def test_cold_report_computes_each_key_once(name):
     clear_caches()
     report = run_report(a, parse_rational_vector(beta))
     assert isinstance(report["n_beta"], int), report["n_beta"]
-    atilde = homogenize(a)
-    assert toric.quasi_degrees.cache_info().misses == a.n + atilde.n
-    assert toric.toric_ideal.cache_info().misses == 2
-    assert _face_certificate.cache_info().misses == len(lp_keys(a)) + len(lp_keys(atilde))
+    if homogeneity_vector(a) is not None:
+        assert toric.quasi_degrees.cache_info().misses == a.n
+        assert toric.toric_ideal.cache_info().misses == 1
+        assert _face_certificate.cache_info().misses == len(lp_keys(a))
+    else:
+        atilde = homogenize(a)
+        assert toric.quasi_degrees.cache_info().misses == a.n + atilde.n
+        assert toric.toric_ideal.cache_info().misses == 2
+        assert _face_certificate.cache_info().misses == len(lp_keys(a)) + len(lp_keys(atilde))
 
 
 def lp_keys(a):
     """The column sets whose certificate takes an LP: each face that is neither
-    the improper face nor, when the cone is full-dimensional, a facet, and the
-    empty set, which `positive_grading` asks even where it is a facet (rank 1)."""
+    the improper face nor, when the cone is full-dimensional, a facet."""
     lat = face_lattice(a)
     full = lat.improper.dim == a.d
-    return {f.columns for f in lat.proper_faces if not (full and f.dim == a.d - 1)} | {frozenset()}
+    return {f.columns for f in lat.proper_faces if not (full and f.dim == a.d - 1)}
+
+
+@pytest.mark.parametrize("name", [k for k in SPANNING if k not in ("two_five", "three_five_seven")])
+def test_cold_report_builds_nothing_of_the_homogenization(name, monkeypatch):
+    matrix, beta = SPANNING[name]
+    a = parse_matrix(matrix)
+    assert homogeneity_vector(a) is not None
+    clear_caches()
+    asked = []
+    for layer in (toric.toric_ideal, toric.quasi_degrees, face_lattice):
+        def spy(m, *args, _layer=layer):
+            asked.append((_layer.__name__, m))
+            return _layer(m, *args)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "gkzkit" or module_name.startswith("gkzkit."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is layer:
+                        monkeypatch.setattr(module, attr, spy)
+    report = run_report(a, parse_rational_vector(beta))
+    assert isinstance(report["n_beta"], int), report["n_beta"]
+    assert {layer for layer, m in asked if m == a} == {"toric_ideal", "quasi_degrees", "face_lattice"}
+    assert [layer for layer, m in asked if m == homogenize(a)] == []
 
 
 def test_diagram_builds_no_second_filtration():

@@ -9,7 +9,8 @@ certificates and dims `face_lattice` sets without an LP or a span solve (the
 improper face, and the facets of a full-dimensional cone) are checked
 against `_face_certificate`'s LP and `_span_dim`.
 `positive_grading` skips the lattice and is checked against the face
-lattice's `positive_functional`.
+lattice's `positive_functional`; on one nonzero row it reads the empty
+face's forced certificate off `_facets` and is checked against the LP.
 """
 
 from itertools import combinations
@@ -24,6 +25,7 @@ from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, 
 from gkzkit import IntMatrix, cones, parse_matrix
 from gkzkit.cones import (
     _face_certificate,
+    _integral,
     _span_dim,
     face_lattice,
     is_saturated,
@@ -204,3 +206,23 @@ def test_positive_grading_matches_positive_functional(a):
         phi = positive_functional(a)
         assert weights == tuple(sum(p * x for p, x in zip(phi, col)) for col in a.columns())
         assert min(weights) >= 1
+
+
+@SETTINGS
+@given(st.lists(st.integers(-4, 6), min_size=1, max_size=6))
+@example([2, 5])
+@example([-3, -5, -7])
+@example([0, 2, 3])  # zero column: None
+@example([2, -1])  # mixed signs: None
+@example([0, 0])  # zero row, rank 0: None, by the LP
+def test_one_row_positive_grading_matches_the_lp(row):
+    a = IntMatrix.from_rows([row])
+    positive_grading.cache_clear()
+    _face_certificate.cache_clear()
+    weights = positive_grading(a)
+    assert _face_certificate.cache_info().misses == (0 if any(row) else 1)
+    cert = _face_certificate(a, frozenset())
+    if cert is None:
+        assert weights is None
+    else:
+        assert weights == tuple(_integral(cert)[0] * x for x in row)

@@ -13,17 +13,23 @@ The cone-plus-span test, `interior_contains` and the `delta_A` walk now
 read integer facet inequalities instead of solving LPs; each is compared
 with the LP or `support_functions` route it replaced, on rank-deficient,
 non-pointed and repeated-column matrices too.
+
+`n_beta` of a homogeneous matrix reads sRes(homogenize(A)) off sRes(A)
+(lemma 7); on homogeneous 3-row matrices, rank-deficient ones included,
+it is compared with the oracle and with `_n_beta_homogenized`, and the
+lifted components with those of `resonance_set(homogenize(A))`.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import resonance_oracle
 
 from gkzkit import IntMatrix, cones, parse_matrix, resonance
+from gkzkit.intlinalg import homogenize
 
 SETTINGS = settings(
     max_examples=150,
@@ -208,3 +214,67 @@ def test_delta_A_matches_semigroup_first_walk():
     for text in dict.fromkeys(FIXED + CORPUS + NON_SATURATED):
         a = parse_matrix(text)
         assert outcome(resonance.delta_A, a) == outcome(resonance_oracle.delta_A, a), text
+
+
+@st.composite
+def homogeneous_cases(draw):
+    """A homogeneous 3-row matrix with n <= 5 and a beta often off its span.
+
+    The rows are ones and two random rows; the third is sometimes a
+    multiple of the second (rank 2), and sometimes a multiple of the second
+    row is added to the first, so that h is not e_1.  beta is a rational
+    vector, or a column combination over 1, 2 or 3.
+    """
+    n = draw(st.integers(2, 5))
+    second = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    third = draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        third = [draw(st.integers(-2, 2)) * x for x in second]
+    c = draw(st.sampled_from([0, 0, 1, -2]))
+    a = IntMatrix.from_rows([[1 + c * x for x in second], second, third])
+    if draw(st.booleans()):
+        beta = tuple(draw(st.lists(rationals(), min_size=3, max_size=3)))
+    else:
+        coeffs = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+        den = draw(st.sampled_from([1, 2, 3]))
+        beta = tuple(Fraction(x, den) for x in a.mul_vec(coeffs))
+    return a, beta
+
+
+def component_points(data, a, components):
+    """offset - m*shift + (a rational combination of the face columns), for
+    up to four of the components: each is in sRes(a) through that one."""
+    points = []
+    for comp in data.draw(st.lists(st.sampled_from(components), max_size=4)):
+        point = [Fraction(o - data.draw(st.integers(1, 3)) * s) for o, s in zip(comp.offset, comp.shift)]
+        for k in comp.face_columns:
+            c = data.draw(rationals())
+            point = [p + c * x for p, x in zip(point, a.column(k - 1))]
+        points.append(tuple(point))
+    return points
+
+
+@SETTINGS
+@given(homogeneous_cases(), st.data())
+@example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(3))), None)
+@example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(2))), None)
+@example((parse_matrix("3 2 0; 1 1 1; 0 0 0"), (Fraction(5, 2), Fraction(-2, 5), Fraction(0))), None)
+def test_lifted_n_beta_matches_the_homogenized_route(case, data):
+    a, beta = case
+    assert resonance._lifted_resonance(a) is not None
+    got = outcome(resonance.n_beta, a, beta)
+    assert got == outcome(resonance_oracle.n_beta, a, beta)
+    if got[0] == "ok":
+        assert resonance._n_beta_homogenized(a, beta) == got[1]
+    if data is None:
+        return
+    atilde = homogenize(a)
+    lifted = outcome(lambda: resonance._lifted_resonance(a)[1])
+    built = outcome(lambda: resonance.resonance_set(atilde).components)
+    assume(lifted[0] == built[0] == "ok")  # both raise where A's filtration does
+    lifted, built = lifted[1], built[1]
+    points = component_points(data, atilde, lifted) + component_points(data, atilde, built)
+    b0 = data.draw(st.lists(rationals(), min_size=2, max_size=2))
+    points += [(b, *beta) for b in b0]
+    for point in points:
+        assert (resonance._witness_in(atilde, lifted, point) is None) == (not resonance.sres_contains(atilde, point))
