@@ -416,6 +416,7 @@ def homogenize(a: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
+@lru_cache(maxsize=None)
 def homogeneity_vector(a: IntMatrix) -> Optional[tuple[int, ...]]:
     """Integer h with h . a_i = 1 for every column, or None."""
     h = solve_integer(a.transpose(), (1,) * a.n)

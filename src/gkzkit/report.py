@@ -146,7 +146,7 @@ def run_report(
     report["toric_ideal"] = _section(_toric)
     report["quasi_degrees"] = _section(
         lambda: {
-            str(j): qdeg_json(toric.quasi_degrees(a, j, order_name))
+            str(j): qdeg_json(toric.quasi_degrees(a, j))
             for j in range(1, a.n + 1)
         }
     )
@@ -216,7 +216,7 @@ def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], 
     if "cone" in layers:
         out["cone"] = cones.saturation_contains(a, point)
     if "qdeg" in layers:
-        qd = toric.quasi_degrees(a, qdeg_j, toric.DEFAULT_ORDER)
+        qd = toric.quasi_degrees(a, qdeg_j)
         out["qdeg"] = qd.degree_set_contains(point)
     if "sres" in layers:
         out["sres"] = resonance.sres_contains(a, tuple(Fraction(x) for x in point))
@@ -310,7 +310,7 @@ def _qdeg_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     if a.d != 2:
         return []
     segments = []
-    for comp in toric.quasi_degrees(a, spec.qdeg_j, toric.DEFAULT_ORDER).components:
+    for comp in toric.quasi_degrees(a, spec.qdeg_j).components:
         cols = comp.face.sorted_columns()
         direction = a.column(cols[0] - 1) if cols else None
         anchor = tuple(Fraction(x) for x in comp.offset)

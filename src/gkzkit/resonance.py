@@ -58,7 +58,7 @@ from .intlinalg import (
     vec_sub,
 )
 from .lp import gauss_solve
-from .toric import DEFAULT_ORDER, quasi_degrees
+from .toric import quasi_degrees
 
 DUAL_SEARCH_RADIUS = 8
 
@@ -91,7 +91,7 @@ class ResonanceWitness:
 def resonance_set(a: IntMatrix) -> ResonanceSet:
     comps = []
     for j in range(1, a.n + 1):
-        qd = quasi_degrees(a, j, DEFAULT_ORDER)
+        qd = quasi_degrees(a, j)
         col = a.column(j - 1)
         for pair in qd.components:
             comps.append(

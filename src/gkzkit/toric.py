@@ -146,20 +146,17 @@ class QuasiDegreeSet:
     components: tuple[DegreePair, ...]
 
     def degree_set_contains(self, u: Sequence[int]) -> bool:
-        """Whether u lies in the union of the offset + NF components (False if u is non-integral)."""
+        """Whether u lies in the union of the offset + NF components (False if u is non-integral).
+
+        NF is NA cut by phi_F . v = 0, phi_F the face's certificate: if A x = v
+        with x in N^n, each x_i phi_F . a_i is >= 0, and 0 only when i is in F.
+        """
         for comp in self.components:
             diff = vec_sub(u, comp.offset)
-            if _in_face_semigroup(self.matrix, comp.face, diff):
+            on_face = not sum(c * x for c, x in zip(comp.face.certificate, diff))
+            if on_face and semigroup_contains(self.matrix, diff):
                 return True
         return False
-
-
-def _in_face_semigroup(a: IntMatrix, face: Face, v: tuple[int, ...]) -> bool:
-    cols = sorted(face.columns)
-    if not cols:
-        return all(x == 0 for x in v)
-    sub = IntMatrix.from_rows([[a.entry(i, j - 1) for j in cols] for i in range(a.d)])
-    return semigroup_contains(sub, v)
 
 
 def _monomials_by_weight(weights: Sequence[int], bound: int):
@@ -189,12 +186,7 @@ def _in_face_prime(g: Binomial, columns: frozenset[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def quasi_degrees(
-    a: IntMatrix,
-    j: int,
-    order_name: str = DEFAULT_ORDER,
-    bound: int = DEFAULT_FILTRATION_BOUND,
-) -> QuasiDegreeSet:
+def quasi_degrees(a: IntMatrix, j: int, *, bound: int = DEFAULT_FILTRATION_BOUND) -> QuasiDegreeSet:
     """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based).
 
     Starting from I = I_A + <d_j>, each step scans the monomials d^u outside
@@ -223,6 +215,11 @@ def quasi_degrees(
     both its terms do or neither does.  Every basis extends a reduced one
     (`groebner_basis(..., known=...)`): the start ideal that of I_A, each
     step that of the step before.
+
+    No term order is a parameter: each test reads a monomial's membership in
+    I, or the generators of I : d^u that `quotient_generators` divides out of
+    reduced bases in `weighted_revlex` orders.  A reduced basis is fixed by
+    its ideal and order, so the components depend on (A, j) alone.
     """
     _check_column_index(a, j)
     if not face_lattice(a).pointed:
@@ -232,10 +229,10 @@ def quasi_degrees(
     for k in range(1, a.n + 1):
         if all(x == 0 for x in a.column(k - 1)):
             raise DegenerateColumn(f"column {k} is zero")
-    order = order_by_name(order_name)
+    order = order_by_name(DEFAULT_ORDER)
     weights = positive_grading(a)
     faces = {f.columns: f for f in face_lattice(a).proper_faces if j not in f.columns}
-    known = [binomial(g) for g in toric_ideal(a, order_name).generators]
+    known = [binomial(g) for g in toric_ideal(a, DEFAULT_ORDER).generators]
     d_j = tuple(1 if k == j - 1 else 0 for k in range(a.n))
     current = groebner_basis([(d_j, None)], order, known=known)
     components: list[DegreePair] = []

@@ -5,14 +5,16 @@ incremental bases: it computes the full quotient `current : d^u` for every
 candidate monomial outside the ideal, compares it with every face prime, and
 builds each basis (start ideal, face primes, every filtration step) from
 scratch.  The fast routine must return the same components in the same
-order.
+order.  `degree_set_contains` keeps the membership route the fast one
+replaced: each component offset + NF is tested in the semigroup of the
+face's own columns.
 """
 
 from __future__ import annotations
 
-from gkzkit.cones import face_lattice, positive_grading
+from gkzkit.cones import face_lattice, positive_grading, semigroup_contains
 from gkzkit.errors import DegenerateColumn, FiltrationBoundExceeded, NotPointed
-from gkzkit.intlinalg import IntMatrix
+from gkzkit.intlinalg import IntMatrix, vec_sub
 from groebner_oracle import groebner_basis, ideal_is_unit, ideal_quotient
 
 from gkzkit.polynomials import Polynomial, normal_form, order_by_name
@@ -86,3 +88,19 @@ def quasi_degrees(
         components.append(DegreePair(offset=a.mul_vec(u), face=face))
         current = groebner_basis(list(current) + [Polynomial.monomial(u)], order)
     return QuasiDegreeSet(matrix=a, j=j, components=tuple(components))
+
+
+def degree_set_contains(qd: QuasiDegreeSet, u) -> bool:
+    """Whether u lies in some offset + NF, NF the semigroup of the face's columns."""
+    a = qd.matrix
+    for comp in qd.components:
+        v = vec_sub(u, comp.offset)
+        cols = sorted(comp.face.columns)
+        if not cols:
+            if all(x == 0 for x in v):
+                return True
+            continue
+        sub = IntMatrix.from_rows([[a.entry(i, j - 1) for j in cols] for i in range(a.d)])
+        if semigroup_contains(sub, v):
+            return True
+    return False

@@ -1,11 +1,14 @@
 """One computation per cache key.
 
 The cached layers are `lru_cache` objects keyed by their argument tuple, so
-`quasi_degrees(a, j)` and `quasi_degrees(a, j, "degrevlex")` would be two
-keys and build the same filtration twice.  A cold `run_report` on a pointed
+`toric_ideal(a)` and `toric_ideal(a, "degrevlex")` would be two keys and
+build the same basis twice.  `quasi_degrees(a, j)` takes no term order, as
+its components do not depend on one, so a report in any order shares its
+filtrations with the resonance layer.  A cold `run_report` on a pointed
 matrix A whose columns span Z^d must build the filtration of S_A/<d_j> once
-per column of A, the toric ideal of A once, and one face LP per face whose
-certificate is not forced (not the improper face, nor a facet of a
+per column of A, the toric ideal of A once in the default order (and once
+more in the report's order when that differs), and one face LP per face
+whose certificate is not forced (not the improper face, nor a facet of a
 full-dimensional cone).  When A is not homogeneous, `n_beta` also builds
 the same of homogenize(A); when it is, `n_beta` lifts sRes(A) and builds
 nothing of homogenize(A).  The nonspanning corpus matrix is left out: its
@@ -62,6 +65,22 @@ def test_cold_report_computes_each_key_once(name):
         assert _face_certificate.cache_info().misses == len(lp_keys(a)) + len(lp_keys(atilde))
 
 
+@pytest.mark.parametrize("order", ["lex", "deglex"])
+@pytest.mark.parametrize("name", SPANNING)
+def test_cold_report_in_another_order_shares_the_filtrations(name, order):
+    matrix, beta = SPANNING[name]
+    a = parse_matrix(matrix)
+    clear_caches()
+    report = run_report(a, parse_rational_vector(beta), order)
+    assert isinstance(report["n_beta"], int), report["n_beta"]
+    if homogeneity_vector(a) is not None:
+        assert toric.quasi_degrees.cache_info().misses == a.n
+        assert toric.toric_ideal.cache_info().misses == 2
+    else:
+        assert toric.quasi_degrees.cache_info().misses == a.n + homogenize(a).n
+        assert toric.toric_ideal.cache_info().misses == 3
+
+
 def lp_keys(a):
     """The column sets whose certificate takes an LP: each face that is neither
     the improper face nor, when the cone is full-dimensional, a facet."""
@@ -99,6 +118,17 @@ def test_diagram_builds_no_second_filtration():
     spec = DiagramSpec(box=(-3, 6, -3, 6), layers=("qdeg", "sres"), qdeg_j=2)
     assert "<svg" in render_diagram(a, spec)
     assert toric.quasi_degrees.cache_info().misses == a.n
+
+
+def test_qdeg_diagram_builds_nothing_of_a_face():
+    # degree_set_contains tests NF as NA cut by the face's certificate, so no
+    # face submatrix gets a semigroup, face lattice or toric ideal of its own.
+    a = parse_matrix(RNC3)
+    clear_caches()
+    table = classification_table(a, DiagramSpec(box=(-3, 6, -3, 6), layers=("qdeg",)))
+    assert sum(row["qdeg"] for row in table.values()) == 7
+    assert toric.toric_ideal.cache_info().misses == 1
+    assert face_lattice.cache_info().misses == 1
 
 
 def test_diagram_makes_one_lp_per_point(monkeypatch):

@@ -7,11 +7,14 @@ must reproduce these files exactly.  CLI_EXAMPLES: every CLI example of the
 README, one per subcommand (two for `diagram`), run with `--format json` and
 `--format text`; the stdout of each is kept under tests/golden/cli/.
 Regenerate both only for an intended output change, with
-`PYTHONPATH=src python tests/test_golden_reports.py`.
+`PYTHONPATH=src python tests/test_golden_reports.py`.  Under `--order lex`
+or `deglex` the same reports differ only where the order is shown: the
+`order` echo, the toric ideal and the presentation.
 """
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -91,6 +94,22 @@ def cli_golden_path(name: str, fmt: str) -> Path:
 def test_analyze_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     assert analyze_stdout(*CORPUS[name]) == expected
+
+
+# The report sections computed in the term order of --order.
+ORDERED_SECTIONS = {"order", "toric_ideal", "presentation"}
+
+
+@pytest.mark.parametrize("order", ["lex", "deglex"])
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_analyze_reads_the_order_only_where_it_shows(name, order):
+    matrix, beta = CORPUS[name]
+    golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    report = json.loads(cli_stdout(["analyze", "--matrix", matrix, "--beta=" + beta, "--order", order]))
+    assert report["order"] == order
+    assert report.keys() == golden.keys()
+    for key in golden.keys() - ORDERED_SECTIONS:
+        assert report[key] == golden[key], key
 
 
 @pytest.mark.parametrize("fmt", FORMATS)

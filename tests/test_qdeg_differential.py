@@ -12,7 +12,13 @@ and face, in the same order.  The generators are those of
 `polynomials.quotient_generators`, with no reduced basis in the report's
 order; the test must read the same on them, on `ideal_quotient`'s reduced
 basis and on the elimination route of `quotient_oracle`.
+
+`QuasiDegreeSet.degree_set_contains` tests u - offset in NF as a point of NA
+on which the face's certificate vanishes; `qdeg_oracle.degree_set_contains`
+keeps the route it replaced, the semigroup of the face's own columns.
 """
+
+from fractions import Fraction
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +29,7 @@ from quotient_oracle import ideal_quotient_by_elimination
 from gkzkit import IntMatrix, parse_matrix
 from gkzkit.cones import face_lattice, positive_grading
 from gkzkit.errors import FiltrationBoundExceeded
-from gkzkit.intlinalg import homogenize
+from gkzkit.intlinalg import homogenize, vec_add
 from gkzkit.polynomials import (
     Polynomial,
     binomial,
@@ -60,19 +66,21 @@ def pointed_matrices(draw):
     return IntMatrix.from_rows(rows)
 
 
-def _outcome(fn, a, j, order_name):
+def _outcome(fn, *args):
     try:
-        return fn(a, j, order_name).components
+        return fn(*args).components
     except FiltrationBoundExceeded:
         return FiltrationBoundExceeded
 
 
 def assert_same_filtration(a):
+    """The fast filtration, which takes no order, equals the oracle's in each order."""
     for m in (a, homogenize(a)):
-        for order_name in ("degrevlex", "lex"):
-            for j in range(1, m.n + 1):
+        for j in range(1, m.n + 1):
+            fast = _outcome(quasi_degrees, m, j)
+            for order_name in ("degrevlex", "lex", "deglex"):
                 expected = _outcome(qdeg_oracle.quasi_degrees, m, j, order_name)
-                assert _outcome(quasi_degrees, m, j, order_name) == expected, (m, j, order_name)
+                assert fast == expected, (m, j, order_name)
 
 
 @SETTINGS
@@ -133,3 +141,38 @@ def test_face_prime_test_reads_generators_as_the_reduced_basis(case, order_name)
         if j not in face.columns:
             answers = {all(_in_face_prime(g, face.columns) for g in route) for route in routes}
             assert len(answers) == 1, (a, j, monomials, u, face.columns)
+
+
+@st.composite
+def degree_probes(draw):
+    """A matrix, a column j, exponent vectors x and small shifts of degrees."""
+    a = draw(pointed_matrices().filter(_usable))
+    j = draw(st.integers(1, a.n))
+    xs = draw(st.lists(st.tuples(*[st.integers(0, 3)] * a.n), min_size=1, max_size=4))
+    shifts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * a.d), min_size=1, max_size=4))
+    return a, j, xs, shifts
+
+
+@settings(SETTINGS, max_examples=80)
+@given(degree_probes())
+@example((parse_matrix("1 1 1 1; 0 1 2 3"), 1, [(1, 2, 0, 3)], [(0, 0), (1, -1), (-1, 0)]))
+@example((parse_matrix("3 2 0; 1 1 1"), 2, [(0, 1, 2), (2, 0, 1)], [(0, 0), (0, 1), (-3, -1)]))
+@example((parse_matrix("1 1 1 1 1; 0 1 0 1 2; 0 0 1 1 0"), 3, [(1, 1, 0, 2, 1)], [(0, 0, 0), (0, 1, -1)]))
+def test_degree_set_contains_matches_face_semigroups(case):
+    """For each component: points of offset + NF, their shifts, and offset + A x off the face."""
+    a, j, xs, shifts = case
+    try:
+        qd = quasi_degrees(a, j)
+    except FiltrationBoundExceeded:
+        return
+    for comp in qd.components:
+        for x in xs:
+            on_face = tuple(k if i + 1 in comp.face.columns else 0 for i, k in enumerate(x))
+            member = vec_add(comp.offset, a.mul_vec(on_face))
+            assert qd.degree_set_contains(member)
+            for point in (vec_add(comp.offset, a.mul_vec(x)), *(vec_add(member, s) for s in shifts)):
+                assert qd.degree_set_contains(point) == qdeg_oracle.degree_set_contains(qd, point), (
+                    a, j, comp, point,
+                )
+    half = (Fraction(1, 2),) * a.d
+    assert not qd.degree_set_contains(half) and not qdeg_oracle.degree_set_contains(qd, half)
