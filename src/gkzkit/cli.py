@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import cones, family, report, resonance, toric, weyl
+from . import cones, family, polynomials, report, resonance, toric, weyl
 from .errors import CertificateNotFound, GkzError, ParseError, SearchBoundError
 from .intlinalg import (
     IntMatrix,
@@ -328,9 +328,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call of main, not at import: the parser is the same for
+# every call, and a process that imports this module without running a
+# command (a library user, a test collector) does not pay for it.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
+        if hasattr(args, "order"):
+            # A bad name is a parse error before any work, also where a
+            # report section or a precondition would meet it first.
+            polynomials.order_by_name(args.order)
         args.func(args)
     except GkzError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)

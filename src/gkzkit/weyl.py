@@ -119,17 +119,15 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
     for (u1, v1), c1 in x.terms.items():
         for (u2, v2), c2 in y.terms.items():
             base = c1 * c2
-            # Expand d^v1 lambda^u2 one variable at a time.
-            choices = [_commute_coeffs(v1[i], u2[i]) for i in range(n)]
+            # Expand d^v1 lambda^u2 one variable at a time; the weights are ints.
+            choices = [_commute_coeffs(a, b) for a, b in zip(v1, u2)]
             for picks in product(*choices):
-                coeff = base
-                ks = []
-                for k, w in picks:
-                    coeff *= w
-                    ks.append(k)
-                u = tuple(u1[i] + u2[i] - ks[i] for i in range(n))
-                v = tuple(v1[i] + v2[i] - ks[i] for i in range(n))
-                out[(u, v)] = out.get((u, v), Fraction(0)) + coeff
+                w = 1
+                for _, wk in picks:
+                    w *= wk
+                u = tuple(a + b - k for a, b, (k, _) in zip(u1, u2, picks))
+                v = tuple(a + b - k for a, b, (k, _) in zip(v1, v2, picks))
+                out[(u, v)] = out.get((u, v), 0) + base * w
     return WeylElement(n, out)
 
 
@@ -340,7 +338,7 @@ class MembershipCertificate:
         return total
 
 
-def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[list[tuple[int, ...]]]:
+def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[tuple[tuple[int, ...], ...]]:
     """Vectors g making every element homogeneous via deg d_i = g_i; None for the identity."""
     rows = []
     for el in elements:
@@ -355,7 +353,7 @@ def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[list[tuple[int
             )
     if not rows:
         return None
-    return lattice_kernel(IntMatrix.from_rows(rows))
+    return tuple(lattice_kernel(IntMatrix.from_rows(rows)))
 
 
 def _weyl_degree(u, v, grading) -> tuple[int, ...]:
@@ -374,6 +372,12 @@ def ideal_member_bounded(
     linear system over Q; any grading under which target and generators are
     all homogeneous prunes the cofactor monomials.  Returns None when no
     certificate exists at this bound (which proves nothing beyond the bound).
+
+    The candidate cofactors of a generator are the monomials of its wanted
+    degree, read from `_monomials_by_degree`.  Each degree group keeps the
+    `_monomials_up_to` order, so the columns come in the order of filtering
+    that whole list by degree, one generator after another: the linear
+    system, and so the certificate, is the one the filter gives.
     """
     if not gens:
         return None
@@ -389,15 +393,13 @@ def ideal_member_bounded(
     grading = _grading_vectors(list(gens) + [target])
     t_first = next(iter(target.terms))
     t_deg = _weyl_degree(t_first[0], t_first[1], grading)
-    graded = [(mono, _weyl_degree(*mono, grading)) for mono in _monomials_up_to(nvars, bound)]
+    by_degree = _monomials_by_degree(nvars, bound, grading)
     columns: list[tuple[int, TermKey, WeylElement]] = []
     for gi, g in enumerate(gens):
         g_first = next(iter(g.terms))
         g_deg = _weyl_degree(g_first[0], g_first[1], grading)
         want = tuple(t - s for t, s in zip(t_deg, g_deg))
-        for mono, deg in graded:
-            if deg != want:
-                continue
+        for mono in by_degree.get(want, ()):
             prod = weyl_mul(WeylElement.monomial(*mono), g)
             if not prod.is_zero():
                 columns.append((gi, mono, prod))
@@ -428,6 +430,19 @@ def ideal_member_bounded(
     if cert.combine(gens) != target:
         raise AssertionError("certificate re-expansion mismatch")
     return cert
+
+
+@lru_cache(maxsize=16)
+def _monomials_by_degree(
+    nvars: int, bound: int, grading: Optional[tuple[tuple[int, ...], ...]]
+) -> dict[tuple[int, ...], list[TermKey]]:
+    """The monomials of `_monomials_up_to(nvars, bound)` grouped by degree
+    under `grading`, each group in that order; a small cache, so that a
+    one-off large bound does not stay in memory."""
+    groups: dict[tuple[int, ...], list[TermKey]] = {}
+    for mono in _monomials_up_to(nvars, bound):
+        groups.setdefault(_weyl_degree(*mono, grading), []).append(mono)
+    return groups
 
 
 def _monomials_up_to(nvars: int, bound: int) -> Iterable[TermKey]:

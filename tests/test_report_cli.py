@@ -316,9 +316,8 @@ def test_cli_bound_read_where_registered(capsys):
 # Only analyze, toric-ideal, present, restrict and verify-member read
 # --order; every other command must reject it rather than compute in degrevlex.
 # qdeg rejects it too: its components do not depend on the term order.
-NO_ORDER = sorted(
-    set(OWN_OPTIONS) - {"analyze", "toric-ideal", "present", "restrict", "verify-member"}
-)
+ORDER_READERS = ["analyze", "toric-ideal", "present", "restrict", "verify-member"]
+NO_ORDER = sorted(set(OWN_OPTIONS) - set(ORDER_READERS))
 
 
 @pytest.mark.parametrize("command", NO_ORDER)
@@ -328,6 +327,16 @@ def test_cli_order_rejected_where_unused(capsys, command):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: --order lex" in capsys.readouterr().err
+
+
+# Each reader rejects an unknown order before any work, so restrict on a
+# matrix that is no homogenization still exits 2, not 3.
+@pytest.mark.parametrize("command", ORDER_READERS)
+def test_cli_unknown_order_is_a_parse_error(capsys, command):
+    assert main([command, *OWN_OPTIONS[command], "--order", "bogus"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "parse_error"
+    assert "unknown term order 'bogus'" in error["message"]
 
 
 # Only the commands that read a parameter take --beta, and psi takes no
