@@ -44,7 +44,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import NotFullLattice, NotPointed, TooManyColumns
+from .errors import NotFullLattice, NotPointed, ParseError, TooManyColumns
 from .intlinalg import IntMatrix, checked_vector, primitive_vector, vec_sub
 from .lp import feasible_point, gauss_solve
 from .polynomials import binomial, standard_pairs
@@ -262,6 +262,8 @@ def cone_contains(a: IntMatrix, v: Sequence, cols: Sequence[int] = (), strict: b
     """Whether v lies in R+A + QF (F the smallest face holding the 1-based
     cols), by the signs of integer dot products.  With strict, whether all
     are > 0: for a full-dimensional cone and no cols, the interior of R+A."""
+    if len(v) != a.d:
+        raise ParseError(f"point has length {len(v)}, but the matrix has {a.d} rows")
     dots = (sum(p * x for p, x in zip(y, v)) for y in _cone_inequalities(a, tuple(cols)))
     return all(s > 0 for s in dots) if strict else all(s >= 0 for s in dots)
 

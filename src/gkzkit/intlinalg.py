@@ -151,31 +151,6 @@ def vec_sub(a: Sequence, b: Sequence) -> tuple:
     return tuple(map(sub, a, b))
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.d != m.n:
-        raise ParseError("determinant of a non-square matrix")
-    a = [list(row) for row in m.rows]
-    k = m.d
-    sign = 1
-    prev = 1
-    for t in range(k - 1):
-        if a[t][t] == 0:
-            for r in range(t + 1, k):
-                if a[r][t] != 0:
-                    a[t], a[r] = a[r], a[t]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(t + 1, k):
-            for c in range(t + 1, k):
-                a[r][c] = (a[r][c] * a[t][t] - a[r][t] * a[t][c]) // prev
-            a[r][t] = 0
-        prev = a[t][t]
-    return sign * a[k - 1][k - 1]
-
-
 class _Tracked:
     """Mutable matrix with unimodular accumulators: C @ work @ M == original."""
 

@@ -326,23 +326,19 @@ def _dsres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     For a one-dimensional face with primitive annihilator psi, the union
     (cone lattice points) + QF is the family of lines psi = v over integers
     v in psi(cone); only the values whose line crosses the box are emitted.
+    Zero columns lie in every face, so the lines run along the face's first
+    nonzero column, as in `cones.extreme_rays`.
     """
     if a.d != 2:
         return []
-    from .intlinalg import lattice_kernel
-
     x0, x1, y0, y1 = spec.box
     segments = []
     for face in cones.face_lattice(a).proper_faces:
         cols = face.sorted_columns()
         if face.dim != 1:
             continue
-        direction = a.column(cols[0] - 1)
-        span = IntMatrix.from_rows([list(direction)])
-        ann = lattice_kernel(span)
-        if len(ann) != 1:
-            continue
-        psi = ann[0]
+        (psi,) = resonance._face_functionals(a, cols)
+        direction = next(a.column(j - 1) for j in cols if any(a.column(j - 1)))
         col_values = [
             psi[0] * a.entry(0, j) + psi[1] * a.entry(1, j) for j in range(a.n)
         ]

@@ -4,7 +4,7 @@ Rational parameters only.  beta lies in sRes_j(A) iff beta + m*a_j lands in
 some component offset + QF of the quasi-degrees of S_A/<d_j> with an integer
 m >= 1.  Every component question is one `gauss_solve` for m
 (`_component_multiplier`) or one sign test of integer dot products for a
-point of R+A + QF (`_beta_in_cone_plus_span`), by six lemmas:
+point of R+A + QF (`cones.cone_contains`), by six lemmas:
 
 1. m is unique.  F is a face without j, so its certificate is 0 on QF and
    positive on a_j: a_j is off QF.
@@ -25,8 +25,7 @@ point of R+A + QF (`_beta_in_cone_plus_span`), by six lemmas:
    ring is S_A[d_0] and sRes(homogenize(A)) is lifted from sRes(A): at j = 1
    one component, offset 0, face {2..n+1}, shift e_0; at j + 1 one component
    ((h.o, o), {1} + (F + 1)), shift (1, a_j), per component (o, F) of A at j.
-   So (t, beta) meets the j = 1 component exactly when beta is in span(A),
-   at t = h.beta, which no choice of h changes (two differ on span(A)^perp).
+   So lemma 2 finds t = h.beta for beta in span(A) and no t otherwise.
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int,
     beta = checked_vector(beta, a.d, "beta")
     for face in face_lattice(a).proper_faces:
         cols = face.sorted_columns()
-        if _beta_in_lattice_plus_span(a, cols, beta) and _beta_in_cone_plus_span(a, cols, beta):
+        if _beta_in_lattice_plus_span(a, cols, beta) and cone_contains(a, beta, cols):
             return cols
     return None
 
@@ -173,11 +172,6 @@ def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
     return all(sum(p * b for p, b in zip(psi, beta)).denominator == 1 for psi in functionals)
 
 
-def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:
-    """beta in R+A + QF: a sign test on the facets holding F (lemma 6)."""
-    return cone_contains(a, beta, cols)
-
-
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
     """Whether (R+A + delta) misses every resonance component (lemma 4), delta in Z^d."""
     delta = checked_vector(delta, a.d, "delta")
@@ -185,8 +179,8 @@ def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
         raise ParseError(f"delta has a non-integer entry: {[str(x) for x in delta]}")
     delta = tuple(int(x) for x in delta)
     return not any(
-        _beta_in_cone_plus_span(
-            a, comp.face_columns, [comp.offset[i] - delta[i] - comp.shift[i] for i in range(a.d)]
+        cone_contains(
+            a, [comp.offset[i] - delta[i] - comp.shift[i] for i in range(a.d)], comp.face_columns
         )
         for comp in resonance_set(a).components
     )
@@ -222,9 +216,9 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lifted_resonance(a: IntMatrix) -> Optional[tuple[tuple[int, ...], tuple[ResonanceComponent, ...]]]:
-    """h and the components of sRes(homogenize(A)) lifted from sRes(A)
-    (lemma 7), or None when A is not homogeneous."""
+def _lifted_resonance(a: IntMatrix) -> Optional[tuple[ResonanceComponent, ...]]:
+    """The components of sRes(homogenize(A)) lifted from sRes(A) (lemma 7),
+    or None when A is not homogeneous."""
     h = homogeneity_vector(a)
     if h is None:
         return None
@@ -238,46 +232,32 @@ def _lifted_resonance(a: IntMatrix) -> Optional[tuple[tuple[int, ...], tuple[Res
         )
         for comp in resonance_set(a).components
     )
-    return h, (first, *lifted)
+    return (first, *lifted)
 
 
 def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
     """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound.
 
     The bound is the largest of 0 and the ceil(t) with (t, beta) in a j = 1
-    component of sRes(homogenize(A)), whose shift is e_0 (lemma 2).  For a
-    homogeneous A that t is h . beta when beta is in span(A), and there is
-    none otherwise; the spot check reads the components lifted from A's
-    (lemma 7), so no toric ideal, face lattice or filtration of
-    homogenize(A) is built.  Any other A takes `_n_beta_homogenized`.
+    component of sRes(homogenize(A)), whose shift is e_0 (lemma 2), and the
+    spot check reads the same components.  For a homogeneous A they are
+    lifted from A's (lemma 7), so no toric ideal, face lattice or filtration
+    of homogenize(A) is built.
     """
     beta = checked_vector(beta, a.d, "beta")
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
     atilde = homogenize(a)
-    lifted = _lifted_resonance(a)
-    if lifted is None:
-        bound, components = _n_beta_homogenized(a, beta), resonance_set(atilde).components
-    else:
-        h, components = lifted
-        # span(A) is R+A + QF for F the improper face (lemma 6).
-        in_span = cone_contains(a, beta, range(1, a.n + 1))
-        bound = max(0, ceil(sum(map(mul, h, beta)))) if in_span else 0
+    components = _lifted_resonance(a)
+    if components is None:
+        components = resonance_set(atilde).components
+    bound = 0
+    for comp in components:
+        if comp.j == 1 and (t := _component_multiplier(atilde, comp, (0, *beta))) is not None:
+            bound = max(bound, ceil(t))
     for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
         if _witness_in(atilde, components, (b0,) + beta) is not None:
             raise AssertionError("n_beta bound failed its spot check")
-    return bound
-
-
-def _n_beta_homogenized(a: IntMatrix, beta: tuple[Fraction, ...]) -> int:
-    """n_beta's bound for a checked beta outside sRes(A), read off the j = 1
-    components of sRes(homogenize(A)) as its filtrations build them (lemma 2)."""
-    atilde = homogenize(a)
-    origin = (Fraction(0),) + beta
-    bound = 0
-    for comp in resonance_set(atilde).components:
-        if comp.j == 1 and (t := _component_multiplier(atilde, comp, origin)) is not None:
-            bound = max(bound, ceil(t))
     return bound
 
 
@@ -288,9 +268,7 @@ def _box_shifts(d: int, radius: int):
                 yield point
 
 
-def dual_parameter(
-    a: IntMatrix, beta: Sequence[Fraction], radius: int = DUAL_SEARCH_RADIUS
-) -> tuple[Fraction, ...]:
+def dual_parameter(a: IntMatrix, beta: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """beta' congruent to -beta mod Z^d with beta' outside DsRes(A).
 
     Scans integer translates of -beta, preferring candidates in the interior
@@ -301,11 +279,11 @@ def dual_parameter(
         raise NotHomogeneous("dual parameters need a homogeneous matrix")
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
-    for shift in _box_shifts(a.d, radius):
+    for shift in _box_shifts(a.d, DUAL_SEARCH_RADIUS):
         if interior_contains(a, vec_add(beta, shift)):
             return tuple(-b - s for b, s in zip(beta, shift))
-    for shift in _box_shifts(a.d, radius):
+    for shift in _box_shifts(a.d, DUAL_SEARCH_RADIUS):
         cand = tuple(-b - s for b, s in zip(beta, shift))
         if not dsres_contains(a, cand):
             return cand
-    raise SearchBoundError(f"no dual parameter within radius {radius}")
+    raise SearchBoundError(f"no dual parameter within radius {DUAL_SEARCH_RADIUS}")

@@ -13,8 +13,8 @@ from gkzkit import (
     semigroup_witness,
     support_functions,
 )
-from gkzkit.cones import extreme_rays, interior_contains
-from gkzkit.errors import NotPointed, TooManyColumns
+from gkzkit.cones import cone_contains, extreme_rays, interior_contains
+from gkzkit.errors import NotPointed, ParseError, TooManyColumns
 from gkzkit.lp import feasible_point, gauss_solve
 
 
@@ -285,3 +285,10 @@ def test_interior_membership(hat):
     assert interior_contains(hat, (1, 0))
     assert not interior_contains(hat, (1, 1))
     assert not interior_contains(hat, (-1, 0))
+
+
+@pytest.mark.parametrize("point", [(5,), (5, 1, 7)], ids=["short", "long"])
+@pytest.mark.parametrize("contains", [cone_contains, interior_contains], ids=["cone", "interior"])
+def test_cone_tests_reject_a_point_of_the_wrong_length(staircase, contains, point):
+    with pytest.raises(ParseError, match=f"point has length {len(point)}, but the matrix has 2 rows"):
+        contains(staircase, point)

@@ -12,11 +12,11 @@ from gkzkit import (
 )
 from gkzkit.errors import ParseError, RankDeficient
 from gkzkit.intlinalg import (
-    determinant,
     elementary_divisors,
     hermite_normal_form,
     solve_integer,
 )
+from gkzkit.lp import gauss_solve
 
 
 def random_full_rank(rng, d, n):
@@ -31,15 +31,31 @@ def random_full_rank(rng, d, n):
             continue
 
 
+def is_unimodular(m):
+    """Whether the square m is invertible over Z: each m x = e_i has one
+    solution, and it is integral."""
+    for i in range(m.d):
+        sol = gauss_solve(m.rows, [int(k == i) for k in range(m.d)])
+        if sol is None or sol[1] or any(x.denominator != 1 for x in sol[0]):
+            return False
+    return True
+
+
 def check_smith(m):
     dec = smith_decompose(m)
     assert dec.product() == m
-    assert abs(determinant(dec.C)) == 1
-    assert abs(determinant(dec.M)) == 1
+    assert is_unimodular(dec.C)
+    assert is_unimodular(dec.M)
     assert all(e >= 1 for e in dec.e)
     for x, y in zip(dec.e, dec.e[1:]):
         assert y % x == 0
     return dec
+
+
+def test_unimodular_check():
+    assert is_unimodular(parse_matrix("1 1; 0 1"))
+    assert not is_unimodular(parse_matrix("2 1; 0 1"))  # the inverse holds 1/2
+    assert not is_unimodular(parse_matrix("1 1; 2 2"))  # singular
 
 
 def test_smith_identity():

@@ -469,6 +469,19 @@ def test_diagram_dsres_segments(staircase):
     assert slants == set(range(0, 13))
 
 
+def test_diagram_dsres_segments_read_a_face_past_its_zero_column():
+    from gkzkit.report import DiagramSpec, _dsres_segments
+
+    # Column 2 is zero, so it is the first column of both rays' faces.
+    spec = DiagramSpec(box=(-2, 3, -2, 3), layers=("dsres",), output_format="svg")
+    segments = _dsres_segments(parse_matrix("1 0 1; 0 0 1"), spec)
+    horizontals = {s["value"] for s in segments if tuple(s["columns"]) == (1, 2)}
+    diagonals = {s["value"] for s in segments if tuple(s["columns"]) == (2, 3)}
+    assert horizontals == set(range(0, 4))
+    # psi = (-1, 1) for the (1,1) ray: values -x + y = v with v <= 0 only
+    assert diagonals == set(range(-5, 1))
+
+
 def test_cli_homogenize(capsys):
     assert main(["homogenize", "--matrix", "3 2 0; 1 1 1"]) == 0
     out = json.loads(capsys.readouterr().out)

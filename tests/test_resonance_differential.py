@@ -16,14 +16,17 @@ non-pointed and repeated-column matrices too.
 
 `n_beta` of a homogeneous matrix reads sRes(homogenize(A)) off sRes(A)
 (lemma 7); on homogeneous 3-row matrices, rank-deficient ones included,
-it is compared with the oracle and with `_n_beta_homogenized`, and the
-lifted components with those of `resonance_set(homogenize(A))`.
+it is compared with the oracle and with the same `n_beta` made to read
+`resonance_set(homogenize(A))`, and the lifted components with those.
+`dual_parameter` reads `DUAL_SEARCH_RADIUS` when called, so the tests set
+a smaller radius by patching it.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 import resonance_oracle
@@ -115,7 +118,9 @@ def test_resonance_matches_oracle(case):
     assert_same("dsres_witness", a, beta)
     assert_same("n_beta", a, beta)
     assert_same("delta_valid", a, delta)
-    assert_same("dual_parameter", a, beta, radius)
+    with patch.object(resonance, "DUAL_SEARCH_RADIUS", radius):
+        got = outcome(resonance.dual_parameter, a, beta)
+    assert got == outcome(resonance_oracle.dual_parameter, a, beta, radius)
 
 
 def test_delta_A_passes_both_verifiers():
@@ -180,7 +185,7 @@ def test_cone_plus_span_matches_lp(case):
     a, point = case
     for k in range(a.n + 1):
         for cols in combinations(range(1, a.n + 1), k):
-            got = resonance._beta_in_cone_plus_span(a, cols, point)
+            got = cones.cone_contains(a, point, cols)
             assert got == resonance_oracle._beta_in_cone_plus_span(a, list(cols), point), cols
 
 
@@ -241,6 +246,13 @@ def homogeneous_cases(draw):
     return a, beta
 
 
+def built_route_n_beta(a, beta):
+    """n_beta with the lift of lemma 7 switched off, so that it reads the
+    components of resonance_set(homogenize(A)), as for a non-homogeneous A."""
+    with patch.object(resonance, "_lifted_resonance", lambda a: None):
+        return resonance.n_beta(a, beta)
+
+
 def component_points(data, a, components):
     """offset - m*shift + (a rational combination of the face columns), for
     up to four of the components: each is in sRes(a) through that one."""
@@ -254,7 +266,16 @@ def component_points(data, a, components):
     return points
 
 
+# A derandomized test seeds from a hash of its own source.  Pinning the seed
+# keeps the drawn examples, and so the run time, when the body is reworded;
+# a few draws whose homogenize(A) has 5 or 6 columns take most of that time.
+LIFTED_SEED = (
+    22837320567251009302309474292804412198583158554669923218985045968024028299405808644745749868956116566333366032480381
+)
+
+
 @SETTINGS
+@seed(LIFTED_SEED)
 @given(homogeneous_cases(), st.data())
 @example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(3))), None)
 @example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(2))), None)
@@ -264,12 +285,11 @@ def test_lifted_n_beta_matches_the_homogenized_route(case, data):
     assert resonance._lifted_resonance(a) is not None
     got = outcome(resonance.n_beta, a, beta)
     assert got == outcome(resonance_oracle.n_beta, a, beta)
-    if got[0] == "ok":
-        assert resonance._n_beta_homogenized(a, beta) == got[1]
+    assert got == outcome(built_route_n_beta, a, beta)
     if data is None:
         return
     atilde = homogenize(a)
-    lifted = outcome(lambda: resonance._lifted_resonance(a)[1])
+    lifted = outcome(resonance._lifted_resonance, a)
     built = outcome(lambda: resonance.resonance_set(atilde).components)
     assume(lifted[0] == built[0] == "ok")  # both raise where A's filtration does
     lifted, built = lifted[1], built[1]
