@@ -28,10 +28,15 @@ sigma) of in(I_A), I_A the toric ideal under the default order.  Lemma:
 the standard monomials of A-degree b span (S/I_A)_b, which is 1-dimensional
 exactly when b is in NA and 0 otherwise (S/I_A is the semigroup ring of
 NA).  So b is in NA exactly when b - A m lies in N A_sigma for some pair,
-and then m + lambda is the unique standard monomial of degree b.  The
-columns of A_sigma are independent, since sigma is a face of the regular
-triangulation of in(I_A) (Sturmfels, *Groebner Bases and Convex
-Polytopes*, Thm 8.3), so each pair is one product with a left inverse.
+and then m + lambda is the unique standard monomial of degree b, whichever
+pair finds it.  The columns of A_sigma are independent, since sigma is a
+face of the regular triangulation of in(I_A) (Sturmfels, *Groebner Bases
+and Convex Polytopes*, Thm 8.3).  Residue index: with L integral, L A_sigma
+= q I, and psi a basis of the integer functionals vanishing on A_sigma,
+b - A m lies in Z A_sigma exactly when b and A m have one key (L b mod q,
+psi b): psi puts the difference in Q A_sigma, where L v / q is the only
+coefficient vector of v.  So the pairs are grouped by sigma and then by
+key, and b costs one product per sigma, not one per pair.
 """
 
 from __future__ import annotations
@@ -303,20 +308,33 @@ class _Semigroup:
         self.memo: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {}
 
     @cached_property
-    def pairs(self) -> list[tuple]:
-        """Each standard pair (m, sigma) of in(I_A) as (m, sigma, A m, L, q), with
-        L integral and L A_sigma = q I: as the columns of A_sigma are independent,
-        A_sigma lambda = v has no solution other than L v / q."""
+    def pairs(self) -> dict[tuple[int, ...], tuple]:
+        """The standard pairs (m, sigma) of in(I_A), by sigma: each sigma maps to
+        (L, psi, q, classes), classes mapping each key (L A m mod q, psi A m)
+        to the (m, L A m) that have it (the residue index of the module
+        docstring).  The standard monomial of a degree is unique, so the
+        order of the pairs never changes a witness."""
         from .toric import DEFAULT_ORDER, toric_ideal  # toric imports this module
 
         leads = [binomial(g)[0] for g in toric_ideal(self.a, DEFAULT_ORDER).generators]
-        table = []
+        table: dict[tuple[int, ...], tuple] = {}
         for m, sigma in standard_pairs(leads, self.a.n):
-            rows = [self.cols[j] for j in sigma]
-            inverse = [gauss_solve(rows, [int(i == k) for k in sigma])[0] for i in sigma]
-            q = lcm(*(x.denominator for y in inverse for x in y))
-            table.append((m, sigma, self.a.mul_vec(m), [tuple(int(x * q) for x in y) for y in inverse], q))
+            if sigma not in table:
+                rows = [self.cols[j] for j in sigma]
+                inverse = [gauss_solve(rows, [int(i == k) for k in sigma])[0] for i in sigma]
+                q = lcm(*(x.denominator for y in inverse for x in y))
+                psi = [_integral(y) for y in gauss_solve([(0,) * self.a.d, *rows], [0] * (len(rows) + 1))[1]]
+                table[sigma] = ([tuple(int(x * q) for x in y) for y in inverse], psi, q, {})
+            inverse, psi, q, classes = table[sigma]
+            lam, key = self.classify(self.a.mul_vec(m), inverse, psi, q)
+            classes.setdefault(key, []).append((m, lam))
         return table
+
+    @staticmethod
+    def classify(v, inverse, psi, q) -> tuple[list[int], tuple]:
+        """L v, and the key (L v mod q, psi v) of v's class modulo Z A_sigma."""
+        lv = [sum(map(mul, y, v)) for y in inverse]
+        return lv, (tuple(x % q for x in lv), tuple(sum(map(mul, y, v)) for y in psi))
 
     def witness(self, target: tuple[int, ...]) -> Optional[tuple[int, ...]]:
         """x in N^n with A x = target, or None (see `semigroup_witness`)."""
@@ -325,12 +343,12 @@ class _Semigroup:
         height = sum(p * x for p, x in zip(self.phi, target))
         if height <= self.a.n * self.min_weight:
             return self.search(target, height)
-        for m, sigma, am, inverse, q in self.pairs:
-            v = vec_sub(target, am)
-            lam = dict(zip(sigma, (sum(map(mul, y, v)) for y in inverse)))
-            x = tuple(k + lam.get(j, 0) // q for j, k in enumerate(m))
-            if all(k >= 0 and k % q == 0 for k in lam.values()) and self.a.mul_vec(x) == target:
-                return x
+        for sigma, (inverse, psi, q, classes) in self.pairs.items():
+            lv, key = self.classify(target, inverse, psi, q)
+            for m, lam in classes.get(key, ()):
+                step = dict(zip(sigma, ((x - y) // q for x, y in zip(lv, lam))))
+                if all(k >= 0 for k in step.values()):
+                    return tuple(k + step.get(j, 0) for j, k in enumerate(m))
         return None
 
     def search(self, v: tuple[int, ...], height: int) -> Optional[tuple[int, ...]]:

@@ -4,7 +4,7 @@ Rational parameters only.  beta lies in sRes_j(A) iff beta + m*a_j lands in
 some component offset + QF of the quasi-degrees of S_A/<d_j> with an integer
 m >= 1.  Every component question is one `gauss_solve` for m
 (`_component_multiplier`) or one sign test of integer dot products for a
-point of R+A + QF (`cones.cone_contains`), by six lemmas:
+point of R+A + QF (`cones.cone_contains`), by the lemmas below:
 
 1. m is unique.  F is a face without j, so its certificate is 0 on QF and
    positive on a_j: a_j is off QF.
@@ -26,6 +26,18 @@ point of R+A + QF (`cones.cone_contains`), by six lemmas:
    one component, offset 0, face {2..n+1}, shift e_0; at j + 1 one component
    ((h.o, o), {1} + (F + 1)), shift (1, a_j), per component (o, F) of A at j.
    So lemma 2 finds t = h.beta for beta in span(A) and no t otherwise.
+8. Domination.  Let p_c = offset - shift and C_c = R+A + QF_c, so that
+   component c rules out delta exactly when p_c - delta lies in C_c (lemma
+   4).  If F_c lies in F_c' (every inequality of C_c' is one of C_c, so C_c
+   lies in C_c') and p_c' - p_c lies in C_c', then p_c - delta in C_c gives
+   p_c' - delta in C_c' + C_c = C_c': c rules out nothing c' does not, and
+   the verifier can drop c.
+9. Monotonicity.  Every C_c holds R+A, so if delta is valid, so is delta + x
+   for x in R+A; and if x is not in NA, neither is x - c for c in NA, as NA
+   + NA lies in NA.  The delta walk only subtracts columns, so once delta -
+   a_j fails the verifier or NA, it fails both at every later delta.  So
+   the greedy walk, which steps along the first column passing both, walks
+   column 1 as far as it goes, then column 2, and so on.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from math import ceil
 from operator import mul
 from typing import Optional, Sequence
 
-from .cones import cone_contains, face_lattice, interior_contains, semigroup_contains
+from .cones import _cone_inequalities, cone_contains, face_lattice, interior_contains, semigroup_contains
 from .errors import (
     NotFullLattice,
     NotHomogeneous,
@@ -177,13 +189,43 @@ def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
     delta = checked_vector(delta, a.d, "delta")
     if any(x.denominator != 1 for x in delta):
         raise ParseError(f"delta has a non-integer entry: {[str(x) for x in delta]}")
-    delta = tuple(int(x) for x in delta)
-    return not any(
-        cone_contains(
-            a, [comp.offset[i] - delta[i] - comp.shift[i] for i in range(a.d)], comp.face_columns
-        )
-        for comp in resonance_set(a).components
-    )
+    return _delta_valid(a, tuple(int(x) for x in delta))
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
+
+
+@lru_cache(maxsize=None)
+def _undominated_regions(a: IntMatrix) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """(p_c, inequalities of C_c) of the components of sRes(A) that no other
+    covers (lemma 8), in order; of equal regions, the first.  Repeats go first;
+    then a cheap pass tests each region against the first with the largest
+    y_1 . p per inequality tuple (per facet, the one reaching furthest along
+    its normal), and the survivors are tested pairwise."""
+    comps = resonance_set(a).components
+    regions = list(dict.fromkeys((vec_sub(c.offset, c.shift), _cone_inequalities(a, c.face_columns)) for c in comps))
+    faces = [frozenset(ineqs) for _, ineqs in regions]
+
+    def covers(i: int, k: int) -> bool:
+        (p, ineqs), (p_k, _) = regions[i], regions[k]
+        return faces[i] <= faces[k] and all(_dot(y, vec_sub(p, p_k)) >= 0 for y in ineqs)
+
+    def drops(i: int, k: int) -> bool:
+        return i != k and covers(i, k) and (i < k or not covers(k, i))
+
+    best: dict[tuple, int] = {}
+    for i, (p, ineqs) in enumerate(regions):
+        first = best.setdefault(ineqs, i)
+        if ineqs and _dot(ineqs[0], p) > _dot(ineqs[0], regions[first][0]):
+            best[ineqs] = i
+    survivors = [k for k in range(len(regions)) if not any(drops(i, k) for i in best.values())]
+    return tuple(regions[k] for k in survivors if not any(drops(i, k) for i in survivors))
+
+
+def _delta_valid(a: IntMatrix, delta: tuple[int, ...]) -> bool:
+    """`delta_valid` of an integer tuple, read off the undominated regions."""
+    return not any(all(_dot(y, p) >= _dot(y, delta) for y in ineqs) for p, ineqs in _undominated_regions(a))
 
 
 @lru_cache(maxsize=None)
@@ -191,8 +233,9 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
     """A semigroup element translating the cone off sRes(A).
 
     Starts from (sum of columns) + (sum of all filtration offsets) and then
-    greedily walks back along columns while the verifier still passes and
-    the step stays in NA (both pure, so the cheap verifier is asked first).
+    greedily walks back along the first column whose step passes the cheap
+    verifier and stays in NA: along each column in turn, as far as it goes
+    (lemma 9).
     """
     if not a.spans_lattice:
         raise NotFullLattice("delta requires columns generating Z^d")
@@ -201,17 +244,11 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
     delta = a.column_sum()
     for comp in resonance_set(a).components:
         delta = vec_add(delta, comp.offset)
-    if not delta_valid(a, delta):
+    if not _delta_valid(a, delta):
         raise AssertionError("constructed delta failed its own verifier")
-    improved = True
-    while improved:
-        improved = False
-        for j in range(a.n):
-            cand = vec_sub(delta, a.column(j))
-            if delta_valid(a, cand) and semigroup_contains(a, cand):
-                delta = cand
-                improved = True
-                break
+    for col in a.columns():
+        while _delta_valid(a, cand := vec_sub(delta, col)) and semigroup_contains(a, cand):
+            delta = cand
     return delta
 
 

@@ -15,6 +15,11 @@ Three routes that the library later replaced by integer facet inequalities
 LP `_beta_in_cone_plus_span`, `interior_contains` by `support_functions`,
 and the `delta_A` walk that asks `semigroup_contains` before the LP
 verifier.
+
+Two routes that the domination and monotonicity lemmas (8 and 9 of
+`gkzkit.resonance`) replaced close the file: `delta_valid_all_components`,
+the facet-sign test against every component, and `delta_A_every_column`,
+the walk that reads it and tries every column at every step.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from fractions import Fraction
 from math import ceil
 from typing import Optional, Sequence
 
-from gkzkit.cones import face_lattice, semigroup_contains, support_functions
+from gkzkit.cones import cone_contains, face_lattice, semigroup_contains, support_functions
 from gkzkit.errors import (
     NotFullLattice,
     NotHomogeneous,
@@ -265,3 +270,38 @@ def dual_parameter(
         if not dsres_contains(a, cand):
             return cand
     raise SearchBoundError(f"no dual parameter within radius {radius}")
+
+
+def delta_valid_all_components(a: IntMatrix, delta: Sequence[int]) -> bool:
+    """Whether (R+A + delta) misses every resonance component, by facet signs
+    against each component in turn (lemma 4), none of them pruned."""
+    delta = tuple(int(x) for x in delta)
+    return not any(
+        cone_contains(
+            a, [comp.offset[i] - delta[i] - comp.shift[i] for i in range(a.d)], comp.face_columns
+        )
+        for comp in resonance_set(a).components
+    )
+
+
+def delta_A_every_column(a: IntMatrix) -> tuple[int, ...]:
+    """The greedy walk over every column at every step, verifier first."""
+    if not a.spans_lattice:
+        raise NotFullLattice("delta requires columns generating Z^d")
+    if not face_lattice(a).pointed:
+        raise NotPointed("delta requires a pointed semigroup")
+    delta = a.column_sum()
+    for comp in resonance_set(a).components:
+        delta = vec_add(delta, comp.offset)
+    if not delta_valid_all_components(a, delta):
+        raise AssertionError("constructed delta failed its own verifier")
+    improved = True
+    while improved:
+        improved = False
+        for j in range(a.n):
+            cand = vec_sub(delta, a.column(j))
+            if delta_valid_all_components(a, cand) and semigroup_contains(a, cand):
+                delta = cand
+                improved = True
+                break
+    return delta

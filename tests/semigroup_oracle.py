@@ -6,15 +6,24 @@ depth-first search over column subtractions with a fresh memo on every
 call, recursing once per column step.  Its witness is the depth-first one,
 so the library must return the same witness up to phi-height n * min w,
 and above it the normal form of this witness under the toric ideal.
+
+`standard_pair_witness` keeps the deep route as it was before the pairs
+were indexed by sigma and residue: a scan of every standard pair in order,
+one product with the left inverse of A_sigma each.
 """
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from gkzkit.cones import positive_functional
+from gkzkit.cones import cone_contains, positive_functional
 from gkzkit.errors import SearchBoundError
 from gkzkit.intlinalg import IntMatrix, checked_vector, vec_sub
+from gkzkit.lp import gauss_solve
+from gkzkit.polynomials import binomial, standard_pairs
+from gkzkit.toric import DEFAULT_ORDER, toric_ideal
 
 
 def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -59,3 +68,23 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
         return search(target)
     except RecursionError:
         raise SearchBoundError("membership search exceeded the recursion depth") from None
+
+
+def standard_pair_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The x = m + lambda, lambda in N^sigma, of the first standard pair (m,
+    sigma) of the degrevlex in(I_A) with A x = b, or None; b integral."""
+    target = tuple(int(x) for x in b)
+    if not cone_contains(a, target):
+        return None
+    cols = a.columns()
+    leads = [binomial(g)[0] for g in toric_ideal(a, DEFAULT_ORDER).generators]
+    for m, sigma in standard_pairs(leads, a.n):
+        rows = [cols[j] for j in sigma]
+        inverse = [gauss_solve(rows, [int(i == k) for k in sigma])[0] for i in sigma]
+        q = lcm(*(x.denominator for y in inverse for x in y))
+        v = vec_sub(target, a.mul_vec(m))
+        lam = dict(zip(sigma, (sum(map(mul, (int(x * q) for x in y), v)) for y in inverse)))
+        x = tuple(k + lam.get(j, 0) // q for j, k in enumerate(m))
+        if all(k >= 0 and k % q == 0 for k in lam.values()) and a.mul_vec(x) == target:
+            return x
+    return None

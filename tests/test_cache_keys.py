@@ -12,9 +12,12 @@ whose certificate is not forced (not the improper face, nor a facet of a
 full-dimensional cone).  When A is not homogeneous, `n_beta` also builds
 the same of homogenize(A); when it is, `n_beta` lifts sRes(A) and builds
 nothing of homogenize(A).  The nonspanning corpus matrix is left out: its
-report also builds the index-set matrices.
+report also builds the index-set matrices.  The undominated delta regions
+are built once per matrix whose delta is walked: A when its columns span
+Z^d, and homogenize(A) for the nonspanning matrix's index sets.
 """
 
+import functools
 import sys
 
 import pytest
@@ -147,10 +150,12 @@ def test_diagram_makes_one_lp_per_point(monkeypatch):
 
 
 def test_delta_cone_table_walks_once(monkeypatch):
+    # The spy sits on the verifier the walk itself calls, so one walk is
+    # several calls, and the table must make exactly as many.
     a = parse_matrix(RNC3)
     asked = []
-    verifier = resonance.delta_valid
-    monkeypatch.setattr(resonance, "delta_valid", lambda m, d: asked.append(d) or verifier(m, d))
+    verifier = resonance._delta_valid
+    monkeypatch.setattr(resonance, "_delta_valid", lambda m, d: asked.append(d) or verifier(m, d))
     clear_caches()
     resonance.delta_A(a)
     one_walk = len(asked)
@@ -158,4 +163,22 @@ def test_delta_cone_table_walks_once(monkeypatch):
     clear_caches()
     table = classification_table(a, DiagramSpec(box=(-2, 2, -2, 2), layers=("delta-cone",)))
     assert len(table) == 25
-    assert len(asked) == one_walk > 0
+    assert len(asked) == one_walk > 1
+
+
+def test_undominated_regions_are_a_module_level_lru_cache():
+    # perfbench's all_caches and clear_caches above find the lru_caches in a
+    # module's namespace; a cache kept elsewhere would stay warm across cold runs.
+    assert isinstance(resonance._undominated_regions, functools._lru_cache_wrapper)
+    assert vars(resonance)["_undominated_regions"] is resonance._undominated_regions
+
+
+@pytest.mark.parametrize("name", [*SPANNING, "nonspanning"])
+def test_cold_report_prunes_the_regions_once_per_matrix(name):
+    # A spanning A is walked for its delta; the nonspanning one raises
+    # before any region is built, and its index sets walk homogenize(A).
+    matrix, beta = SPANNING.get(name, ("2 2 2; 0 3 -3", "9/7,9/2"))
+    a = parse_matrix(matrix)
+    clear_caches()
+    run_report(a, parse_rational_vector(beta))
+    assert resonance._undominated_regions.cache_info().misses == 1

@@ -6,7 +6,9 @@ in(I_A).  `semigroup_oracle` keeps the recursive search with a fresh memo
 per call.  Both must agree on membership everywhere, and on the witness
 itself wherever the point is shallow enough for the search (phi-height at
 most n * min w).  Above that height the witness is the normal form of the
-oracle's under the toric ideal, and always satisfies A x = b, x in N^n.
+oracle's under the toric ideal, and always satisfies A x = b, x in N^n;
+it is also the oracle's scan of every standard pair, which the library
+replaced by pairs grouped by sigma and residue.
 """
 
 import random
@@ -142,6 +144,7 @@ def test_deep_witness_is_the_standard_monomial(text, data):
         point = tuple(x + y for x, y in zip(point, step))
     old = semigroup_oracle.semigroup_witness(a, point)
     new = semigroup_witness(a, point)
+    assert new == semigroup_oracle.standard_pair_witness(a, point)
     assert (old is None) == (new is None)
     if old is not None:
         basis = [binomial(g) for g in toric_ideal(a, DEFAULT_ORDER).generators]
