@@ -2,10 +2,12 @@
 
 Column indices in faces and in the `j` arguments are 1-based, matching the
 generator labels a_1..a_n.  The face lattice is found combinatorially: the
-facets come from kernels of independent column subsets, cleared to integer
-normals and checked by sign, and the faces are their intersections.  A
-subset inside a facet already found is skipped, as it can only find that
-facet again (the lemma in `_facets`).  Enumeration stays capped at n <= 12.
+facets come from the signed maximal minors of rank - 1 column subsets, an
+integer normal that is 0 exactly when the columns are dependent, checked by
+sign (on the nonzero HNF rows of A when rank < d), and the faces are their
+intersections.  A subset inside a facet already found is skipped, as it can
+only find that facet again (the lemma in `_facets`).  Enumeration stays
+capped at n <= 12.
 
 Forced certificates.  The LP of `_face_certificate` asks for phi with
 phi.a_j = 0 on a face F and phi.a_j >= 1 off it, in split form phi = phi+ -
@@ -46,11 +48,11 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import lcm
-from operator import mul
+from operator import ge, mul
 from typing import Optional, Sequence
 
 from .errors import NotFullLattice, NotPointed, ParseError, TooManyColumns
-from .intlinalg import IntMatrix, checked_vector, primitive_vector, vec_sub
+from .intlinalg import IntMatrix, checked_vector, hermite_normal_form, primitive_vector, signed_minors, vec_sub
 from .lp import feasible_point, gauss_solve
 from .polynomials import binomial, standard_pairs
 
@@ -130,36 +132,32 @@ def _facets(a: IntMatrix, rank: int) -> dict[frozenset[int], Optional[tuple[Frac
     A facet spans a hyperplane of span(A), so it holds rank - 1 independent
     columns.  Their annihilator in span(A) is a line; it supports the cone
     exactly when its values on the columns all have one sign, and the facet
-    is then the set of columns where it vanishes.  The kernel vector is
-    cleared to integers first: a positive scale keeps every sign, and the
-    n dot products are then int arithmetic.  When rank = d it is the normal
-    nu, and nu / m, m its signed least value off the facet, is the forced
-    certificate of the module docstring; when rank < d none is forced.
+    is then the set of columns where it vanishes.  The line is spanned by
+    the integer vector nu of signed maximal minors of those columns, which
+    is 0 exactly when they are dependent, so the n dot products are int
+    arithmetic.  When rank < d the scan runs on the rank nonzero rows of the
+    HNF of A: unimodular row operations keep every linear relation among the
+    columns, so the facet column sets are the same.  When rank = d, nu is
+    the normal, and nu / m, m its signed least value off the facet, is the
+    forced certificate of the module docstring; it does not depend on the
+    scale or sign of nu.  When rank < d none is forced.
 
-    Skip lemma: a subset inside a facet found before is not solved.  If its
+    Skip lemma: a subset inside a facet found before is not scanned.  If its
     rank - 1 columns are independent they span that facet's hyperplane, so
     they can only find that facet again; if not, they find nothing.
     """
-    cols = a.columns()
-    identity = [[int(i == k) for k in range(a.d)] for i in range(a.d)]
+    cols = (a if rank == a.d else hermite_normal_form(a)).columns()
     found: dict[frozenset[int], Optional[tuple[Fraction, ...]]] = {}
     for subset in combinations(range(a.n), rank - 1):
         if any(f.issuperset(subset) for f in found):
             continue
-        rows = [cols[j] for j in subset]
-        kernel = gauss_solve(rows, [0] * len(rows))[1] if rows else identity
-        if len(kernel) != a.d - len(rows):
+        nu = signed_minors([cols[j] for j in subset], rank)
+        if not any(nu):
             continue  # dependent columns span less than a hyperplane
-        # The kernel is one dimension larger than the annihilator of span(A),
-        # so some basis vector takes a nonzero value on a column.
-        for phi in kernel:
-            phi = _integral(phi)
-            values = [sum(map(mul, phi, col)) for col in cols]
-            if any(values):
-                break
+        values = [sum(map(mul, nu, col)) for col in cols]
         if all(v >= 0 for v in values) or all(v <= 0 for v in values):
             m = min((v for v in values if v), key=abs)  # signed, so nu / m is >= 1 off the facet
-            cert = tuple(Fraction(p, m) for p in phi) if rank == a.d else None
+            cert = tuple(Fraction(p, m) for p in nu) if rank == a.d else None
             found[frozenset(j for j, v in enumerate(values) if v == 0)] = cert
     return {frozenset(j + 1 for j in f): cert for f, cert in found.items()}
 
@@ -415,11 +413,15 @@ def extreme_rays(a: IntMatrix) -> list[tuple[int, ...]]:
 def is_saturated(a: IntMatrix) -> bool:
     """Whether NA equals Q+A intersected with Z^d.
 
-    Every Hilbert-basis element of the cone lies in the zonotope spanned by
-    the primitive extreme rays, so checking all lattice points of the
-    zonotope's bounding box that lie in the cone is conclusive.  Box points
-    are tested against the facets by integer dot products, with no LP per
-    point.
+    It does exactly when NA holds the Hilbert basis of the cone's lattice
+    points, and only a point x != 0 of the cone with, for every primitive
+    ray r, x = r or x - r outside the cone can be in that basis: otherwise
+    x = (x - r) + r.  The Hilbert basis also lies in the zonotope spanned by
+    the rays (Bruns-Gubeladze, *Polytopes, Rings and K-Theory*, ch. 2), so
+    the candidates in the zonotope's bounding box are conclusive.  Each box
+    point takes one integer dot product per cone inequality y, and x - r is
+    in the cone exactly when y . x >= y . r for every y, so only the
+    candidates reach the NA membership test.
     """
     lat = face_lattice(a)
     if not lat.pointed:
@@ -427,10 +429,17 @@ def is_saturated(a: IntMatrix) -> bool:
     rays = extreme_rays(a)
     if not rays:
         return True
+    ineqs = _cone_inequalities(a, ())
+    ray_dots = [(r, [sum(map(mul, y, r)) for y in ineqs]) for r in rays]
     lo = [sum(min(0, r[i]) for r in rays) for i in range(a.d)]
     hi = [sum(max(0, r[i]) for r in rays) for i in range(a.d)]
     for point in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if cone_contains(a, point) and not semigroup_contains(a, point):
+        dots = [sum(map(mul, y, point)) for y in ineqs]
+        if not any(point) or any(s < 0 for s in dots):
+            continue
+        if any(point != r and all(map(ge, dots, r_dots)) for r, r_dots in ray_dots):
+            continue  # point - r is in the cone, so point is not in the Hilbert basis
+        if not semigroup_contains(a, point):
             return False
     return True
 

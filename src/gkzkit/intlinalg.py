@@ -411,6 +411,42 @@ def homogeneity_vector(a: IntMatrix) -> Optional[tuple[int, ...]]:
     return h
 
 
+def signed_minors(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """nu with nu_k = (-1)^k det(rows without column k), for width - 1 integer
+    rows of length width: nu . x = det(x; rows), so nu spans the rows'
+    orthogonal complement (Cramer's rule), or is 0 when they are dependent.
+
+    Fraction-free Gauss-Jordan: each division by the last pivot is exact, and
+    every pivot ends as D = s det(pivot columns), s the sign of the row swaps.
+    With f the free column, x_f = D and x_c = -(row of c)_f span the kernel,
+    and nu = (-1)^f s x.
+    """
+    m = [list(row) for row in rows]
+    prev, sign, pivots, free = 1, 1, [], None
+    for c in range(width):
+        t = len(pivots)
+        p = next((i for i in range(t, len(m)) if m[i][c]), None)
+        if p is None:
+            if free is not None:
+                return (0,) * width  # a second free column: the rows are dependent
+            free = c
+            continue
+        if p != t:
+            m[t], m[p], sign = m[p], m[t], -sign
+        pivot, row = m[t][c], m[t]
+        for i in range(len(m)):
+            if i != t:
+                m[i] = [(pivot * x - m[i][c] * y) // prev for x, y in zip(m[i], row)]
+        prev = pivot
+        pivots.append(c)
+    sign *= (-1) ** free
+    nu = [0] * width
+    nu[free] = sign * prev
+    for i, c in enumerate(pivots):
+        nu[c] = -sign * m[i][free]
+    return tuple(nu)
+
+
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the gcd of its entries (zero vector is returned as-is)."""
     g = 0

@@ -206,6 +206,7 @@ def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], 
     The saturation-gap and delta-cone layers, which build the face lattice
     anyway, test the cone by facet signs; the cone layer keeps the LP, which
     also serves matrices above the face-column cap."""
+    point = checked_vector(point, a.d, "point")
     out = {}
     if "semigroup" in layers or "saturation-gap" in layers:
         in_semi = cones.semigroup_contains(a, point)
@@ -219,9 +220,9 @@ def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], 
         qd = toric.quasi_degrees(a, qdeg_j)
         out["qdeg"] = qd.degree_set_contains(point)
     if "sres" in layers:
-        out["sres"] = resonance.sres_contains(a, tuple(Fraction(x) for x in point))
+        out["sres"] = resonance.sres_contains(a, point)
     if "dsres" in layers:
-        out["dsres"] = resonance.dsres_contains(a, tuple(Fraction(x) for x in point))
+        out["dsres"] = resonance.dsres_contains(a, point)
     if "delta-cone" in layers:
         delta = resonance.delta_A(a)
         shifted = tuple(x - dx for x, dx in zip(point, delta))

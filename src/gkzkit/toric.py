@@ -34,7 +34,7 @@ from .errors import (
     FiltrationBoundExceeded,
     NotPointed,
 )
-from .intlinalg import IntMatrix, homogenize, lattice_kernel, vec_sub
+from .intlinalg import IntMatrix, checked_vector, homogenize, lattice_kernel, vec_sub
 from .polynomials import (
     Binomial,
     Polynomial,
@@ -151,6 +151,7 @@ class QuasiDegreeSet:
         NF is NA cut by phi_F . v = 0, phi_F the face's certificate: if A x = v
         with x in N^n, each x_i phi_F . a_i is >= 0, and 0 only when i is in F.
         """
+        u = checked_vector(u, self.matrix.d, "point")
         for comp in self.components:
             diff = vec_sub(u, comp.offset)
             on_face = not sum(c * x for c, x in zip(comp.face.certificate, diff))

@@ -1,8 +1,9 @@
 """Differential tests of the facet-built cone layer.
 
 `face_lattice` finds faces as intersections of sign-checked facets and
-`is_saturated` tests box points against facet certificates; both are checked
-against the per-subset LP route in `face_oracle`.  The integer facet scan,
+`is_saturated` tests only the Hilbert-basis candidates among the box points
+for NA membership; both are checked against the per-subset LP route in
+`face_oracle`, and the membership tests are counted.  The integer facet scan,
 which skips subsets inside a facet already found, is checked against the
 `Fraction` scan it replaced, and its solved subsets are counted.  The
 certificates and dims `face_lattice` sets without an LP or a span solve (the
@@ -23,6 +24,7 @@ import face_oracle
 from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, is_saturated_by_lp
 
 from gkzkit import IntMatrix, cones, parse_matrix
+from gkzkit.intlinalg import hermite_normal_form
 from gkzkit.cones import (
     _face_certificate,
     _integral,
@@ -42,6 +44,7 @@ SETTINGS = settings(
 )
 SCAN_SETTINGS = settings(SETTINGS, max_examples=400)
 GRID_3X10 = parse_matrix("1 1 1 1 1 1 1 1 1 1; 0 1 2 3 0 1 2 3 0 1; 0 0 0 0 1 1 1 1 2 2")
+CUBE_4D = parse_matrix("1 1 1 1 1 1 1 1; 0 1 0 0 1 1 0 1; 0 0 1 0 1 0 1 1; 0 0 0 1 0 1 1 1")
 
 
 @st.composite
@@ -95,21 +98,28 @@ def scan_matrices(draw):
 def solved_subsets(module, scan, a, rank):
     """The facets scan returns, and each column subset it solved, in order, with
     whether its columns were independent.  A scan solves subsets in
-    combinations order, so each gauss_solve call is matched to the next
-    subset with its columns."""
-    cols = a.columns()
+    combinations order, so each solve is matched to the next subset with its
+    columns.  `cones._facets` solves by `signed_minors`, on the nonzero HNF
+    rows of A when rank < d; the Fraction scan of `face_oracle` solves by
+    `gauss_solve` on A itself."""
+    if module is cones:
+        name, independent = "signed_minors", lambda rows, out: any(out)
+        cols = (a if rank == a.d else hermite_normal_form(a)).columns()
+    else:
+        name, independent = "gauss_solve", lambda rows, out: len(out[1]) == a.d - len(rows)
+        cols = a.columns()
     pending = combinations(range(1, a.n + 1), rank - 1)
-    solve = module.gauss_solve
+    solve = getattr(module, name)
     solved = []
 
-    def recording(rows, rhs):
+    def recording(rows, *args):
         subset = next(s for s in pending if [cols[j - 1] for j in s] == list(rows))
-        out = solve(rows, rhs)
-        solved.append((frozenset(subset), len(out[1]) == a.d - len(rows)))
+        out = solve(rows, *args)
+        solved.append((frozenset(subset), independent(rows, out)))
         return out
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(module, "gauss_solve", recording)
+        m.setattr(module, name, recording)
         return scan(a, rank), solved
 
 
@@ -188,8 +198,29 @@ def test_face_lattice_matches_subset_oracle(a):
 @example(parse_matrix("3 2 0; 1 1 1"))
 @example(parse_matrix("2 5"))
 @example(parse_matrix("1 1 1; 0 1 2; 0 2 4"))
+@example(parse_matrix("2 0; 0 1"))  # the ray (1, 0) is outside NA
+@example(parse_matrix("1 1 2; 0 1 0"))  # a column twice a ray
+@example(parse_matrix("1 0 2; 0 0 1"))  # a zero column
+@example(CUBE_4D)
 def test_is_saturated_matches_lp_oracle(a):
     assert is_saturated(a) == is_saturated_by_lp(a)
+
+
+def semigroup_tests(module, check, a):
+    """check(a), and how many NA membership tests it made through module."""
+    calls = []
+    contains = module.semigroup_contains
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(module, "semigroup_contains", lambda *args: calls.append(args) or contains(*args))
+        return check(a), len(calls)
+
+
+@pytest.mark.parametrize(("a", "most", "box"), [(GRID_3X10, 10, 182), (CUBE_4D, 8, 725)], ids=["grid", "cube"])
+def test_is_saturated_tests_only_hilbert_basis_candidates(a, most, box):
+    saturated, tests = semigroup_tests(cones, is_saturated, a)
+    want, box_tests = semigroup_tests(face_oracle, is_saturated_by_lp, a)
+    assert saturated is want is True
+    assert tests <= most and box_tests == box  # the oracle tests every box point of the cone
 
 
 @SETTINGS

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkzkit import (
     IntMatrix,
@@ -14,6 +16,7 @@ from gkzkit.errors import ParseError, RankDeficient
 from gkzkit.intlinalg import (
     elementary_divisors,
     hermite_normal_form,
+    signed_minors,
     solve_integer,
 )
 from gkzkit.lp import gauss_solve
@@ -223,3 +226,36 @@ def test_smith_identity_is_fixed_point():
     dec = smith_decompose(IntMatrix.identity(2))
     eye = IntMatrix.identity(2)
     assert dec.C == eye and dec.D1 == eye and dec.D2 == eye and dec.M == eye
+
+
+def laplace_det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** k * x * laplace_det([r[:k] + r[k + 1 :] for r in m[1:]]) for k, x in enumerate(m[0]) if x)
+
+
+@st.composite
+def minor_rows(draw):
+    """width - 1 rows of length width <= 6, entries in [-4, 4], often dependent or with a zero column."""
+    width = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=width, max_size=width)) for _ in range(width - 1)]
+    if width > 2 and draw(st.booleans()):
+        rows[-1] = [x - 2 * y for x, y in zip(rows[0], rows[1 % (width - 2)])]
+    if width > 1 and (zero := draw(st.none() | st.integers(0, width - 1))) is not None:
+        for row in rows:
+            row[zero] = 0
+    return rows, width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(minor_rows())
+@example(([], 1))
+@example(([[0, 1]], 2))
+@example(([[0, 0, 1], [0, 1, 0]], 3))  # two row swaps' worth of pivot search
+@example(([[1, 2, 3], [2, 4, 6]], 3))  # dependent rows
+def test_signed_minors_match_cofactor_expansion(case):
+    rows, width = case
+    nu = signed_minors(rows, width)
+    assert nu == tuple((-1) ** k * laplace_det([r[:k] + r[k + 1 :] for r in rows]) for k in range(width))
+    assert all(sum(p * x for p, x in zip(nu, row)) == 0 for row in rows)

@@ -27,7 +27,7 @@ from gkzkit.cli import main
 from gkzkit.cones import cone_witness
 from gkzkit.errors import DimensionUnsupported, ParseError
 from gkzkit.resonance import dsres_witness
-from gkzkit.report import classification_table, report_json
+from gkzkit.report import classification_table, classify_point, report_json
 
 
 def test_report_deterministic(staircase):
@@ -541,3 +541,14 @@ def test_wrong_length_parameter_raises_parse_error(call):
     for bad in ((F(0),), (F(0),) * 3):
         with pytest.raises(ParseError):
             call(hat, bad)
+
+
+LAYERS = ("semigroup", "saturation-gap", "cone", "qdeg", "sres", "dsres", "delta-cone")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_classify_point_rejects_a_point_of_the_wrong_length(layer):
+    # zip and vec_sub would drop the third coordinate and answer for (1, 2)
+    rnc3 = parse_matrix("1 1 1 1; 0 1 2 3")
+    with pytest.raises(ParseError, match="point has length 3, but the matrix has 2 rows"):
+        classify_point(rnc3, (1, 2, 99), [layer])

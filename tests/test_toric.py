@@ -15,7 +15,7 @@ from gkzkit import (
     true_degree_contains,
 )
 from gkzkit.cones import face_lattice
-from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed, TooManyColumns
+from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed, ParseError, TooManyColumns
 from gkzkit.polynomials import Polynomial
 from gkzkit.toric import a_degree
 
@@ -111,6 +111,13 @@ def test_degree_set_rejects_non_integral_point():
     qd = quasi_degrees(parse_matrix("3 2 0; 1 1 1"), 1)
     assert qd.degree_set_contains((0, 1))
     assert not qd.degree_set_contains((Fraction(1, 2), 1))
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 2, 99)], ids=["short", "long"])
+def test_degree_set_rejects_a_point_of_the_wrong_length(point):
+    qd = quasi_degrees(parse_matrix("1 1 1 1; 0 1 2 3"), 1)
+    with pytest.raises(ParseError, match=f"point has length {len(point)}, but the matrix has 2 rows"):
+        qd.degree_set_contains(point)
 
 
 def test_qdeg_line(line):
