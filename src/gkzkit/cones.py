@@ -92,7 +92,8 @@ class SupportFunction:
     functional: tuple[int, ...]
 
     def __call__(self, v: Sequence) -> Fraction:
-        return sum(Fraction(a) * Fraction(x) for a, x in zip(self.functional, v))
+        point = checked_vector(v, len(self.functional), "point")
+        return sum(map(mul, self.functional, point), Fraction(0))
 
 
 @lru_cache(maxsize=None)

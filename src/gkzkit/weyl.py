@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .errors import FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
@@ -112,22 +113,33 @@ def _commute_coeffs(a: int, b: int) -> tuple[tuple[int, int], ...]:
 
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Normally ordered product."""
+    """Normally ordered product.
+
+    d^v1 lambda^u2 is expanded only over the variables i where v1_i and u2_i
+    are both positive.  Every other variable commutes, and its only pick is
+    (k, weight) = (0, 1), so the picks come in the order of the product over
+    all variables, with the same terms and the same integer weights.
+    """
     x._check(y)
     n = x.nvars
     out: dict[TermKey, Fraction] = {}
     for (u1, v1), c1 in x.terms.items():
         for (u2, v2), c2 in y.terms.items():
             base = c1 * c2
-            # Expand d^v1 lambda^u2 one variable at a time; the weights are ints.
-            choices = [_commute_coeffs(a, b) for a, b in zip(v1, u2)]
-            for picks in product(*choices):
+            u0, v0 = tuple(map(add, u1, u2)), tuple(map(add, v1, v2))
+            busy = [i for i, (a, b) in enumerate(zip(v1, u2)) if a and b]
+            if not busy:
+                out[(u0, v0)] = out.get((u0, v0), 0) + base
+                continue
+            for picks in product(*[_commute_coeffs(v1[i], u2[i]) for i in busy]):
                 w = 1
-                for _, wk in picks:
+                u, v = list(u0), list(v0)
+                for i, (k, wk) in zip(busy, picks):
                     w *= wk
-                u = tuple(a + b - k for a, b, (k, _) in zip(u1, u2, picks))
-                v = tuple(a + b - k for a, b, (k, _) in zip(v1, v2, picks))
-                out[(u, v)] = out.get((u, v), 0) + base * w
+                    u[i] -= k
+                    v[i] -= k
+                key = (tuple(u), tuple(v))
+                out[key] = out.get(key, 0) + base * w
     return WeylElement(n, out)
 
 
@@ -377,7 +389,15 @@ def ideal_member_bounded(
     degree, read from `_monomials_by_degree`.  Each degree group keeps the
     `_monomials_up_to` order, so the columns come in the order of filtering
     that whole list by degree, one generator after another: the linear
-    system, and so the certificate, is the one the filter gives.
+    system, and so the certificate, is the one the filter gives.  A zero
+    generator gets no columns and the zero cofactor.
+
+    The rows (term keys) are sorted by the number of columns using the key,
+    then by the key.  The reduced row echelon form of [M | b] depends only
+    on its row space, so its pivot columns, the particular solution read
+    from it (the cofactors) and the inconsistency verdict do not depend on
+    the row order.  `gauss_solve` pivots on the first row with a nonzero
+    entry in each column, so the sparse rows come first and fill in less.
     """
     if not gens:
         return None
@@ -396,6 +416,8 @@ def ideal_member_bounded(
     by_degree = _monomials_by_degree(nvars, bound, grading)
     columns: list[tuple[int, TermKey, WeylElement]] = []
     for gi, g in enumerate(gens):
+        if g.is_zero():
+            continue  # no column: its cofactor stays zero
         g_first = next(iter(g.terms))
         g_deg = _weyl_degree(g_first[0], g_first[1], grading)
         want = tuple(t - s for t, s in zip(t_deg, g_deg))
@@ -405,9 +427,11 @@ def ideal_member_bounded(
                 columns.append((gi, mono, prod))
     if not columns:
         return None
-    row_keys = sorted(
-        {k for _, _, prod in columns for k in prod.terms} | set(target.terms)
-    )
+    uses: dict[TermKey, int] = dict.fromkeys(target.terms, 0)
+    for _, _, prod in columns:
+        for k in prod.terms:
+            uses[k] = uses.get(k, 0) + 1
+    row_keys = sorted(uses, key=lambda k: (uses[k], k))
     key_index = {k: i for i, k in enumerate(row_keys)}
     matrix = [[0] * len(columns) for _ in row_keys]
     for ci, (_, _, prod) in enumerate(columns):

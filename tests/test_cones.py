@@ -292,3 +292,11 @@ def test_interior_membership(hat):
 def test_cone_tests_reject_a_point_of_the_wrong_length(staircase, contains, point):
     with pytest.raises(ParseError, match=f"point has length {len(point)}, but the matrix has 2 rows"):
         contains(staircase, point)
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 0, 99)], ids=["short", "long"])
+def test_support_function_rejects_a_point_of_the_wrong_length(hat, point):
+    s = support_functions(hat)[0]
+    assert s((1, 0)) == 1
+    with pytest.raises(ParseError, match=f"point has length {len(point)}, but the matrix has 2 rows"):
+        s(point)

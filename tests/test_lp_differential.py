@@ -4,6 +4,11 @@
 multiple of the rational row; they must return exactly what the `Fraction`
 route in `lp_oracle` returns, vertex for vertex.  `_pivot` is also checked
 against the oracle's pivot for that invariant itself.
+
+`weyl.ideal_member_bounded` orders its rows sparse first and relies on
+`gauss_solve`'s answer not depending on the row order: the reduced row
+echelon form of [M | b] is fixed by the row space.  That is checked on
+permuted systems.
 """
 
 from fractions import Fraction
@@ -29,17 +34,21 @@ ENTRIES = st.one_of(
 )
 
 
+SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 3)])
+
+
 @st.composite
-def systems(draw):
-    """m <= 5 rows, k <= 8 columns, int and Fraction entries, free and nonneg columns.
+def systems(draw, max_rows=5, entries=ENTRIES):
+    """m <= max_rows rows, k <= 8 columns, int and Fraction entries, free and
+    nonneg columns.
 
     Later rows are often zero or a scaled copy of an earlier row, whose right
     side is sometimes shifted off the copy to make the system inconsistent.
     """
-    m = draw(st.integers(0, 5))
+    m = draw(st.integers(0, max_rows))
     k = draw(st.integers(1, 8))
-    rows = [draw(st.lists(ENTRIES, min_size=k, max_size=k)) for _ in range(m)]
-    rhs = draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
+    rhs = draw(st.lists(entries, min_size=m, max_size=m))
     for i in range(1, m):
         kind = draw(st.sampled_from(["plain", "plain", "zero", "copy"]))
         if kind == "zero":
@@ -101,6 +110,22 @@ def test_feasible_point_matches_oracle(system):
     assert got == lp_oracle.feasible_point(rows, rhs, nonneg)
     if got is not None:
         assert all(type(x) is Fraction for x in got)
+
+
+@SETTINGS
+@given(
+    st.sampled_from([ENTRIES, SPARSE])
+    .flatmap(lambda entries: systems(max_rows=7, entries=entries))
+    .flatmap(lambda s: st.tuples(st.just(s[:2]), st.permutations(range(len(s[0])))))
+)
+@example((([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 3]), [2, 0, 1]))  # inconsistent, rank 2
+@example((([[0, 2, 0], [0, 1, 1], [0, 3, 1]], [2, 1, 3]), [2, 1, 0]))  # rank 2, column 0 free
+@example((([[0, 0], [1, 0], [0, 0]], [0, 1, 0]), [1, 2, 0]))  # zero rows around a pivot
+def test_gauss_solve_does_not_depend_on_row_order(case):
+    (rows, rhs), perm = case
+    want = gauss_solve(rows, rhs)
+    for order in (perm, perm[::-1]):
+        assert gauss_solve([rows[i] for i in order], [rhs[i] for i in order]) == want
 
 
 @SETTINGS

@@ -9,11 +9,13 @@ import pytest
 
 from gkzkit import (
     DiagramSpec,
+    MembershipCertificate,
     delta_A,
     dual_parameter,
     gkz_presentation,
     n_beta,
     parse_matrix,
+    parse_weyl,
     quasi_degrees,
     render_diagram,
     restrict_presentation,
@@ -382,6 +384,18 @@ def test_cli_negative_bound_is_a_parse_error(capsys, argv):
     assert exc.value.code == 2
     assert "argument --bound: must be nonnegative, got -1" in capsys.readouterr().err
     assert main([*argv, "--bound", "0"]) in (0, 4)
+
+
+@pytest.mark.parametrize("zero", ["0", "d0 - d0"])
+def test_cli_verify_member_zero_generator(capsys, zero):
+    argv = ["verify-member", "--target", "l0*d0", "--gens", f"{zero}; d0", "--nvars", "2", "--bound", "2"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["found"] is True
+    assert out["cofactors"] == ["0", "l0"]
+    gens = [parse_weyl(zero, 2), parse_weyl("d0", 2)]
+    cert = MembershipCertificate(tuple(parse_weyl(c, 2) for c in out["cofactors"]), bound=2)
+    assert cert.combine(gens) == parse_weyl("l0*d0", 2)
 
 
 def test_cli_verify_member_deep_parentheses(capsys):

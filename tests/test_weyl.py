@@ -193,6 +193,17 @@ def test_membership_trivial():
     assert cert.cofactors[1] == WeylElement.zero(3)
 
 
+@pytest.mark.parametrize("zero", ["0", "d0 - d0"])
+def test_membership_zero_generator_gets_the_zero_cofactor(zero):
+    gens = [parse_weyl(zero, 2), parse_weyl("d0", 2)]
+    target = parse_weyl("l0*d0", 2)
+    cert = ideal_member_bounded(target, gens, 2)
+    assert cert is not None
+    assert cert.cofactors == (WeylElement.zero(2), parse_weyl("l0", 2))
+    assert cert.combine(gens) == target
+    assert ideal_member_bounded(target, gens[:1], 2) is None
+
+
 def test_membership_finds_synthetic_combination(hat):
     pres = gkz_presentation(hat, (F(0), F(0)))
     gens = pres.generators()

@@ -1,22 +1,30 @@
 """Differential tests of the Weyl product and the bounded membership search.
 
-`weyl.weyl_mul` multiplies the commutation weights of a pick as integers and
-scales the coefficient once; `weyl.ideal_member_bounded` reads each
-generator's cofactor monomials from a degree-keyed cache.  `weyl_oracle`
-keeps the routes they replace: a Fraction per weight, and a graded list
-filtered once per generator.  Products must be equal, and certificates
-identical, cofactor for cofactor.
+`weyl.weyl_mul` expands d^v1 lambda^u2 only over the variables where both
+exponents are positive, multiplies the commutation weights of a pick as
+integers and scales the coefficient once; `weyl.ideal_member_bounded` reads
+each generator's cofactor monomials from a degree-keyed cache and sorts the
+rows of its system sparse first.  `weyl_oracle` keeps the routes they
+replace: every variable expanded with a Fraction per weight, a graded list
+filtered once per generator, and rows sorted by key.  Products must be
+equal term for term, in the same insertion order, and certificates
+identical, cofactor for cofactor.  The shapes cover the `weyl` benchmark
+workload: the hat and the homogenized staircase (3 and 4 variable pairs)
+at bounds 3-5, and products in 4-5 variable pairs with several variables
+to commute at once.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weyl_oracle
 
 from gkzkit import WeylElement, gkz_presentation, homogenize, parse_matrix
-from gkzkit.weyl import ideal_member_bounded, weyl_mul
+from gkzkit.intlinalg import vec_add
+from gkzkit.weyl import _monomials_up_to, ideal_member_bounded, weyl_mul
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -30,15 +38,28 @@ MATRICES = {
 
 
 def weyl_elements(nvars):
-    keys = st.tuples(*[st.integers(0, 3)] * (2 * nvars)).map(lambda e: (e[:nvars], e[nvars:]))
+    """Exponents up to 3, or up to 2 in 4-5 pairs, where a term pair then has
+    about two variables to commute and its expansion stays small."""
+    top = 3 if nvars <= 3 else 2
+    keys = st.tuples(*[st.integers(0, top)] * (2 * nvars)).map(lambda e: (e[:nvars], e[nvars:]))
     return st.dictionaries(keys, COEFFS, max_size=4).map(lambda t: WeylElement(nvars, t))
 
 
+def _same_terms(got, want):
+    """Equal, and with the same terms in the same insertion order."""
+    return got == want and list(got.terms.items()) == list(want.terms.items())
+
+
 @SETTINGS
-@given(st.integers(1, 3).flatmap(lambda n: st.tuples(weyl_elements(n), weyl_elements(n))))
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(weyl_elements(n), weyl_elements(n))))
+@example((WeylElement.monomial((1, 0, 2, 0), (2, 2, 1, 3), 3), WeylElement.monomial((2, 1, 1, 0), (0, 1, 0, 1), -2)))
+@example((
+    WeylElement(5, {((0,) * 5, (2, 1, 2, 0, 1)): 1, ((1, 0, 0, 0, 0), (1, 2, 0, 2, 2)): Fraction(-1, 2)}),
+    WeylElement(5, {((1, 2, 2, 1, 1), (0,) * 5): 2, ((2, 0, 1, 2, 2), (1, 0, 0, 0, 1)): 1}),
+))
 def test_weyl_mul_matches_oracle(pair):
     x, y = pair
-    assert weyl_mul(x, y) == weyl_oracle.weyl_mul(x, y)
+    assert _same_terms(weyl_mul(x, y), weyl_oracle.weyl_mul(x, y))
 
 
 def _monomial(nvars, letters):
@@ -49,6 +70,11 @@ def _monomial(nvars, letters):
     return tuple(e[:nvars]), tuple(e[nvars:])
 
 
+def _word(mono):
+    """A word whose `_monomial` is mono."""
+    return [k for k, e in enumerate(mono[0] + mono[1]) for _ in range(e)]
+
+
 @st.composite
 def membership_cases(draw):
     """(matrix, beta, bound, picks, extra): picks (generator, word, coefficient)
@@ -57,7 +83,7 @@ def membership_cases(draw):
     name = draw(st.sampled_from(sorted(MATRICES)))
     a = MATRICES[name]
     beta = tuple(draw(COEFFS) for _ in range(a.d))
-    bound = draw(st.integers(0, 4))
+    bound = draw(st.integers(0, 5))
     ngens = len(gkz_presentation(a, beta).generators())
     word = st.lists(st.integers(0, 2 * a.n - 1), max_size=bound)
     picks = draw(st.lists(st.tuples(st.integers(0, ngens - 1), word, COEFFS), max_size=3))
@@ -65,12 +91,57 @@ def membership_cases(draw):
     return name, beta, bound, picks, extra
 
 
+@st.composite
+def workload_cases(draw, name, bound):
+    """Cases shaped like the `weyl` workload's ops, in the same format: either
+    a one-term non-member such as 1 or l0 (no picks, extra a word), or a
+    member whose first pick has a word of length bound and whose other picks
+    share its A-degree, so the target is homogeneous and the grading prunes
+    the cofactors as it does there."""
+    a = MATRICES[name]
+    beta = tuple(draw(COEFFS) for _ in range(a.d))
+    if draw(st.booleans()):
+        return name, beta, bound, [], draw(st.lists(st.integers(0, 2 * a.n - 1), max_size=1))
+    gens = gkz_presentation(a, beta).generators()
+    letters = st.lists(st.integers(0, 2 * a.n - 1), min_size=bound, max_size=bound)
+    first = draw(st.tuples(st.integers(0, len(gens) - 1), letters, COEFFS))
+
+    def degree(gi, mono):
+        return vec_add(WeylElement.monomial(*mono).a_degree(a), gens[gi].a_degree(a))
+
+    want = degree(first[0], _monomial(a.n, first[1]))
+    same = [
+        (gi, mono)
+        for gi in range(len(gens))
+        for mono in _monomials_up_to(a.n, bound)
+        if degree(gi, mono) == want
+    ]
+    more = draw(st.lists(st.tuples(st.sampled_from(same), COEFFS), max_size=2))
+    words = [(gi, _word(mono), c) for (gi, mono), c in more]
+    return name, beta, bound, [first, *words], None
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(membership_cases())
 @example(("hat", (Fraction(0), Fraction(0)), 2, [], []))  # the unit
 @example(("staircase_h", (Fraction(1, 2), Fraction(0), Fraction(1)), 4, [(0, [5, 1, 6], Fraction(2))], None))
 @example(("two_five", (Fraction(1, 3),), 0, [(1, [], Fraction(-1))], [0]))
+@example(("hat", (Fraction(1, 2), Fraction(-1)), 5, [(0, [3, 4, 1, 5, 0], Fraction(1)), (2, [4, 0], Fraction(-2))], None))
+@example(("staircase_h", (Fraction(2), Fraction(-1, 3), Fraction(1)), 5, [(1, [4, 6, 7, 0, 3], Fraction(3, 2))], None))
+@example(("staircase_h", (Fraction(0), Fraction(1), Fraction(0)), 5, [], []))  # the unit
 def test_membership_certificate_matches_oracle(case):
+    _check_membership_case(case)
+
+
+@pytest.mark.parametrize("bound", [3, 4, 5])
+@pytest.mark.parametrize("name", ["hat", "staircase_h"])
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_membership_certificate_matches_oracle_on_workload_shapes(name, bound, data):
+    _check_membership_case(data.draw(workload_cases(name, bound)))
+
+
+def _check_membership_case(case):
     name, beta, bound, picks, extra = case
     a = MATRICES[name]
     gens = gkz_presentation(a, beta).generators()
@@ -80,6 +151,9 @@ def test_membership_certificate_matches_oracle(case):
     if extra is not None:
         target = target + WeylElement.monomial(*_monomial(a.n, extra))
     expected = weyl_oracle.ideal_member_bounded(target, gens, bound)
-    assert ideal_member_bounded(target, gens, bound) == expected
+    got = ideal_member_bounded(target, gens, bound)
+    assert got == expected
     if extra is None:
         assert expected is not None
+    if expected is not None:
+        assert all(map(_same_terms, got.cofactors, expected.cofactors))

@@ -1,10 +1,12 @@
 """The Weyl product and bounded membership search, kept as an oracle.
 
-`weyl_mul` is `weyl.weyl_mul` as it was when every commutation weight was
-multiplied into a new Fraction, one factor at a time.
+`weyl_mul` is `weyl.weyl_mul` as it was when every variable was expanded,
+commuting or not, and every commutation weight was multiplied into a new
+Fraction, one factor at a time.
 `ideal_member_bounded` is the search as it was when each call graded every
-monomial of degree <= bound and filtered that list once per generator.  The
-fast routes must return the same product and the same certificate.
+monomial of degree <= bound, filtered that list once per generator, and
+sorted the rows of its system by key alone.  The fast routes must return
+the same product and the same certificate.
 """
 
 from __future__ import annotations
