@@ -181,19 +181,15 @@ def cmd_restrict(args):
 
 
 def cmd_verify_member(args):
-    nvars = args.nvars
-    gens = []
-    if args.gens:
-        gens = [weyl.parse_weyl(g, nvars) for g in args.gens.split(";") if g.strip()]
-    if args.matrix or args.matrix_file:
-        a = _matrix_from_args(args)
-        beta = _beta_from_args(args, a.d)
-        pres = weyl.gkz_presentation(a, beta, args.order)
-        gens.extend(pres.generators())
-    if not gens:
+    """Every expression gets --nvars, else the matrix's n, else the largest index used + 1."""
+    texts = [g for g in (args.gens or "").split(";") if g.strip()]
+    a = _matrix_from_args(args) if args.matrix or args.matrix_file else None
+    if not texts and a is None:
         raise ParseError("no generators: pass --gens and/or a matrix")
-    if nvars is None:
-        nvars = gens[0].nvars
+    nvars = args.nvars or (a.n if a is not None else weyl.variable_count([*texts, args.target]))
+    gens = [weyl.parse_weyl(g, nvars) for g in texts]
+    if a is not None:
+        gens.extend(weyl.gkz_presentation(a, _beta_from_args(args, a.d), args.order).generators())
     target = weyl.parse_weyl(args.target, nvars)
     cert = weyl.ideal_member_bounded(target, gens, args.bound)
     if cert is None:

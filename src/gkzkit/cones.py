@@ -23,6 +23,10 @@ improper face, and else its column count minus the nullity that
 Membership in R+A + QF, F a face, is read off the signs of the integer
 facet certificates (`cone_contains`), with no LP.
 
+Annihilators.  The integer functionals vanishing on a column set are one
+cached lattice kernel (`face_functionals`): the equations of span(A) when
+rank < d, the residue index below, and lemma 3 of `resonance`.
+
 Membership in NA is a depth-first search with one memo per matrix, for
 points of the cone only, up to phi-height n * min w (w_j = phi . a_j the
 column weights).  A deeper point is answered by the standard pairs (m,
@@ -34,11 +38,11 @@ and then m + lambda is the unique standard monomial of degree b, whichever
 pair finds it.  The columns of A_sigma are independent, since sigma is a
 face of the regular triangulation of in(I_A) (Sturmfels, *Groebner Bases
 and Convex Polytopes*, Thm 8.3).  Residue index: with L integral, L A_sigma
-= q I, and psi a basis of the integer functionals vanishing on A_sigma,
-b - A m lies in Z A_sigma exactly when b and A m have one key (L b mod q,
-psi b): psi puts the difference in Q A_sigma, where L v / q is the only
-coefficient vector of v.  So the pairs are grouped by sigma and then by
-key, and b costs one product per sigma, not one per pair.
+= q I, and psi = `face_functionals` of sigma, b - A m lies in Z A_sigma
+exactly when b and A m have one key (L b mod q, psi b): psi puts the
+difference in Q A_sigma, where L v / q is the only coefficient vector of v.
+So the pairs are grouped by sigma and then by key, and b costs one product
+per sigma, not one per pair.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from operator import ge, mul
 from typing import Optional, Sequence
 
 from .errors import NotFullLattice, NotPointed, ParseError, TooManyColumns
-from .intlinalg import IntMatrix, checked_vector, hermite_normal_form, primitive_vector, signed_minors, vec_sub
+from .intlinalg import IntMatrix, checked_vector, hermite_normal_form, lattice_kernel, primitive_vector, signed_minors, vec_sub
 from .lp import feasible_point, gauss_solve
 from .polynomials import binomial, standard_pairs
 
@@ -205,15 +209,6 @@ def _integral(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(int(q * den) for q in vec)
 
 
-def positive_functional(a: IntMatrix) -> tuple[int, ...]:
-    """Integer phi with phi . a_j >= 1 for every nonzero column; requires a pointed cone."""
-    lat = face_lattice(a)
-    if not lat.pointed:
-        raise NotPointed("cone has a nonzero lineality space")
-    # Clearing denominators keeps phi . a_j >= 1 on every nonzero column.
-    return _integral(lat.minimal.certificate)
-
-
 @lru_cache(maxsize=None)
 def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
     """Integer column weights w_i = phi . a_i >= 1, or None if there are none.
@@ -250,15 +245,22 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
 
 
 @lru_cache(maxsize=None)
+def face_functionals(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A basis of the integer functionals vanishing on the 1-based cols: the lattice
+    kernel of those columns as rows, after a zero row (cols may be empty)."""
+    return tuple(lattice_kernel(IntMatrix.from_rows([(0,) * a.d, *(a.column(j - 1) for j in cols)])))
+
+
+@lru_cache(maxsize=None)
 def _cone_inequalities(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Integer y with R+A + QF = {x : y . x >= 0 for all y}, F the smallest face
     holding the 1-based cols: the certificates of the facets that contain F,
     which cut the set out of span(A), then +-y for a basis y of the
-    annihilator of span(A), all cleared of denominators."""
+    annihilator of span(A) (`face_functionals`), all integral."""
     lat = face_lattice(a)
     rank = lat.improper.dim
     facets = [f for f in lat.proper_faces if f.dim == rank - 1 and f.columns.issuperset(cols)]
-    normals = [_integral(y) for y in gauss_solve(a.columns(), [0] * a.n)[1]] if rank < a.d else []
+    normals = face_functionals(a, tuple(range(1, a.n + 1))) if rank < a.d else ()
     return (*(_integral(f.certificate) for f in facets), *normals, *(tuple(-x for x in y) for y in normals))
 
 
@@ -290,16 +292,20 @@ def semigroup_contains(a: IntMatrix, b: Sequence[int]) -> bool:
 class _Semigroup:
     """The NA-membership search on one matrix, with one memo for all its calls.
 
-    phi is positive on every nonzero column, so the column weights
-    w_j = phi . a_j bound the search; zero columns (weight 0) never change
-    the point and are not steps.  memo maps each point searched to its
-    depth-first witness, or None; that witness is a pure function of the
-    point, so sharing the memo across calls never changes an answer.
+    phi, the minimal face's certificate cleared of denominators, is >= 1 on
+    every nonzero column of a pointed cone, so the weights w_j = phi . a_j
+    bound the search; zero columns (weight 0) never change the point and are
+    not steps.  memo maps each point searched to its depth-first witness, or
+    None; that witness is a pure function of the point, so sharing the memo
+    across calls never changes an answer.
     """
 
     def __init__(self, a: IntMatrix):
+        lat = face_lattice(a)
+        if not lat.pointed:
+            raise NotPointed("cone has a nonzero lineality space")
         self.a = a
-        self.phi = positive_functional(a)
+        self.phi = _integral(lat.minimal.certificate)
         self.cols = a.columns()
         self.weights = [sum(p * c for p, c in zip(self.phi, col)) for col in self.cols]
         self.steps = [j for j in range(a.n) if self.weights[j] > 0]
@@ -322,7 +328,7 @@ class _Semigroup:
                 rows = [self.cols[j] for j in sigma]
                 inverse = [gauss_solve(rows, [int(i == k) for k in sigma])[0] for i in sigma]
                 q = lcm(*(x.denominator for y in inverse for x in y))
-                psi = [_integral(y) for y in gauss_solve([(0,) * self.a.d, *rows], [0] * (len(rows) + 1))[1]]
+                psi = face_functionals(self.a, tuple(j + 1 for j in sigma))
                 table[sigma] = ([tuple(int(x * q) for x in y) for y in inverse], psi, q, {})
             inverse, psi, q, classes = table[sigma]
             lam, key = self.classify(self.a.mul_vec(m), inverse, psi, q)

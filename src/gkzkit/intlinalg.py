@@ -83,7 +83,7 @@ class IntMatrix:
     @property
     def spans_lattice(self) -> bool:
         """True iff the columns generate the full lattice Z^d."""
-        return _spans_lattice(self)
+        return elementary_divisors(self) == (1,) * self.d
 
     def __str__(self) -> str:
         return "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -303,16 +303,11 @@ def smith_decompose(b: IntMatrix) -> SmithDecomposition:
     return SmithDecomposition(C=C, D1=D1, D2=D2, M=M, e=tuple(diag))
 
 
+@lru_cache(maxsize=None)
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form, zeros trimmed (length = rank)."""
     _, diag, rank = _smith_tracked(m)
     return tuple(diag[:rank])
-
-
-@lru_cache(maxsize=None)
-def _spans_lattice(m: IntMatrix) -> bool:
-    _, diag, rank = _smith_tracked(m)
-    return rank == m.d and all(x == 1 for x in diag[:rank])
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import cones, family, resonance, toric, weyl
-from .errors import DimensionUnsupported, GkzError
+from .errors import DimensionUnsupported, GkzError, ParseError
 from .intlinalg import (
     IntMatrix,
     checked_vector,
@@ -140,7 +140,7 @@ def run_report(
         return {
             "generators": toric_generators_json(ideal),
             "order": order_name,
-            "is_groebner": ideal.is_groebner,
+            "is_groebner": True,
         }
 
     report["toric_ideal"] = _section(_toric)
@@ -177,7 +177,7 @@ def run_report(
     report["euler_decomposition"] = _section(_monodromic)
 
     def _index():
-        if len(divisors) == a.d and all(x == 1 for x in divisors):
+        if a.spans_lattice:
             return {"skipped": "matrix already spans the lattice"}
         return {kind: index_set_json(family.index_sets(a, kind)) for kind in ("I", "Iprime")}
 
@@ -199,6 +199,10 @@ class DiagramSpec:
     output_format: str = "svg"  # or "ascii"
     qdeg_j: int = 1
 
+    def __post_init__(self):
+        if self.box[0] > self.box[1] or self.box[2] > self.box[3]:
+            raise ParseError(f"box {list(self.box)} wants xmin <= xmax and ymin <= ymax")
+
 
 def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], qdeg_j: int = 1) -> dict:
     """Exact per-layer classification of one lattice point.
@@ -217,8 +221,7 @@ def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], 
     if "cone" in layers:
         out["cone"] = cones.saturation_contains(a, point)
     if "qdeg" in layers:
-        qd = toric.quasi_degrees(a, qdeg_j)
-        out["qdeg"] = qd.degree_set_contains(point)
+        out["qdeg"] = toric.true_degree_contains(a, qdeg_j, point)
     if "sres" in layers:
         out["sres"] = resonance.sres_contains(a, point)
     if "dsres" in layers:
@@ -338,14 +341,10 @@ def _dsres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
         cols = face.sorted_columns()
         if face.dim != 1:
             continue
-        (psi,) = resonance._face_functionals(a, cols)
+        (psi,) = cones.face_functionals(a, cols)
         direction = next(a.column(j - 1) for j in cols if any(a.column(j - 1)))
-        col_values = [
-            psi[0] * a.entry(0, j) + psi[1] * a.entry(1, j) for j in range(a.n)
-        ]
-        corner_values = [
-            psi[0] * x + psi[1] * y for x in (x0, x1) for y in (y0, y1)
-        ]
+        col_values = [psi[0] * x + psi[1] * y for x, y in a.columns()]
+        corner_values = [psi[0] * x + psi[1] * y for x in (x0, x1) for y in (y0, y1)]
         lo, hi = min(corner_values), max(corner_values)
         for v in range(lo, hi + 1):
             # v must be reachable by psi on the cone
@@ -372,8 +371,6 @@ def _point_with_value(psi, v):
 
 
 def render_diagram(a: IntMatrix, spec: DiagramSpec) -> str:
-    if a.d > 2:
-        raise DimensionUnsupported("diagrams are limited to one or two rows")
     table = classification_table(a, spec)
     if spec.output_format == "ascii":
         return _render_ascii(a, spec, table)

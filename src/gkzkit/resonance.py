@@ -11,8 +11,9 @@ point of R+A + QF (`cones.cone_contains`), by the lemmas below:
 2. n_beta's t with (t, beta) in offset + QF is the multiplier of (0, beta)
    against a j = 1 component of sRes(homogenize(A)), whose shift is e_0.
 3. The functionals vanishing on QF form a saturated lattice, whose basis
-   psi_1..psi_k extends to one of (Z^d)*.  So x -> (psi_i . x) maps Z^d onto
-   Z^k, and beta lies in Z^d + QF iff every psi_i . beta is an integer.
+   psi_1..psi_k (`cones.face_functionals`) extends to one of (Z^d)*.  So
+   x -> (psi_i . x) maps Z^d onto Z^k, and beta lies in Z^d + QF iff every
+   psi_i . beta is an integer.
 4. With t = 1 + s, s >= 0, and a_j a column, delta + R+A meets -t*a_j +
    offset + QF iff offset - delta - a_j lies in R+A + QF.
 5. Every proper face lies in a facet G whose functional is >= 0 on R+A + QF
@@ -50,7 +51,7 @@ from math import ceil
 from operator import mul
 from typing import Optional, Sequence
 
-from .cones import _cone_inequalities, cone_contains, face_lattice, interior_contains, semigroup_contains
+from .cones import _cone_inequalities, cone_contains, face_functionals, face_lattice, interior_contains, semigroup_contains
 from .errors import (
     NotFullLattice,
     NotHomogeneous,
@@ -64,7 +65,6 @@ from .intlinalg import (
     checked_vector,
     homogeneity_vector,
     homogenize,
-    lattice_kernel,
     vec_add,
     vec_sub,
 )
@@ -169,19 +169,9 @@ def dsres_contains(a: IntMatrix, beta: Sequence[Fraction]) -> bool:
     return dsres_witness(a, beta) is not None
 
 
-@lru_cache(maxsize=None)
-def _face_functionals(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """A basis of the integer functionals vanishing on QF, kept because every
-    DsRes query meets the same faces.  The zero row keeps the matrix
-    nonempty when F is the vertex."""
-    span = IntMatrix.from_rows([(0,) * a.d, *(a.column(j - 1) for j in cols)])
-    return tuple(lattice_kernel(span))
-
-
 def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
     """beta in Z^d + QF: every psi . beta is an integer (lemma 3)."""
-    functionals = _face_functionals(a, cols)
-    return all(sum(p * b for p, b in zip(psi, beta)).denominator == 1 for psi in functionals)
+    return all(sum(map(mul, psi, beta)).denominator == 1 for psi in face_functionals(a, cols))
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:

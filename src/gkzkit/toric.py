@@ -5,13 +5,15 @@ the ideal of a lattice basis of ker_Z(A) saturated by every variable, and
 the quasi-degree routine builds a prime filtration of R/(I_A + <d_j>) by
 repeatedly splitting off a face-prime quotient; only the union of the
 resulting degree sets is contractual, the component list itself is one
-valid filtration.  Both saturation and each quotient by a monomial d^u are
-read off weighted-revlex Groebner bases with one variable last
-(`polynomials.quotient_generators`), which needs the positive grading
-w_i = phi . a_i of `cones.positive_grading`.  A toric ideal of a matrix
-without one goes through the homogenized matrix; the filtration requires
-one, so every column must be nonzero.  The filtration works on the exponent
-pairs of `polynomials`, and no face prime gets a Groebner basis: an
+valid filtration.  That union, the degree set of S_A / <d_j>, is {u in NA :
+u - a_j not in NA} (Saito, Sturmfels and Takayama, ch. 3), which
+`true_degree_contains` tests with no filtration.  Both saturation and each
+quotient by a monomial d^u are read off weighted-revlex Groebner bases with
+one variable last (`polynomials.quotient_generators`), which needs the
+positive grading w_i = phi . a_i of `cones.positive_grading`.  A toric ideal
+of a matrix without one goes through the homogenized matrix; the filtration
+requires one, so every column must be nonzero.  The filtration works on the
+exponent pairs of `polynomials`, and no face prime gets a Groebner basis: an
 A-homogeneous polynomial lies in I_A exactly when its coefficients sum to 0
 (Sturmfels, Groebner Bases and Convex Polytopes, Lemma 4.1), so a monomial
 lies in a face prime when it uses a variable off the face, and a binomial
@@ -34,7 +36,7 @@ from .errors import (
     FiltrationBoundExceeded,
     NotPointed,
 )
-from .intlinalg import IntMatrix, checked_vector, homogenize, lattice_kernel, vec_sub
+from .intlinalg import IntMatrix, homogenize, lattice_kernel, vec_sub
 from .polynomials import (
     Binomial,
     Polynomial,
@@ -58,7 +60,6 @@ class ToricIdeal:
     matrix: IntMatrix
     order_name: str
     generators: tuple[Polynomial, ...]
-    is_groebner: bool
 
     @property
     def nvars(self) -> int:
@@ -109,7 +110,7 @@ def toric_ideal(a: IntMatrix, order_name: str = DEFAULT_ORDER) -> ToricIdeal:
     for g in gens:
         if a_degree(g, a) is None:
             raise AssertionError("toric ideal generator is not A-homogeneous")
-    return ToricIdeal(matrix=a, order_name=order_name, generators=tuple(gens), is_groebner=True)
+    return ToricIdeal(matrix=a, order_name=order_name, generators=tuple(gens))
 
 
 def toric_normal_form(p: Polynomial, ideal: ToricIdeal) -> Polynomial:
@@ -144,20 +145,6 @@ class QuasiDegreeSet:
     matrix: IntMatrix
     j: int
     components: tuple[DegreePair, ...]
-
-    def degree_set_contains(self, u: Sequence[int]) -> bool:
-        """Whether u lies in the union of the offset + NF components (False if u is non-integral).
-
-        NF is NA cut by phi_F . v = 0, phi_F the face's certificate: if A x = v
-        with x in N^n, each x_i phi_F . a_i is >= 0, and 0 only when i is in F.
-        """
-        u = checked_vector(u, self.matrix.d, "point")
-        for comp in self.components:
-            diff = vec_sub(u, comp.offset)
-            on_face = not sum(c * x for c, x in zip(comp.face.certificate, diff))
-            if on_face and semigroup_contains(self.matrix, diff):
-                return True
-        return False
 
 
 def _monomials_by_weight(weights: Sequence[int], bound: int):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add
+from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
@@ -146,11 +146,20 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
 _TOKEN = re.compile(r"\s*([ld]\d+|\d+/\d+|\d+|[-+*^()])")
 
 
+def variable_count(texts: Iterable[str]) -> int:
+    """One more than the largest variable index in the operator texts."""
+    indices = [int(t[1:]) for text in texts for t in _TOKEN.findall(text) if t[0] in "ld"]
+    if not indices:
+        raise ParseError("no variables found; pass the variable count explicitly")
+    return max(indices) + 1
+
+
 def parse_weyl(text: str, nvars: Optional[int] = None) -> WeylElement:
     """Parse the CLI operator syntax, e.g. '3*l0^2*d0 - 4*l1*l2*d0^2 + l0'.
 
     Factors multiply left to right as Weyl-algebra elements, so 'd0*l0'
-    normalizes to 'l0*d0 + 1'.
+    normalizes to 'l0*d0 + 1'.  Without nvars, the text's own
+    `variable_count` is used.
     """
     tokens = []
     pos = 0
@@ -163,10 +172,7 @@ def parse_weyl(text: str, nvars: Optional[int] = None) -> WeylElement:
         tokens.append(m.group(1))
         pos = m.end()
     if nvars is None:
-        indices = [int(t[1:]) for t in tokens if t[0] in "ld" and t[1:].isdigit()]
-        if not indices:
-            raise ParseError("no variables found; pass the variable count explicitly")
-        nvars = max(indices) + 1
+        nvars = variable_count([text])
     if nvars < 1:
         raise ParseError(f"the variable count must be positive, got {nvars}")
     parser = _WeylParser(tokens, nvars)
@@ -360,9 +366,7 @@ def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[tuple[tuple[in
         u0, v0 = keys[0]
         base = tuple(vv - uu for uu, vv in zip(u0, v0))
         for u, v in keys[1:]:
-            rows.append(
-                tuple((vv - uu) - b for uu, vv, b in zip(u, v, base))
-            )
+            rows.append(tuple((vv - uu) - b for uu, vv, b in zip(u, v, base)))
     if not rows:
         return None
     return tuple(lattice_kernel(IntMatrix.from_rows(rows)))
@@ -381,11 +385,15 @@ def ideal_member_bounded(
     """Left-ideal membership with cofactor total degree <= bound.
 
     Coefficient matching in the normally ordered expansion yields an exact
-    linear system over Q; any grading under which target and generators are
-    all homogeneous prunes the cofactor monomials.  Returns None when no
-    certificate exists at this bound (which proves nothing beyond the bound).
+    linear system over Q.  Returns None when no certificate exists at this
+    bound (which proves nothing beyond the bound).
 
-    The candidate cofactors of a generator are the monomials of its wanted
+    Grading lemma: the generators are homogeneous under their own
+    `_grading_vectors` (deg d_i = g_i, deg lambda_i = -g_i), so the left
+    ideal is graded, and the target is a member at a bound exactly when
+    each homogeneous part of it is (the parts of a certificate's cofactors
+    keep its bound).  So the candidate cofactors of a generator are, for
+    each degree of the target's terms in turn, the monomials of the wanted
     degree, read from `_monomials_by_degree`.  Each degree group keeps the
     `_monomials_up_to` order, so the columns come in the order of filtering
     that whole list by degree, one generator after another: the linear
@@ -410,21 +418,18 @@ def ideal_member_bounded(
         return MembershipCertificate(
             cofactors=tuple(WeylElement.zero(nvars) for _ in gens), bound=bound
         )
-    grading = _grading_vectors(list(gens) + [target])
-    t_first = next(iter(target.terms))
-    t_deg = _weyl_degree(t_first[0], t_first[1], grading)
+    grading = _grading_vectors(gens)
     by_degree = _monomials_by_degree(nvars, bound, grading)
     columns: list[tuple[int, TermKey, WeylElement]] = []
-    for gi, g in enumerate(gens):
-        if g.is_zero():
-            continue  # no column: its cofactor stays zero
-        g_first = next(iter(g.terms))
-        g_deg = _weyl_degree(g_first[0], g_first[1], grading)
-        want = tuple(t - s for t, s in zip(t_deg, g_deg))
-        for mono in by_degree.get(want, ()):
-            prod = weyl_mul(WeylElement.monomial(*mono), g)
-            if not prod.is_zero():
-                columns.append((gi, mono, prod))
+    for t_deg in dict.fromkeys(_weyl_degree(u, v, grading) for u, v in target.terms):
+        for gi, g in enumerate(gens):
+            if g.is_zero():
+                continue  # no column: its cofactor stays zero
+            want = tuple(map(sub, t_deg, _weyl_degree(*next(iter(g.terms)), grading)))
+            for mono in by_degree.get(want, ()):
+                prod = weyl_mul(WeylElement.monomial(*mono), g)
+                if not prod.is_zero():
+                    columns.append((gi, mono, prod))
     if not columns:
         return None
     uses: dict[TermKey, int] = dict.fromkeys(target.terms, 0)

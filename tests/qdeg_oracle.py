@@ -5,9 +5,10 @@ incremental bases: it computes the full quotient `current : d^u` for every
 candidate monomial outside the ideal, compares it with every face prime, and
 builds each basis (start ideal, face primes, every filtration step) from
 scratch.  The fast routine must return the same components in the same
-order.  `degree_set_contains` keeps the membership route the fast one
-replaced: each component offset + NF is tested in the semigroup of the
-face's own columns.
+order.  `degree_set_contains` tests the union of the components, each
+offset + NF in the semigroup of the face's own columns; that union is the
+degree set {u in NA : u - a_j not in NA}, which the library answers with
+`toric.true_degree_contains`, and the tests compare the two.
 """
 
 from __future__ import annotations

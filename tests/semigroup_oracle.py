@@ -18,7 +18,7 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
-from gkzkit.cones import cone_contains, positive_functional
+from gkzkit.cones import _semigroup, cone_contains
 from gkzkit.errors import SearchBoundError
 from gkzkit.intlinalg import IntMatrix, checked_vector, vec_sub
 from gkzkit.lp import gauss_solve
@@ -36,7 +36,7 @@ def semigroup_witness(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...
     deeper than the interpreter's recursion limit raises SearchBoundError.
     """
     point = checked_vector(b, a.d, "point")
-    phi = positive_functional(a)
+    phi = _semigroup(a).phi
     if any(x.denominator != 1 for x in point):
         return None
     target = tuple(int(x) for x in point)

@@ -124,12 +124,14 @@ def test_diagram_builds_no_second_filtration():
 
 
 def test_qdeg_diagram_builds_nothing_of_a_face():
-    # degree_set_contains tests NF as NA cut by the face's certificate, so no
-    # face submatrix gets a semigroup, face lattice or toric ideal of its own.
+    # The qdeg layer tests the true degrees u in NA, u - a_j not in NA, so the
+    # ASCII table builds no filtration, and no face submatrix gets a
+    # semigroup, face lattice or toric ideal of its own.
     a = parse_matrix(RNC3)
     clear_caches()
-    table = classification_table(a, DiagramSpec(box=(-3, 6, -3, 6), layers=("qdeg",)))
+    table = classification_table(a, DiagramSpec(box=(-3, 6, -3, 6), layers=("qdeg",), output_format="ascii"))
     assert sum(row["qdeg"] for row in table.values()) == 7
+    assert toric.quasi_degrees.cache_info().misses == 0
     assert toric.toric_ideal.cache_info().misses == 1
     assert face_lattice.cache_info().misses == 1
 

@@ -17,7 +17,7 @@ import resonance_oracle
 import semigroup_oracle
 
 from gkzkit import IntMatrix, parse_matrix, resonance, semigroup_witness
-from gkzkit.cones import positive_functional
+from gkzkit.cones import _semigroup
 from gkzkit.errors import NotPointed
 from gkzkit.polynomials import binomial, reduce_monomial
 from gkzkit.toric import DEFAULT_ORDER, toric_ideal
@@ -159,7 +159,7 @@ def test_delta_A_matches_the_every_column_walk(a):
 
 
 def height(a, point):
-    return sum(p * x for p, x in zip(positive_functional(a), point))
+    return sum(p * x for p, x in zip(_semigroup(a).phi, point))
 
 
 def deep_point(a, data, steps):
@@ -183,7 +183,7 @@ def pointed_matrices(draw):
     rows = [draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n)) for _ in range(d)]
     a = IntMatrix.from_rows(rows)
     try:
-        positive_functional(a)
+        _semigroup(a)
     except NotPointed:
         return parse_matrix("1 1 1; 0 1 -1")
     return a if all(any(col) for col in a.columns()) else parse_matrix("2 5")

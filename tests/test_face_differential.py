@@ -9,12 +9,16 @@ which skips subsets inside a facet already found, is checked against the
 certificates and dims `face_lattice` sets without an LP or a span solve (the
 improper face, and the facets of a full-dimensional cone) are checked
 against `_face_certificate`'s LP and `_span_dim`.
-`positive_grading` skips the lattice and is checked against the face
-lattice's `positive_functional`; on one nonzero row it reads the empty
+`positive_grading` skips the lattice and is checked against the phi of the
+NA search (`_semigroup(a).phi`, the minimal face's certificate cleared of
+denominators); on one nonzero row it reads the empty
 face's forced certificate off `_facets` and is checked against the LP.
+`face_functionals` is checked for what lemma 3 of `resonance` needs: it
+vanishes on the columns, has d - rank vectors and spans a saturated lattice.
 """
 
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -24,14 +28,14 @@ import face_oracle
 from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, is_saturated_by_lp
 
 from gkzkit import IntMatrix, cones, parse_matrix
-from gkzkit.intlinalg import hermite_normal_form
+from gkzkit.intlinalg import elementary_divisors, hermite_normal_form
 from gkzkit.cones import (
     _face_certificate,
     _integral,
+    _semigroup,
     _span_dim,
     face_lattice,
     is_saturated,
-    positive_functional,
     positive_grading,
 )
 
@@ -182,6 +186,32 @@ def test_grid_3x10_facet_scan_solves_38_subsets_not_45():
     assert (len(solved), len(old_solved)) == (38, 45)
 
 
+@st.composite
+def column_sets(draw):
+    """A matrix of `matrices` and a sorted tuple of its 1-based columns."""
+    a = draw(matrices())
+    return a, tuple(sorted(draw(st.sets(st.integers(1, a.n)))))
+
+
+@SETTINGS
+@given(column_sets())
+@example((parse_matrix("1 1 1; 0 1 -1; 0 0 0"), ()))  # the vertex: the zero row alone
+@example((parse_matrix("1 1 1; 0 1 -1; 0 0 0"), (1, 2, 3)))  # rank 2 < d: span(A)'s equation
+@example((parse_matrix("2 4; 0 6"), (1,)))  # (0, 1), primitive though the column is (2, 0)
+@example((CUBE_4D, (1, 2, 5)))
+def test_face_functionals_are_a_saturated_annihilator(case):
+    """The basis vanishes on the columns, has d - rank vectors, rank the
+    Fraction elimination (`_span_dim`) that gives `face_oracle` its dims, and
+    spans a saturated lattice: its elementary divisors are all 1, so it
+    extends to a basis of (Z^d)*, as lemma 3 of `resonance` needs."""
+    a, cols = case
+    basis = cones.face_functionals(a, cols)
+    assert all(sum(map(mul, psi, a.column(j - 1))) == 0 for psi in basis for j in cols)
+    assert len(basis) == a.d - _span_dim(a, cols)
+    if basis:
+        assert elementary_divisors(IntMatrix.from_rows(basis)) == (1,) * len(basis)
+
+
 @SETTINGS
 @given(matrices())
 @example(parse_matrix("1 -1"))
@@ -234,7 +264,7 @@ def test_positive_grading_matches_positive_functional(a):
     if not face_lattice(a).pointed or not all(any(col) for col in a.columns()):
         assert weights is None
     else:
-        phi = positive_functional(a)
+        phi = _semigroup(a).phi
         assert weights == tuple(sum(p * x for p, x in zip(phi, col)) for col in a.columns())
         assert min(weights) >= 1
 

@@ -21,7 +21,7 @@ from quotient_oracle import (
 )
 
 from gkzkit import IntMatrix, parse_matrix
-from gkzkit.cones import positive_functional
+from gkzkit.cones import _semigroup
 from gkzkit.intlinalg import lattice_kernel
 from gkzkit.polynomials import (
     Polynomial,
@@ -62,7 +62,7 @@ def exponents(n, top=2):
 def monomial_quotient_cases(draw):
     a = draw(pointed_matrices())
     n = a.n
-    phi = positive_functional(a)
+    phi = _semigroup(a).phi
     weights = [sum(p * c for p, c in zip(phi, a.column(i))) for i in range(n)]
     extra = draw(st.lists(exponents(n), max_size=2))
     gens = list(toric_ideal(a).generators)
@@ -141,7 +141,7 @@ def extension_cases(draw):
     n = a.n
     order_name = draw(st.sampled_from(["degrevlex", "lex", "weighted_revlex"]))
     if order_name == "weighted_revlex":
-        phi = positive_functional(a)
+        phi = _semigroup(a).phi
         weights = [sum(p * c for p, c in zip(phi, a.column(i))) for i in range(n)]
         order = weighted_revlex(weights, draw(st.integers(0, n - 1)))
         known = groebner_oracle.groebner_basis(toric_ideal(a).generators, order)

