@@ -1,14 +1,16 @@
 """The `gkz` command line tool.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 search
-bound exhausted.  Output is JSON by default; `--format text` prints a
-human-oriented rendering of the same data.
+Exit codes: 0 success (also when the reader closes stdout early), 2 parse
+error, 3 precondition violation, 4 search bound exhausted.  Output is JSON
+by default; `--format text` prints a human-oriented rendering of the same
+data.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -341,9 +343,15 @@ def main(argv=None) -> int:
             # report section or a precondition would meet it first.
             polynomials.order_by_name(args.order)
         args.func(args)
+        sys.stdout.flush()
     except GkzError as exc:
         print(json.dumps({"error": {"code": exc.code, "message": str(exc)}}), file=sys.stderr)
         return next((code for cls, code in EXIT_CODES if isinstance(exc, cls)), EXIT_PRECONDITION)
+    except BrokenPipeError:
+        # The reader closed stdout early (`gkz ... | head`), which is not a
+        # failure of the command.  stdout now writes to devnull, so the
+        # flush at exit does not raise a second time.
+        sys.stdout = open(os.devnull, "w")
     return 0
 
 

@@ -2,12 +2,16 @@
 
 Rational parameters only.  beta lies in sRes_j(A) iff beta + m*a_j lands in
 some component offset + QF of the quasi-degrees of S_A/<d_j> with an integer
-m >= 1.  Every component question is one `gauss_solve` for m
-(`_component_multiplier`) or one sign test of integer dot products for a
-point of R+A + QF (`cones.cone_contains`), by the lemmas below:
+m >= 1.  Every component question is a few integer dot products: with
+the cached functionals psi of QF (`_component_multiplier`), or as a sign
+test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
 
 1. m is unique.  F is a face without j, so its certificate is 0 on QF and
-   positive on a_j: a_j is off QF.
+   positive on a_j: a_j is off QF.  So with psi_1..psi_k the basis of the
+   functionals vanishing on QF (lemma 3), s_i = psi_i . a_j and
+   g_i = psi_i . (offset - beta), some s_i is nonzero, and beta + m*a_j
+   lies in offset + QF iff g_l = m*s_l for every l: the first nonzero s_i
+   gives m = g_i / s_i, and the other psi check it.
 2. n_beta's t with (t, beta) in offset + QF is the multiplier of (0, beta)
    against a j = 1 component of sRes(homogenize(A)), whose shift is e_0.
 3. The functionals vanishing on QF form a saturated lattice, whose basis
@@ -68,7 +72,6 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
-from .lp import gauss_solve
 from .toric import quasi_degrees
 
 DUAL_SEARCH_RADIUS = 8
@@ -119,10 +122,21 @@ def resonance_set(a: IntMatrix) -> ResonanceSet:
 def _component_multiplier(
     a: IntMatrix, comp: ResonanceComponent, beta: Sequence[Fraction]
 ) -> Optional[Fraction]:
-    """The m with beta + m*shift in offset + QF, or None (lemma 1: m is unique)."""
-    rows = [[comp.shift[i], *(-a.entry(i, j - 1) for j in comp.face_columns)] for i in range(a.d)]
-    sol = gauss_solve(rows, [comp.offset[i] - beta[i] for i in range(a.d)])
-    return None if sol is None else sol[0][0]
+    """The m with beta + m*shift in offset + QF, or None, from the psi of QF
+    (lemma 1); the first psi that fails answers None before the rest are read."""
+    s = g = 0  # beta . psi, not psi . beta: Fraction * int is Fraction's fast path
+    for psi in face_functionals(a, comp.face_columns):
+        s_l, g_l = _dot(psi, comp.shift), _dot(psi, comp.offset) - _dot(beta, psi)
+        if not s:
+            if s_l:
+                s, g = s_l, g_l
+            elif g_l:
+                return None
+        elif g_l * s != g * s_l:
+            return None
+    if not s:
+        raise AssertionError("the shift lies in the span of its face")
+    return Fraction(g, s)
 
 
 def sres_witness(

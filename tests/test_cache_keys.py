@@ -14,16 +14,21 @@ the same of homogenize(A); when it is, `n_beta` lifts sRes(A) and builds
 nothing of homogenize(A).  The nonspanning corpus matrix is left out: its
 report also builds the index-set matrices.  The undominated delta regions
 are built once per matrix whose delta is walked: A when its columns span
-Z^d, and homogenize(A) for the nonspanning matrix's index sets.
+Z^d, and homogenize(A) for the nonspanning matrix's index sets.  The
+parameter queries key no cache by beta: once warm, fresh parameters add no
+miss anywhere.
 """
 
 import functools
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gkzkit import cones, parse_matrix, resonance, toric
 from gkzkit.cones import _face_certificate, face_lattice
+from gkzkit.errors import GkzError
 from gkzkit.intlinalg import homogeneity_vector, homogenize, parse_rational_vector
 from gkzkit.report import DiagramSpec, classification_table, render_diagram, run_report
 
@@ -41,13 +46,22 @@ SPANNING = {
 RNC3 = "1 1 1 1; 0 1 2 3"
 
 
-def clear_caches():
-    """Empty every lru_cache of every gkzkit module, as a cold run starts."""
+def gkzkit_caches():
+    """Every lru_cache of every gkzkit module, each once (a cached function
+    imported into several modules is one cache)."""
+    caches = {}
     for name, module in list(sys.modules.items()):
         if name == "gkzkit" or name.startswith("gkzkit."):
             for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+                if hasattr(obj, "cache_info"):
+                    caches[id(obj)] = obj
+    return list(caches.values())
+
+
+def clear_caches():
+    """Empty every lru_cache of every gkzkit module, as a cold run starts."""
+    for cache in gkzkit_caches():
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("name", SPANNING)
@@ -184,3 +198,42 @@ def test_cold_report_prunes_the_regions_once_per_matrix(name):
     clear_caches()
     run_report(a, parse_rational_vector(beta))
     assert resonance._undominated_regions.cache_info().misses == 1
+
+
+def total_misses():
+    return sum(cache.cache_info().misses for cache in gkzkit_caches())
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except GkzError as exc:  # resonant parameters and non-homogeneous matrices
+        return "raised", type(exc)
+
+
+def fresh_betas(a, rng, count):
+    return [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(a.d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", [*SPANNING, "nonspanning"])
+def test_parameter_queries_cache_nothing_per_beta(name):
+    # The multipliers read face_functionals per component, and DsRes (in
+    # dual_parameter's second pass) reads the functionals and inequalities
+    # of the faces it visits, which depend on beta; every key is a matrix,
+    # a face or a component, never a parameter.  So once one call of each
+    # query has run and each face's keys are built, fresh betas add no miss.
+    matrix, _ = SPANNING.get(name, ("2 2 2; 0 3 -3", None))
+    a = parse_matrix(matrix)
+    rng = random.Random(25)
+    clear_caches()
+    warm = next(b for b in fresh_betas(a, rng, 100) if resonance.sres_witness(a, b) is None)
+    queries = (resonance.sres_witness, resonance.n_beta, resonance.dual_parameter)
+    for query in queries:
+        outcome(query, a, warm)
+    for face in face_lattice(a).proper_faces:
+        cones.face_functionals(a, face.sorted_columns())
+        cones._cone_inequalities(a, face.sorted_columns())
+    before = total_misses()
+    answers = [outcome(query, a, beta) for beta in fresh_betas(a, rng, 40) for query in queries]
+    assert total_misses() == before
+    assert any(kind == "ok" for kind, *_ in answers)

@@ -259,3 +259,101 @@ def test_signed_minors_match_cofactor_expansion(case):
     nu = signed_minors(rows, width)
     assert nu == tuple((-1) ** k * laplace_det([r[:k] + r[k + 1 :] for r in rows]) for k in range(width))
     assert all(sum(p * x for p, x in zip(nu, row)) == 0 for row in rows)
+
+
+@st.composite
+def integer_matrices(draw, max_rows=4, max_cols=5):
+    """Small integer matrices, often rank-deficient: a repeated row up to a
+    factor, or a zero row."""
+    d = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(d)]
+    if d > 1 and draw(st.booleans()):
+        rows[-1] = [draw(st.integers(-2, 2)) * x for x in rows[0]]
+    return IntMatrix.from_rows(rows)
+
+
+@st.composite
+def unimodular(draw, k):
+    """A k x k integer matrix of determinant +-1: a product of row swaps,
+    sign changes and additions of a multiple of one row to another."""
+    rows = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        move = draw(st.sampled_from(["swap", "negate", "add"]))
+        if move == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        elif move == "negate":
+            rows[i] = [-x for x in rows[i]]
+        elif i != j:
+            c = draw(st.integers(-3, 3))
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def row_lattice_contains(m, v):
+    """Whether v is an integer combination of the rows of m."""
+    transpose = IntMatrix.from_rows([list(col) for col in zip(*m.rows)])
+    return solve_integer(transpose, v) is not None
+
+
+def pivots(h):
+    return [next(k for k, x in enumerate(row) if x) for row in h.rows if any(row)]
+
+
+def rank(m):
+    """The rank over Q, from the nullspace that gauss_solve returns."""
+    return m.n - len(gauss_solve(m.rows, [0] * m.d)[1])
+
+
+HNF_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@HNF_SETTINGS
+@given(integer_matrices())
+@example(parse_matrix("0 0; 0 0"))
+@example(parse_matrix("2 4; 3 6"))
+def test_hnf_is_echelon_with_reduced_columns(m):
+    h = hermite_normal_form(m)
+    piv = pivots(h)
+    assert len(piv) == rank(m)
+    # one row per pivot; the zero matrix keeps one zero row
+    assert len(h.rows) == max(len(piv), 1)
+    assert piv == sorted(set(piv))  # strictly increasing: echelon
+    for i, p in enumerate(piv):
+        assert h.rows[i][p] > 0
+        assert all(0 <= h.rows[k][p] < h.rows[i][p] for k in range(i))
+
+
+@HNF_SETTINGS
+@given(integer_matrices(), st.data())
+@example(parse_matrix("4 6; 6 9"), None)
+def test_hnf_keeps_the_row_lattice_and_is_canonical(m, data):
+    h = hermite_normal_form(m)
+    assert all(row_lattice_contains(m, row) for row in h.rows)
+    assert all(row_lattice_contains(h, row) for row in m.rows)
+    assert hermite_normal_form(h) == h
+    if data is not None:
+        u = data.draw(unimodular(m.d))
+        assert hermite_normal_form(u.mul(m)) == h
+
+
+@st.composite
+def smith_inputs(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, 6))
+    rows = [draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n)) for _ in range(d)]
+    return IntMatrix.from_rows(rows)
+
+
+@HNF_SETTINGS
+@given(smith_inputs())
+@example(parse_matrix("2 4 6; 4 8 12"))  # rank 1
+@example(parse_matrix("2 0 0; 0 4 0; 0 0 6"))  # diagonal, not yet a divisor chain
+def test_smith_keeps_divisibility_and_unimodular_factors(m):
+    try:
+        dec = check_smith(m)
+    except RankDeficient:
+        assert rank(m) < m.d
+        return
+    assert dec.e == elementary_divisors(m)

@@ -602,3 +602,39 @@ def test_classify_point_rejects_a_point_of_the_wrong_length(layer):
     rnc3 = parse_matrix("1 1 1 1; 0 1 2 3")
     with pytest.raises(ParseError, match="point has length 3, but the matrix has 2 rows"):
         classify_point(rnc3, (1, 2, 99), [layer])
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", [["smith", "--matrix", "1 1 1 1; 0 1 2 3"], ["sres", "--matrix", "1 1; 0 1", "--beta", "0,0"]])
+def test_cli_closed_stdout_exits_0_quietly(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == 0
+    assert sys.stdout.name == os.devnull  # so the flush at exit does not raise again
+    sys.stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_closed_pipe_exits_0():
+    # The reader closes its end before the child has written anything.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gkzkit.cli", "analyze", "--matrix", "1 1 1 1; 0 1 2 3", "--beta=1/3,1/5"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

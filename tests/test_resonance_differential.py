@@ -1,7 +1,8 @@
 """Differential tests of the resonance answers.
 
-`gkzkit.resonance` answers every component question with one multiplier
-solve or one cone-plus-span LP, by the five lemmas of its module docstring.
+`gkzkit.resonance` answers every component question with dot products
+against the face functionals or one cone-plus-span test, by the lemmas of
+its module docstring.
 `resonance_oracle` keeps the routes those lemmas replaced: the "free" and
 "unique" multiplier tags, n_beta's own line solve, the `solve_integer`
 lattice test, the t >= 1 LP of `delta_valid` and the DsRes test in the
@@ -20,11 +21,17 @@ it is compared with the oracle and with the same `n_beta` made to read
 `resonance_set(homogenize(A))`, and the lifted components with those.
 `dual_parameter` reads `DUAL_SEARCH_RADIUS` when called, so the tests set
 a smaller radius by patching it.
+
+The multiplier of a component is read off the functionals psi of QF
+(lemma 1); it is compared with the `gauss_solve` route the oracle keeps, on
+every component of sRes(A), of sRes(homogenize(A)) and of the lift.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
+
+import pytest
 
 from hypothesis import HealthCheck, assume, example, given, seed, settings
 from hypothesis import strategies as st
@@ -33,6 +40,7 @@ import resonance_oracle
 
 from gkzkit import IntMatrix, cones, parse_matrix, resonance
 from gkzkit.intlinalg import homogenize
+from gkzkit.resonance import ResonanceComponent
 
 SETTINGS = settings(
     max_examples=150,
@@ -298,3 +306,74 @@ def test_lifted_n_beta_matches_the_homogenized_route(case, data):
     points += [(b, *beta) for b in b0]
     for point in points:
         assert (resonance._witness_in(atilde, lifted, point) is None) == (not resonance.sres_contains(atilde, point))
+
+
+def sevenths():
+    return st.builds(Fraction, st.integers(-8, 8), st.integers(1, 7))
+
+
+@st.composite
+def pointed_matrices(draw):
+    """A corpus matrix, or a random one with d <= 3 and n <= d + 2 (n <= 4
+    when d = 3), pointed by a positive row at a random position.  Half the
+    positive rows are ones, so that the lift of lemma 7 applies, and some
+    matrices repeat a row up to a factor, so that span(A) has an equation.
+    Larger entries give filtrations of homogenize(A) that take minutes."""
+    if draw(st.booleans()):
+        return parse_matrix(draw(st.sampled_from(CORPUS)))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d, min(d + 2, 4)))
+    positive = [1] * n if draw(st.booleans()) else draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+    rows = [draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n)) for _ in range(d - 1)]
+    if rows and draw(st.booleans()):
+        rows[-1] = [draw(st.integers(-1, 2)) * x for x in draw(st.sampled_from([positive, *rows]))]
+    rows.insert(draw(st.integers(0, d - 1)), positive)
+    return IntMatrix.from_rows(rows)
+
+
+def component_sources(a):
+    """(matrix, components) for sRes(A), sRes(homogenize(A)) and the lift of
+    lemma 7, each left out where building it raises (a filtration bound, or a
+    matrix that is not homogeneous)."""
+    atilde = homogenize(a)
+    sources = []
+    for m, build in (
+        (a, lambda: resonance.resonance_set(a).components),
+        (atilde, lambda: resonance.resonance_set(atilde).components),
+        (atilde, lambda: resonance._lifted_resonance(a)),
+    ):
+        got = outcome(build)
+        if got[0] == "ok" and got[1]:
+            sources.append((m, got[1]))
+    return sources
+
+
+@SETTINGS
+@given(pointed_matrices(), st.data())
+def test_multiplier_matches_the_gauss_solve_route(a, data):
+    """Dot products with the face functionals give the multiplier that the
+    kept `gauss_solve` route gives, on random parameters over 1..7 and on
+    points offset - m*shift + QF of the components, m rational; the route
+    never finds the multiplier free (lemma 1)."""
+    for m, components in component_sources(a):
+        points = [tuple(data.draw(st.lists(sevenths(), min_size=m.d, max_size=m.d)))]
+        for comp in data.draw(st.lists(st.sampled_from(components), min_size=1, max_size=3)):
+            point = [o - data.draw(sevenths()) * s for o, s in zip(comp.offset, comp.shift)]
+            for k in comp.face_columns:
+                c = data.draw(sevenths())
+                point = [p + c * x for p, x in zip(point, m.column(k - 1))]
+            points.append(tuple(point))
+        for beta in points:
+            for comp in components:
+                want = resonance_oracle._component_multiplier(m, comp, beta)
+                assert want is None or want[0] == "unique", (comp, beta)
+                assert resonance._component_multiplier(m, comp, beta) == (None if want is None else want[1]), (comp, beta)
+
+
+def test_multiplier_rejects_a_shift_in_its_face_span():
+    # Lemma 1 rules this out for the components of sRes(A); a component
+    # built by hand can break it, and then no psi fixes m.  beta lies in
+    # offset + QF, so no psi answers None first.
+    comp = ResonanceComponent(j=1, offset=(0, 0), face_columns=(1,), shift=(2, 0))
+    with pytest.raises(AssertionError, match="the shift lies in the span of its face"):
+        resonance._component_multiplier(parse_matrix("1 0; 0 1"), comp, (Fraction(1), Fraction(0)))
