@@ -318,7 +318,8 @@ class _Semigroup:
         (L, psi, q, classes), classes mapping each key (L A m mod q, psi A m)
         to the (m, L A m) that have it (the residue index of the module
         docstring).  The standard monomial of a degree is unique, so the
-        order of the pairs never changes a witness."""
+        order of the pairs never changes a witness.  `resonance.n_beta` is
+        the second reader: it takes the max over every pair (lemma 2 there)."""
         from .toric import DEFAULT_ORDER, toric_ideal  # toric imports this module
 
         leads = [binomial(g)[0] for g in toric_ideal(self.a, DEFAULT_ORDER).generators]

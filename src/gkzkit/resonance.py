@@ -12,8 +12,17 @@ test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
    g_i = psi_i . (offset - beta), some s_i is nonzero, and beta + m*a_j
    lies in offset + QF iff g_l = m*s_l for every l: the first nonzero s_i
    gives m = g_i / s_i, and the other psi check it.
-2. n_beta's t with (t, beta) in offset + QF is the multiplier of (0, beta)
-   against a j = 1 component of sRes(homogenize(A)), whose shift is e_0.
+2. n_beta.  At = homogenize(A) has the columns e_0 and (1, a_i), so (s, b)
+   is in N At exactly when some x in N^n has A x = b and |x| <= s, and the
+   degree set of S_At/<d_0> is {(mu(b), b) : b in NA}, mu(b) the least |x|
+   with A x = b.  Degrevlex is graded, so the standard monomial m of in(I_A)
+   of degree b has |m| = mu(b): a smaller x would make d^m - d^x a binomial
+   of I_A led by d^m.  So the j = 1 components of sRes(At), shift e_0, are
+   the closures (|m|, A m) + Q{(1, a_i) : i in sigma} over the standard
+   pairs (m, sigma) of in(I_A) (`cones._Semigroup.pairs`).  One holds
+   (t, beta) when beta - A m = A_sigma c, t = |m| + sum c: with L A_sigma =
+   q I and psi the functionals of A_sigma, when psi . beta = psi . A m for
+   every psi, and then c = L (beta - A m) / q, L A m the pair's lambda.
 3. The functionals vanishing on QF form a saturated lattice, whose basis
    psi_1..psi_k (`cones.face_functionals`) extends to one of (Z^d)*.  So
    x -> (psi_i . x) maps Z^d onto Z^k, and beta lies in Z^d + QF iff every
@@ -25,12 +34,13 @@ test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
    interior and DsRes need columns spanning Z^d, so a full-dimensional cone.)
 6. R+A + QF is where span(A)'s equations hold and every facet holding F is
    >= 0, so it needs no LP; a point off it violates one (`cones.cone_contains`).
-7. If h . a_j = 1 for every column (`homogeneity_vector`), (s, b) -> (s - h.b, b)
-   carries homogenize(A) to the block matrix of (1) and A, so its semigroup
-   ring is S_A[d_0] and sRes(homogenize(A)) is lifted from sRes(A): at j = 1
-   one component, offset 0, face {2..n+1}, shift e_0; at j + 1 one component
-   ((h.o, o), {1} + (F + 1)), shift (1, a_j), per component (o, F) of A at j.
-   So lemma 2 finds t = h.beta for beta in span(A) and no t otherwise.
+7. That t is unique: e_0 = sum c_i (1, a_i) over sigma would give A_sigma c
+   = 0 with sum c = 1, and a binomial of I_A in the variables of sigma, whose
+   lead, a sigma-monomial, would make d^m times it nonstandard.  A closure
+   inside a larger one meets the line (t, beta) where the larger one does,
+   so n_beta needs no maximality filter: its bound is the largest of 0 and
+   ceil(t) over every pair, and b0 >= ceil(t) puts (b0, beta) + k e_0 off
+   the closure for every k >= 1.
 8. Domination.  Let p_c = offset - shift and C_c = R+A + QF_c, so that
    component c rules out delta exactly when p_c - delta lies in C_c (lemma
    4).  If F_c lies in F_c' (every inequality of C_c' is one of C_c, so C_c
@@ -55,7 +65,7 @@ from math import ceil
 from operator import mul
 from typing import Optional, Sequence
 
-from .cones import _cone_inequalities, cone_contains, face_functionals, face_lattice, interior_contains, semigroup_contains
+from .cones import _cone_inequalities, _semigroup, cone_contains, face_functionals, face_lattice, interior_contains, semigroup_contains
 from .errors import (
     NotFullLattice,
     NotHomogeneous,
@@ -68,7 +78,6 @@ from .intlinalg import (
     IntMatrix,
     checked_vector,
     homogeneity_vector,
-    homogenize,
     vec_add,
     vec_sub,
 )
@@ -144,12 +153,7 @@ def sres_witness(
 ) -> Optional[ResonanceWitness]:
     """A component and integer multiplier certifying beta in sRes(A), or None."""
     beta = checked_vector(beta, a.d, "beta")
-    return _witness_in(a, resonance_set(a).components, beta)
-
-
-def _witness_in(a: IntMatrix, components, beta) -> Optional[ResonanceWitness]:
-    """The first of these components of sRes(A) holding beta, as a witness."""
-    for comp in components:
+    for comp in resonance_set(a).components:
         m = _component_multiplier(a, comp, beta)
         if m is not None and m.denominator == 1 and m >= 1:
             return ResonanceWitness(
@@ -256,49 +260,23 @@ def delta_A(a: IntMatrix) -> tuple[int, ...]:
     return delta
 
 
-@lru_cache(maxsize=None)
-def _lifted_resonance(a: IntMatrix) -> Optional[tuple[ResonanceComponent, ...]]:
-    """The components of sRes(homogenize(A)) lifted from sRes(A) (lemma 7),
-    or None when A is not homogeneous."""
-    h = homogeneity_vector(a)
-    if h is None:
-        return None
-    first = ResonanceComponent(1, (0,) * (a.d + 1), tuple(range(2, a.n + 2)), (1,) + (0,) * a.d)
-    lifted = dict.fromkeys(
-        ResonanceComponent(
-            j=comp.j + 1,
-            offset=(sum(map(mul, h, comp.offset)), *comp.offset),
-            face_columns=(1, *(k + 1 for k in comp.face_columns)),
-            shift=(1, *comp.shift),
-        )
-        for comp in resonance_set(a).components
-    )
-    return (first, *lifted)
-
-
 def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
     """Integer bound so that (b0, beta) stays non-strongly-resonant for b0 >= bound.
 
-    The bound is the largest of 0 and the ceil(t) with (t, beta) in a j = 1
-    component of sRes(homogenize(A)), whose shift is e_0 (lemma 2), and the
-    spot check reads the same components.  For a homogeneous A they are
-    lifted from A's (lemma 7), so no toric ideal, face lattice or filtration
-    of homogenize(A) is built.
+    The largest of 0 and ceil(t) over the standard pairs (m, sigma) of in(I_A)
+    whose closure holds (t, beta) (lemmas 2 and 7), read off the cached pairs
+    table: nothing of homogenize(A) is built.
     """
     beta = checked_vector(beta, a.d, "beta")
     if sres_contains(a, beta):
         raise ParameterResonant("beta is strongly resonant")
-    atilde = homogenize(a)
-    components = _lifted_resonance(a)
-    if components is None:
-        components = resonance_set(atilde).components
     bound = 0
-    for comp in components:
-        if comp.j == 1 and (t := _component_multiplier(atilde, comp, (0, *beta))) is not None:
-            bound = max(bound, ceil(t))
-    for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
-        if _witness_in(atilde, components, (b0,) + beta) is not None:
-            raise AssertionError("n_beta bound failed its spot check")
+    for inverse, psi, q, classes in _semigroup(a).pairs.values():
+        on_span = tuple(_dot(beta, y) for y in psi)
+        # q t = q |m| - sum(lambda) + sum(L beta), over the pairs whose span holds beta - A m
+        tops = [sum(m) * q - sum(lam) for (_, key), ms in classes.items() if key == on_span for m, lam in ms]
+        if tops:
+            bound = max(bound, ceil(Fraction(max(tops) + sum(_dot(beta, y) for y in inverse), q)))
     return bound
 
 

@@ -3,12 +3,17 @@
 These are `sres_witness`, `dsres_witness`, `delta_valid`, `n_beta` and
 `dual_parameter` as they were before `gkzkit.resonance` answered every
 component question with one multiplier solve or one cone-plus-span LP:
-the multiplier is tagged "free" or "unique", n_beta solves its own line
-against each component of the homogenized matrix, the DsRes lattice test
-asks `solve_integer` for a point, `delta_valid` builds its own LP with a
+the multiplier is tagged "free" or "unique", the DsRes lattice test asks
+`solve_integer` for a point, `delta_valid` builds its own LP with a
 variable t >= 1, and the interior pass of `dual_parameter` still tests
 DsRes.  The library must return exactly what these return, exceptions
 included.
+
+`n_beta` here is the built route, which the library's reading of A's own
+standard pairs replaced: it solves its own line against each j = 1
+component of the quasi-degrees of the homogenized matrix At, and then
+checks (b0, beta) against every component of sRes(At), j >= 2 included,
+at b0 = bound, bound + 1/2, ..., bound + 6.
 
 Three routes that the library later replaced by integer facet inequalities
 (`gkzkit.cones.cone_contains`) are kept here as well: the cone-plus-span
@@ -218,9 +223,9 @@ def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
         t = _line_hits_component(atilde, pair, beta)
         if t is not None:
             bound = max(bound, ceil(t))
-    for b0 in (Fraction(bound), Fraction(bound) + 1, Fraction(bound) + Fraction(7, 2)):
-        if sres_contains(atilde, (b0,) + beta):
-            raise AssertionError("n_beta bound failed its spot check")
+    for k in range(13):
+        if sres_contains(atilde, (bound + Fraction(k, 2),) + beta):
+            raise AssertionError("n_beta bound failed its check")
     return bound
 
 

@@ -9,9 +9,9 @@ matrix A whose columns span Z^d must build the filtration of S_A/<d_j> once
 per column of A, the toric ideal of A once in the default order (and once
 more in the report's order when that differs), and one face LP per face
 whose certificate is not forced (not the improper face, nor a facet of a
-full-dimensional cone).  When A is not homogeneous, `n_beta` also builds
-the same of homogenize(A); when it is, `n_beta` lifts sRes(A) and builds
-nothing of homogenize(A).  The nonspanning corpus matrix is left out: its
+full-dimensional cone).  `n_beta` reads the standard pairs of A's own
+toric ideal in the default order, so it builds nothing of homogenize(A),
+homogeneous or not.  The nonspanning corpus matrix is left out: its
 report also builds the index-set matrices.  The undominated delta regions
 are built once per matrix whose delta is walked: A when its columns span
 Z^d, and homogenize(A) for the nonspanning matrix's index sets.  The
@@ -29,7 +29,7 @@ import pytest
 from gkzkit import cones, parse_matrix, resonance, toric
 from gkzkit.cones import _face_certificate, face_lattice
 from gkzkit.errors import GkzError
-from gkzkit.intlinalg import homogeneity_vector, homogenize, parse_rational_vector
+from gkzkit.intlinalg import homogenize, parse_rational_vector
 from gkzkit.report import DiagramSpec, classification_table, render_diagram, run_report
 
 # The spanning corpus matrices of the analyze goldens, at their betas.
@@ -71,15 +71,9 @@ def test_cold_report_computes_each_key_once(name):
     clear_caches()
     report = run_report(a, parse_rational_vector(beta))
     assert isinstance(report["n_beta"], int), report["n_beta"]
-    if homogeneity_vector(a) is not None:
-        assert toric.quasi_degrees.cache_info().misses == a.n
-        assert toric.toric_ideal.cache_info().misses == 1
-        assert _face_certificate.cache_info().misses == len(lp_keys(a))
-    else:
-        atilde = homogenize(a)
-        assert toric.quasi_degrees.cache_info().misses == a.n + atilde.n
-        assert toric.toric_ideal.cache_info().misses == 2
-        assert _face_certificate.cache_info().misses == len(lp_keys(a)) + len(lp_keys(atilde))
+    assert toric.quasi_degrees.cache_info().misses == a.n
+    assert toric.toric_ideal.cache_info().misses == 1
+    assert _face_certificate.cache_info().misses == len(lp_keys(a))
 
 
 @pytest.mark.parametrize("order", ["lex", "deglex"])
@@ -90,12 +84,8 @@ def test_cold_report_in_another_order_shares_the_filtrations(name, order):
     clear_caches()
     report = run_report(a, parse_rational_vector(beta), order)
     assert isinstance(report["n_beta"], int), report["n_beta"]
-    if homogeneity_vector(a) is not None:
-        assert toric.quasi_degrees.cache_info().misses == a.n
-        assert toric.toric_ideal.cache_info().misses == 2
-    else:
-        assert toric.quasi_degrees.cache_info().misses == a.n + homogenize(a).n
-        assert toric.toric_ideal.cache_info().misses == 3
+    assert toric.quasi_degrees.cache_info().misses == a.n
+    assert toric.toric_ideal.cache_info().misses == 2
 
 
 def lp_keys(a):
@@ -106,11 +96,10 @@ def lp_keys(a):
     return {f.columns for f in lat.proper_faces if not (full and f.dim == a.d - 1)}
 
 
-@pytest.mark.parametrize("name", [k for k in SPANNING if k not in ("two_five", "three_five_seven")])
+@pytest.mark.parametrize("name", SPANNING)
 def test_cold_report_builds_nothing_of_the_homogenization(name, monkeypatch):
     matrix, beta = SPANNING[name]
     a = parse_matrix(matrix)
-    assert homogeneity_vector(a) is not None
     clear_caches()
     asked = []
     for layer in (toric.toric_ideal, toric.quasi_degrees, face_lattice):

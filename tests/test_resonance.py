@@ -170,6 +170,13 @@ def test_nbeta_nonzero_case(numerical):
         assert not sres_contains(atilde, (b0,) + beta)
 
 
+def test_nbeta_of_a_non_homogeneous_matrix_reads_its_own_pairs():
+    # The route through resonance_set(homogenize(A)) took 45 s on this matrix;
+    # 7 is its answer.
+    a = parse_matrix("2 1 1 3 1; 2 0 -1 2 3; 0 1 -1 2 0")
+    assert n_beta(a, (F(1, 3), F(1, 5), F(2, 7))) == 7
+
+
 def test_dual_parameter_examples(line, hat):
     assert dual_parameter(line, (F(0),)) == (F(-1),)
     assert dual_parameter(hat, (F(0), F(0))) == (F(-1), F(0))

@@ -15,16 +15,16 @@ read integer facet inequalities instead of solving LPs; each is compared
 with the LP or `support_functions` route it replaced, on rank-deficient,
 non-pointed and repeated-column matrices too.
 
-`n_beta` of a homogeneous matrix reads sRes(homogenize(A)) off sRes(A)
-(lemma 7); on homogeneous 3-row matrices, rank-deficient ones included,
-it is compared with the oracle and with the same `n_beta` made to read
-`resonance_set(homogenize(A))`, and the lifted components with those.
+`n_beta` reads the standard pairs of A's own in(I_A) (lemmas 2 and 7);
+on homogeneous and non-homogeneous pointed matrices, rank-deficient ones
+included, it is compared with the oracle's built route, which checks its
+bound against every component of sRes(homogenize(A)).
 `dual_parameter` reads `DUAL_SEARCH_RADIUS` when called, so the tests set
 a smaller radius by patching it.
 
 The multiplier of a component is read off the functionals psi of QF
 (lemma 1); it is compared with the `gauss_solve` route the oracle keeps, on
-every component of sRes(A), of sRes(homogenize(A)) and of the lift.
+every component of sRes(A) and of sRes(homogenize(A)).
 """
 
 from fractions import Fraction
@@ -33,7 +33,7 @@ from unittest.mock import patch
 
 import pytest
 
-from hypothesis import HealthCheck, assume, example, given, seed, settings
+from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 import resonance_oracle
@@ -254,60 +254,6 @@ def homogeneous_cases(draw):
     return a, beta
 
 
-def built_route_n_beta(a, beta):
-    """n_beta with the lift of lemma 7 switched off, so that it reads the
-    components of resonance_set(homogenize(A)), as for a non-homogeneous A."""
-    with patch.object(resonance, "_lifted_resonance", lambda a: None):
-        return resonance.n_beta(a, beta)
-
-
-def component_points(data, a, components):
-    """offset - m*shift + (a rational combination of the face columns), for
-    up to four of the components: each is in sRes(a) through that one."""
-    points = []
-    for comp in data.draw(st.lists(st.sampled_from(components), max_size=4)):
-        point = [Fraction(o - data.draw(st.integers(1, 3)) * s) for o, s in zip(comp.offset, comp.shift)]
-        for k in comp.face_columns:
-            c = data.draw(rationals())
-            point = [p + c * x for p, x in zip(point, a.column(k - 1))]
-        points.append(tuple(point))
-    return points
-
-
-# A derandomized test seeds from a hash of its own source.  Pinning the seed
-# keeps the drawn examples, and so the run time, when the body is reworded;
-# a few draws whose homogenize(A) has 5 or 6 columns take most of that time.
-LIFTED_SEED = (
-    22837320567251009302309474292804412198583158554669923218985045968024028299405808644745749868956116566333366032480381
-)
-
-
-@SETTINGS
-@seed(LIFTED_SEED)
-@given(homogeneous_cases(), st.data())
-@example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(3))), None)
-@example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(2))), None)
-@example((parse_matrix("3 2 0; 1 1 1; 0 0 0"), (Fraction(5, 2), Fraction(-2, 5), Fraction(0))), None)
-def test_lifted_n_beta_matches_the_homogenized_route(case, data):
-    a, beta = case
-    assert resonance._lifted_resonance(a) is not None
-    got = outcome(resonance.n_beta, a, beta)
-    assert got == outcome(resonance_oracle.n_beta, a, beta)
-    assert got == outcome(built_route_n_beta, a, beta)
-    if data is None:
-        return
-    atilde = homogenize(a)
-    lifted = outcome(resonance._lifted_resonance, a)
-    built = outcome(lambda: resonance.resonance_set(atilde).components)
-    assume(lifted[0] == built[0] == "ok")  # both raise where A's filtration does
-    lifted, built = lifted[1], built[1]
-    points = component_points(data, atilde, lifted) + component_points(data, atilde, built)
-    b0 = data.draw(st.lists(rationals(), min_size=2, max_size=2))
-    points += [(b, *beta) for b in b0]
-    for point in points:
-        assert (resonance._witness_in(atilde, lifted, point) is None) == (not resonance.sres_contains(atilde, point))
-
-
 def sevenths():
     return st.builds(Fraction, st.integers(-8, 8), st.integers(1, 7))
 
@@ -316,7 +262,7 @@ def sevenths():
 def pointed_matrices(draw):
     """A corpus matrix, or a random one with d <= 3 and n <= d + 2 (n <= 4
     when d = 3), pointed by a positive row at a random position.  Half the
-    positive rows are ones, so that the lift of lemma 7 applies, and some
+    positive rows are ones, so that some matrices are homogeneous, and some
     matrices repeat a row up to a factor, so that span(A) has an equation.
     Larger entries give filtrations of homogenize(A) that take minutes."""
     if draw(st.booleans()):
@@ -331,18 +277,41 @@ def pointed_matrices(draw):
     return IntMatrix.from_rows(rows)
 
 
+@st.composite
+def n_beta_cases(draw):
+    """A homogeneous 3-row case, or a pointed matrix (half of them with a row
+    of ones) at a parameter over 1..7."""
+    if draw(st.booleans()):
+        return draw(homogeneous_cases())
+    a = draw(pointed_matrices())
+    return a, tuple(draw(st.lists(sevenths(), min_size=a.d, max_size=a.d)))
+
+
+# A derandomized test seeds from a hash of its own source.  Pinning the seed
+# keeps the drawn examples, and so the run time, when the body is reworded;
+# a few draws whose homogenize(A) has 5 or 6 columns take most of that time.
+LIFTED_SEED = (
+    22837320567251009302309474292804412198583158554669923218985045968024028299405808644745749868956116566333366032480381
+)
+
+
+@SETTINGS
+@seed(LIFTED_SEED)
+@given(n_beta_cases())
+@example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(3))))
+@example((parse_matrix("1 1 1; 0 1 2; 0 2 4"), (Fraction(1, 2), Fraction(1), Fraction(2))))
+@example((parse_matrix("3 2 0; 1 1 1; 0 0 0"), (Fraction(5, 2), Fraction(-2, 5), Fraction(0))))
+def test_n_beta_matches_the_built_route(case):
+    a, beta = case
+    assert outcome(resonance.n_beta, a, beta) == outcome(resonance_oracle.n_beta, a, beta)
+
+
 def component_sources(a):
-    """(matrix, components) for sRes(A), sRes(homogenize(A)) and the lift of
-    lemma 7, each left out where building it raises (a filtration bound, or a
-    matrix that is not homogeneous)."""
-    atilde = homogenize(a)
+    """(matrix, components) for sRes(A) and sRes(homogenize(A)), each left
+    out where building it raises (a filtration bound)."""
     sources = []
-    for m, build in (
-        (a, lambda: resonance.resonance_set(a).components),
-        (atilde, lambda: resonance.resonance_set(atilde).components),
-        (atilde, lambda: resonance._lifted_resonance(a)),
-    ):
-        got = outcome(build)
+    for m in (a, homogenize(a)):
+        got = outcome(lambda: resonance.resonance_set(m).components)
         if got[0] == "ok" and got[1]:
             sources.append((m, got[1]))
     return sources
