@@ -224,7 +224,7 @@ def cmd_factor(args):
 def cmd_index_sets(args):
     b = _matrix_from_args(args)
     kind = "Iprime" if args.kind in ("Iprime", "I'") else "I"
-    idx = family.index_sets(b, kind, cap=args.bound)
+    idx = family.index_sets(b, kind)
     payload = dict(report.index_set_json(idx), kind=idx.kind)
     _emit(args, payload, "\n".join(str(m) for m in payload["members"]) + "\n")
 
@@ -314,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("factor", cmd_factor, help="family factorization B = C D1 A")
     p = add("index-sets", cmd_index_sets, help="congruence representatives I / I'")
     p.add_argument("--kind", default="I", choices=("I", "Iprime", "I'"))
-    p.add_argument("--bound", type=nonnegative, default=family.SECTION_SEARCH_CAP)
     p = add("psi", cmd_psi, matrix=False, help="exponent image of a monomial section")
     p.add_argument("--m", required=True)
     p.add_argument("--s", type=int, default=0)

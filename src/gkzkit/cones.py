@@ -6,8 +6,7 @@ facets come from the signed maximal minors of rank - 1 column subsets, an
 integer normal that is 0 exactly when the columns are dependent, checked by
 sign (on the nonzero HNF rows of A when rank < d), and the faces are their
 intersections.  A subset inside a facet already found is skipped, as it can
-only find that facet again (the lemma in `_facets`).  Enumeration stays
-capped at n <= 12.
+only find that facet again (the lemma in `_facets`).
 
 Forced certificates.  The LP of `_face_certificate` asks for phi with
 phi.a_j = 0 on a face F and phi.a_j >= 1 off it, in split form phi = phi+ -
@@ -55,12 +54,10 @@ from math import lcm
 from operator import ge, mul
 from typing import Optional, Sequence
 
-from .errors import NotFullLattice, NotPointed, ParseError, TooManyColumns
+from .errors import ColumnIndexOutOfRange, NotFullLattice, NotPointed, ParseError
 from .intlinalg import IntMatrix, checked_vector, hermite_normal_form, lattice_kernel, primitive_vector, signed_minors, vec_sub
 from .lp import feasible_point, gauss_solve
 from .polynomials import binomial, standard_pairs
-
-MAX_FACE_COLUMNS = 12
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,6 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
     LP is forced to return (the module docstring); every other face is
     certified by one LP.  They come ordered by (size, sorted columns).
     """
-    if a.n > MAX_FACE_COLUMNS:
-        raise TooManyColumns(f"face enumeration capped at {MAX_FACE_COLUMNS} columns")
     rank = _span_dim(a, range(1, a.n + 1))
     full = frozenset(range(1, a.n + 1))
     facets = _facets(a, rank) if rank else {}
@@ -244,10 +239,17 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
     return out
 
 
+def _check_columns(a: IntMatrix, cols: Sequence[int]) -> None:
+    for j in cols:
+        if not 1 <= j <= a.n:
+            raise ColumnIndexOutOfRange(f"column index {j} is not in 1..{a.n}")
+
+
 @lru_cache(maxsize=None)
 def face_functionals(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """A basis of the integer functionals vanishing on the 1-based cols: the lattice
     kernel of those columns as rows, after a zero row (cols may be empty)."""
+    _check_columns(a, cols)
     return tuple(lattice_kernel(IntMatrix.from_rows([(0,) * a.d, *(a.column(j - 1) for j in cols)])))
 
 
@@ -257,6 +259,7 @@ def _cone_inequalities(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, 
     holding the 1-based cols: the certificates of the facets that contain F,
     which cut the set out of span(A), then +-y for a basis y of the
     annihilator of span(A) (`face_functionals`), all integral."""
+    _check_columns(a, cols)
     lat = face_lattice(a)
     rank = lat.improper.dim
     facets = [f for f in lat.proper_faces if f.dim == rank - 1 and f.columns.issuperset(cols)]

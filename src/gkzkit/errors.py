@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all gkzkit modules.
 
 Exit-code contract for the CLI: ParseError -> 2, PreconditionError -> 3,
-SearchBoundError -> 4.
+SearchBoundError -> 4, only where a bound the caller sets runs out.
 """
 
 
@@ -51,12 +51,6 @@ class DimensionUnsupported(PreconditionError):
     code = "dimension_unsupported"
 
 
-class TooManyColumns(PreconditionError):
-    """Face enumeration is capped at 12 columns."""
-
-    code = "too_many_columns"
-
-
 class DegenerateColumn(PreconditionError):
     """A zero column was passed where a nonzero grading degree is required."""
 
@@ -75,10 +69,6 @@ class SearchBoundError(GkzError):
 
 class FiltrationBoundExceeded(SearchBoundError):
     code = "filtration_bound_exceeded"
-
-
-class SectionSearchFailed(SearchBoundError):
-    code = "section_search_failed"
 
 
 class CertificateNotFound(SearchBoundError):

@@ -3,6 +3,15 @@
 Covers the Smith-based splitting B = C * D1 * A, the index sets of
 congruence-class representatives with resonance-avoiding sections, and the
 exponent-level morphism from relative-form data into the homogenized system.
+
+Lemma (the index-set walks end).  A~ = homogenize(A) spans Z^(d+1) with A,
+so each facet G of its cone has an integer normal nu_G >= 0 on the columns,
+and nu_G . S >= 1 for S the column sum.  Kind "I": a component (offset o,
+face F, column j) of sRes(A~) is o - m*a_j + QF over m >= 1, j off F.  F is
+the intersection of the facets holding it, so one of them, G, has nu_G . a_j
+> 0, and nu_G . x <= nu_G . o - nu_G . a_j on the whole component.  Each step
+of S raises nu_G of every member by at least 1, past that bound for good.
+Kind "Iprime" steps by -S, so it ends by lemma 10 of `resonance`.
 """
 
 from __future__ import annotations
@@ -12,12 +21,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .errors import ParseError, SectionSearchFailed
+from .errors import ParseError
 from .intlinalg import IntMatrix, homogenize, smith_decompose, vec_add
 from .resonance import delta_A, dsres_contains, sres_contains
 from .weyl import WeylElement, euler_operator
-
-SECTION_SEARCH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -57,37 +64,32 @@ class IndexSet:
     e: tuple[int, ...]
 
 
-def index_sets(b: IntMatrix, kind: str, cap: int = SECTION_SEARCH_CAP) -> IndexSet:
+def index_sets(b: IntMatrix, kind: str) -> IndexSet:
     """Representatives (0, gamma) + shift, gamma in I_e, one congruence class each.
 
-    kind "I" wants every member outside sRes(A~); kind "Iprime" wants every
-    member outside DsRes(A~).  A single integer shift is scanned: guided by
-    delta for "I" (pushing into the shifted cone), and by the negated column
-    sum for "Iprime" (pushing into the interior of the negated cone).
+    kind "I" wants every member outside sRes(A~), and walks the shift from
+    delta_A(A~) along the column sum S of A~; kind "Iprime" wants every
+    member outside DsRes(A~), and walks it from 0 along -S.  Each walk stops
+    at the first shift that rejects no member, which the module docstring's
+    lemma proves exists.
     """
     if kind not in ("I", "Iprime"):
         raise ParseError(f"index set kind must be 'I' or 'Iprime', not {kind!r}")
     fam = factor_B(b)
     atilde = homogenize(fam.A)
-    gammas = i_e_classes(fam.e)
-    base = [(Fraction(0),) + g for g in gammas]
+    base = [(Fraction(0),) + g for g in i_e_classes(fam.e)]
     colsum = atilde.column_sum()
     if kind == "I":
-        start = delta_A(atilde)
+        shift, step = delta_A(atilde), colsum
         reject = lambda member: sres_contains(atilde, member)
     else:
-        start = tuple(0 for _ in range(atilde.d))
+        shift, step = tuple(0 for _ in range(atilde.d)), tuple(-x for x in colsum)
         reject = lambda member: dsres_contains(atilde, member)
-    step = colsum if kind == "I" else tuple(-x for x in colsum)
-    shift = start
-    for _ in range(cap + 1):
+    while True:
         members = [tuple(Fraction(s) + x for s, x in zip(shift, m)) for m in base]
         if not any(reject(m) for m in members):
-            return IndexSet(
-                kind=kind, members=tuple(members), shift=tuple(shift), e=fam.e
-            )
+            return IndexSet(kind=kind, members=tuple(members), shift=tuple(shift), e=fam.e)
         shift = vec_add(shift, step)
-    raise SectionSearchFailed(f"no {kind} section within {cap} shifts")
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,11 @@ test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
    a_j fails the verifier or NA, it fails both at every later delta.  So
    the greedy walk, which steps along the first column passing both, walks
    column 1 as far as it goes, then column 2, and so on.
+10. The dual walk ends.  If A's columns span Z^d, each facet G of R+A has
+   an integer normal nu_G >= 0 on the columns and nonzero on one of them,
+   so nu_G . S >= 1 for S the column sum.  So for any x, nu_G . (x + k*S)
+   > 0 for every facet once k is large: x + k*S is interior, and its
+   negative is outside DsRes(A) (lemma 5).
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import ceil
+from math import ceil, floor
 from operator import mul
 from typing import Optional, Sequence
 
@@ -72,7 +77,6 @@ from .errors import (
     NotPointed,
     ParameterResonant,
     ParseError,
-    SearchBoundError,
 )
 from .intlinalg import (
     IntMatrix,
@@ -291,7 +295,10 @@ def dual_parameter(a: IntMatrix, beta: Sequence[Fraction]) -> tuple[Fraction, ..
     """beta' congruent to -beta mod Z^d with beta' outside DsRes(A).
 
     Scans integer translates of -beta, preferring candidates in the interior
-    of the negated cone, which DsRes(A) cannot reach (lemma 5).
+    of the negated cone, which DsRes(A) cannot reach (lemma 5).  If neither
+    scan of the box of radius `DUAL_SEARCH_RADIUS` answers, it walks s =
+    -floor(beta) + k*S, S the column sum, for k = 0, 1, .. until beta + s is
+    interior, which lemma 10 proves happens.
     """
     beta = checked_vector(beta, a.d, "beta")
     if homogeneity_vector(a) is None:
@@ -305,4 +312,7 @@ def dual_parameter(a: IntMatrix, beta: Sequence[Fraction]) -> tuple[Fraction, ..
         cand = tuple(-b - s for b, s in zip(beta, shift))
         if not dsres_contains(a, cand):
             return cand
-    raise SearchBoundError(f"no dual parameter within radius {DUAL_SEARCH_RADIUS}")
+    shift = tuple(-floor(b) for b in beta)
+    while not interior_contains(a, vec_add(beta, shift)):
+        shift = vec_add(shift, a.column_sum())
+    return tuple(-b - s for b, s in zip(beta, shift))

@@ -29,9 +29,8 @@ from functools import lru_cache
 from math import inf
 from typing import Iterable, Optional, Sequence
 
-from .cones import Face, face_lattice, positive_grading, semigroup_contains
+from .cones import Face, _check_columns, face_lattice, positive_grading, semigroup_contains
 from .errors import (
-    ColumnIndexOutOfRange,
     DegenerateColumn,
     FiltrationBoundExceeded,
     NotPointed,
@@ -117,17 +116,12 @@ def toric_normal_form(p: Polynomial, ideal: ToricIdeal) -> Polynomial:
     return normal_form(p, ideal.generators, ideal.order())
 
 
-def _check_column_index(a: IntMatrix, j: int) -> None:
-    if not 1 <= j <= a.n:
-        raise ColumnIndexOutOfRange(f"column index {j} is not in 1..{a.n}")
-
-
 def true_degree_contains(a: IntMatrix, j: int, u: Sequence[int]) -> bool:
     """Whether u is a true degree of S_A / <d_j> (j is 1-based).
 
     A non-integral u is never a degree, so it answers False.
     """
-    _check_column_index(a, j)
+    _check_columns(a, (j,))
     if not face_lattice(a).pointed:
         raise NotPointed("true-degree test requires a pointed semigroup")
     col = a.column(j - 1)
@@ -209,7 +203,7 @@ def quasi_degrees(a: IntMatrix, j: int, *, bound: int = DEFAULT_FILTRATION_BOUND
     reduced bases in `weighted_revlex` orders.  A reduced basis is fixed by
     its ideal and order, so the components depend on (A, j) alone.
     """
-    _check_column_index(a, j)
+    _check_columns(a, (j,))
     if not face_lattice(a).pointed:
         raise NotPointed("quasi-degree decomposition requires a pointed semigroup")
     # Every weight phi.a_k must be positive: a zero column would make the

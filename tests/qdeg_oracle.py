@@ -13,7 +13,7 @@ degree set {u in NA : u - a_j not in NA}, which the library answers with
 
 from __future__ import annotations
 
-from gkzkit.cones import face_lattice, positive_grading, semigroup_contains
+from gkzkit.cones import _check_columns, face_lattice, positive_grading, semigroup_contains
 from gkzkit.errors import DegenerateColumn, FiltrationBoundExceeded, NotPointed
 from gkzkit.intlinalg import IntMatrix, vec_sub
 from groebner_oracle import groebner_basis, ideal_is_unit, ideal_quotient
@@ -24,7 +24,6 @@ from gkzkit.toric import (
     DEFAULT_ORDER,
     DegreePair,
     QuasiDegreeSet,
-    _check_column_index,
     _monomials_by_weight,
     toric_ideal,
 )
@@ -52,7 +51,7 @@ def quasi_degrees(
     bound: int = DEFAULT_FILTRATION_BOUND,
 ) -> QuasiDegreeSet:
     """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based)."""
-    _check_column_index(a, j)
+    _check_columns(a, (j,))
     if not face_lattice(a).pointed:
         raise NotPointed("quasi-degree decomposition requires a pointed semigroup")
     for k in range(1, a.n + 1):

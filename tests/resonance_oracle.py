@@ -30,7 +30,7 @@ the walk that reads it and tries every column at every step.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from gkzkit.cones import cone_contains, face_lattice, semigroup_contains, support_functions
@@ -39,7 +39,6 @@ from gkzkit.errors import (
     NotHomogeneous,
     NotPointed,
     ParameterResonant,
-    SearchBoundError,
 )
 from gkzkit.intlinalg import (
     IntMatrix,
@@ -258,7 +257,9 @@ def dual_parameter(
     """beta' congruent to -beta mod Z^d with beta' outside DsRes(A).
 
     Scans integer translates of -beta, preferring candidates in the interior
-    of the negated cone, where the dual set provably cannot reach.
+    of the negated cone, where the dual set provably cannot reach.  When
+    both scans fail, it walks shifts -floor(beta) + k * (column sum), k = 0,
+    1, .., to the first interior one, still testing DsRes.
     """
     beta = checked_vector(beta, a.d, "beta")
     if homogeneity_vector(a) is None:
@@ -274,7 +275,12 @@ def dual_parameter(
         cand = tuple(-b - s for b, s in zip(beta, shift))
         if not dsres_contains(a, cand):
             return cand
-    raise SearchBoundError(f"no dual parameter within radius {radius}")
+    shift = tuple(-floor(b) for b in beta)
+    while True:
+        cand = tuple(-b - s for b, s in zip(beta, shift))
+        if interior_contains(a, tuple(-x for x in cand)) and not dsres_contains(a, cand):
+            return cand
+        shift = vec_add(shift, a.column_sum())
 
 
 def delta_valid_all_components(a: IntMatrix, delta: Sequence[int]) -> bool:

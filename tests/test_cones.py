@@ -13,8 +13,8 @@ from gkzkit import (
     semigroup_witness,
     support_functions,
 )
-from gkzkit.cones import cone_contains, extreme_rays, interior_contains
-from gkzkit.errors import NotPointed, ParseError, TooManyColumns
+from gkzkit.cones import cone_contains, extreme_rays, face_functionals, interior_contains
+from gkzkit.errors import ColumnIndexOutOfRange, NotPointed, ParseError
 from gkzkit.lp import feasible_point, gauss_solve
 
 
@@ -128,9 +128,22 @@ def test_nonpointed_face_lattice():
 
 
 def test_face_enumeration_cap():
-    wide = IntMatrix.from_rows([[1] * 13])
-    with pytest.raises(TooManyColumns):
-        face_lattice(wide)
+    # Any column count: one row of 13 ones has the faces {} and the full set.
+    lat = face_lattice(IntMatrix.from_rows([[1] * 13]))
+    assert [f.columns for f in lat.faces] == [frozenset(), frozenset(range(1, 14))]
+    assert lat.pointed
+
+
+@pytest.mark.parametrize("j", [0, 4, -1, 99])
+def test_cone_helpers_reject_out_of_range_columns(hat, j):
+    # No facet holds an index outside 1..n, so unchecked it would drop every
+    # inequality, and Python would read 0 or -1 as a column from the end.
+    with pytest.raises(ColumnIndexOutOfRange, match=f"column index {j} is not in 1..3"):
+        cone_contains(hat, (-5, 7), (j,))
+    with pytest.raises(ColumnIndexOutOfRange):
+        cone_contains(hat, (-5, 7), (1, j))
+    with pytest.raises(ColumnIndexOutOfRange):
+        face_functionals(hat, (j,))
 
 
 def test_support_functions_examples(staircase, hat, line):

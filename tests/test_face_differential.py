@@ -49,6 +49,9 @@ SETTINGS = settings(
 SCAN_SETTINGS = settings(SETTINGS, max_examples=400)
 GRID_3X10 = parse_matrix("1 1 1 1 1 1 1 1 1 1; 0 1 2 3 0 1 2 3 0 1; 0 0 0 0 1 1 1 1 2 2")
 CUBE_4D = parse_matrix("1 1 1 1 1 1 1 1; 0 1 0 0 1 1 0 1; 0 0 1 0 1 0 1 1; 0 0 0 1 0 1 1 1")
+# More than 12 columns: a 3 x 13 grid, and the cube with every column twice.
+GRID_3X13 = parse_matrix("1 1 1 1 1 1 1 1 1 1 1 1 1; 0 1 2 3 0 1 2 3 0 1 2 3 0; 0 0 0 0 1 1 1 1 2 2 2 2 3")
+CUBE_TWICE = IntMatrix.from_rows([row + row for row in CUBE_4D.rows])
 
 
 @st.composite
@@ -135,6 +138,8 @@ def solved_subsets(module, scan, a, rank):
 @example(parse_matrix("1 1 1 1; 0 1 1 0; 0 0 1 1; 0 0 0 0"))
 @example(parse_matrix("1 1 1 1 1 1; 0 1 0 1 0 -1; 0 0 1 1 0 0; 0 0 0 0 1 0"))
 @example(GRID_3X10)
+@example(GRID_3X13)
+@example(CUBE_TWICE)
 def test_face_lattice_matches_fraction_scan(a):
     # columns, order, certificates, dims and pointedness of every face
     assert face_lattice(a) == face_lattice_by_fraction_scan(a)
@@ -221,6 +226,11 @@ def test_face_functionals_are_a_saturated_annihilator(case):
 def test_face_lattice_matches_subset_oracle(a):
     # whole objects: face sets, order, certificates, dims, pointedness
     assert face_lattice(a) == face_lattice_by_subsets(a)
+
+
+def test_13_column_lattice_matches_subset_oracle():
+    # 2^13 certificate LPs, about 4 s
+    assert face_lattice(GRID_3X13) == face_lattice_by_subsets(GRID_3X13)
 
 
 @SETTINGS

@@ -1,6 +1,12 @@
 from fractions import Fraction as F
+from math import floor
+from operator import mul
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, seed, settings
+from hypothesis import strategies as st
+
+from face_oracle import facets_by_fraction_scan
 
 from gkzkit import (
     IntMatrix,
@@ -16,7 +22,10 @@ from gkzkit import (
     sres_contains,
     dsres_contains,
 )
-from gkzkit.errors import ParseError, RankDeficient
+from gkzkit.errors import FiltrationBoundExceeded, ParseError, RankDeficient
+from gkzkit.family import IndexSet
+from gkzkit.intlinalg import vec_add
+from gkzkit.resonance import delta_A, resonance_set
 import random
 
 
@@ -174,8 +183,93 @@ def test_psi_kernel_sections_two_column():
     assert sections[0] == pres.eulers[1]
 
 
-def test_section_search_cap():
-    from gkzkit.errors import SectionSearchFailed
+def capped_scan(b, kind, cap):
+    """`index_sets` as it was with a fixed cap: at most cap + 1 shifts, else None."""
+    fam = factor_B(b)
+    atilde = homogenize(fam.A)
+    base = [(F(0),) + g for g in i_e_classes(fam.e)]
+    colsum = atilde.column_sum()
+    if kind == "I":
+        start, reject = delta_A(atilde), lambda m: sres_contains(atilde, m)
+    else:
+        start, reject = (0,) * atilde.d, lambda m: dsres_contains(atilde, m)
+    step = colsum if kind == "I" else tuple(-x for x in colsum)
+    shift = start
+    for _ in range(cap + 1):
+        members = [tuple(F(s) + x for s, x in zip(shift, m)) for m in base]
+        if not any(reject(m) for m in members):
+            return IndexSet(kind, tuple(members), tuple(shift), fam.e)
+        shift = vec_add(shift, step)
+    return None
 
-    with pytest.raises(SectionSearchFailed):
-        index_sets(parse_matrix("2"), "Iprime", cap=0)
+
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _steps_past(value, rate, bound):
+    """The least k >= 0 with value + k * rate > bound, for rate > 0."""
+    return max(0, floor((bound - value) / rate) + 1)
+
+
+def lemma_bound(b, kind):
+    """The step count after which the family docstring's lemma puts every member
+    outside sRes(A~) (kind "I") or inside -int(R+A~) (kind "Iprime"), read off
+    the facet normals of A~ from the Fraction scan, which are >= 1 off the facet."""
+    fam = factor_B(b)
+    atilde = homogenize(fam.A)
+    base = [(F(0),) + g for g in i_e_classes(fam.e)]
+    colsum = atilde.column_sum()
+    facets = facets_by_fraction_scan(atilde, atilde.d)
+    if kind == "Iprime":
+        return max(_steps_past(-_dot(nu, m), _dot(nu, colsum), 0) for nu in facets.values() for m in base)
+    start = delta_A(atilde)
+    bound = 0
+    for comp in resonance_set(atilde).components:
+        # facets G holding F with nu_G . a_j > 0; the component has nu_G . x <= top
+        steps = []
+        for cols, nu in facets.items():
+            if cols.issuperset(comp.face_columns) and _dot(nu, comp.shift) > 0:
+                top = _dot(nu, comp.offset) - _dot(nu, comp.shift)
+                steps.append(_steps_past(min(_dot(nu, vec_add(start, m)) for m in base), _dot(nu, colsum), top))
+        bound = max(bound, min(steps))
+    return bound
+
+
+@st.composite
+def family_cases(draw):
+    """A kind, and a B with d <= 2 rows, d..d+2 columns and entries in -3..6.
+    Kind "I" reads sRes(A~), whose filtration can take minutes on a 2 x 3 B,
+    so at d = 2 it draws 2 columns (the `@example`s add two 2 x 3 ones)."""
+    kind = draw(st.sampled_from(("I", "Iprime")))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(d, d + 2 if kind == "Iprime" or d == 1 else d))
+    return IntMatrix.from_rows([draw(st.lists(st.integers(-3, 6), min_size=n, max_size=n)) for _ in range(d)]), kind
+
+
+@settings(max_examples=150, deadline=None, database=None, suppress_health_check=[HealthCheck.too_slow])
+@seed(0)  # a fixed seed, so the draws do not move when the test's source does
+@given(family_cases())
+@example((parse_matrix("-3 -3 -3; 5 -3 5"), "Iprime"))  # 8 steps, the lemma's bound
+@example((parse_matrix("1 0 6; 3 0 0"), "I"))  # 5 steps, the lemma's bound
+@example((parse_matrix("1 0 6; 6 3 0"), "I"))  # 0 steps, bound 1
+@example((parse_matrix("2"), "Iprime"))
+def test_index_set_walk_ends_within_the_lemma_bound(case):
+    """The walk takes at most the lemma's step count, and so answers what the
+    fixed-cap scan answers when its cap is that count."""
+    b, kind = case
+    try:
+        factor_B(b)
+    except RankDeficient:
+        assume(False)
+    try:
+        bound = lemma_bound(b, kind)
+    except FiltrationBoundExceeded:  # sRes(A~) is out of the filtration's reach
+        with pytest.raises(FiltrationBoundExceeded):
+            index_sets(b, kind)
+        return
+    idx = index_sets(b, kind)
+    start = delta_A(homogenize(factor_B(b).A)) if kind == "I" else (0,) * (b.d + 1)
+    steps = abs(idx.shift[0] - start[0]) // (b.n + 1)  # the first row of A~ is all ones
+    assert steps <= bound
+    assert idx == capped_scan(b, kind, bound)

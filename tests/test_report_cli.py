@@ -291,9 +291,9 @@ OWN_OPTIONS = {
     "index-sets": MATRIX, "psi": ["--m", "0"], "diagram": [*MATRIX, "--box", "0 1"],
 }
 
-# Only qdeg, verify-member and index-sets read --bound; every other command
-# must reject it rather than ignore it.
-NO_BOUND = sorted(set(OWN_OPTIONS) - {"qdeg", "verify-member", "index-sets"})
+# Only qdeg and verify-member read --bound; every other command must reject
+# it rather than ignore it.  index-sets walks to a proved end, with no bound.
+NO_BOUND = sorted(set(OWN_OPTIONS) - {"qdeg", "verify-member"})
 
 
 @pytest.mark.parametrize("command", NO_BOUND)
@@ -313,8 +313,6 @@ def test_cli_bound_read_where_registered(capsys):
     assert json.loads(capsys.readouterr().err)["error"]["message"] == (
         "no face-prime quotient found up to weight 4"
     )
-    assert main(["index-sets", "--matrix", "2", "--kind", "I", "--bound", "3"]) == 0
-    assert len(json.loads(capsys.readouterr().out)["members"]) == 2
 
 
 # Only analyze, toric-ideal, present, restrict and verify-member read
@@ -376,8 +374,8 @@ def test_cli_nonpositive_nvars_is_a_parse_error(capsys, nvars):
     "argv",
     [
         ["qdeg", "--matrix", "2 5", "--j", "1"],
-        ["index-sets", "--matrix", "2"],
         ["verify-member", "--gens", "l0", "--target", "l0"],
+        ["verify-member", *BETA, "--target", "l0"],
     ],
 )
 def test_cli_negative_bound_is_a_parse_error(capsys, argv):
@@ -464,10 +462,22 @@ def test_cli_diagram_ascii(capsys):
 
 
 def test_cli_cone_diagram_above_the_face_column_cap(capsys):
-    # The cone layer answers by LP, so it needs no face lattice (capped at 12 columns).
+    # The cone layer answers by LP, with no face lattice.
     matrix = " ".join(str(k) for k in range(1, 14))
     assert main(["diagram", "--matrix", matrix, "--box=0,5", "--layers", "cone"]) == 0
     assert "<svg" in capsys.readouterr().out
+
+
+def test_cli_narrow_cone_dual_parameter(capsys):
+    # No shift within the radius-8 box works; the column-sum walk answers.
+    assert main(["dual-param", "--matrix", "1 1; 5 6", "--beta", "0,0"]) == 0
+    assert json.loads(capsys.readouterr().out)["dual"] == ["-2", "-11"]
+
+
+def test_cli_faces_above_twelve_columns(capsys):
+    assert main(["faces", "--matrix", " ".join(["1"] * 13)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"pointed": True, "proper_faces": [{"certificate": ["1"], "columns": [], "dim": 0}]}
 
 
 def test_cli_matrix_file(tmp_path, capsys):

@@ -195,6 +195,21 @@ def test_dual_parameter_contract(line, hat, staircase):
         assert not dsres_contains(a, dual)
 
 
+@pytest.mark.parametrize(
+    ("text", "want"), [("1 1; 5 6", (-2, -11)), ("1 1; 100 101", (-2, -201))]
+)
+def test_narrow_cone_dual_parameter_walks_the_column_sum(text, want):
+    # No integer point within radius 8 is interior, and every candidate of the
+    # box is in DsRes, so the answer is the first k * (column sum) that is
+    # interior (lemma 10): k = 1 here.
+    a = parse_matrix(text)
+    dual = dual_parameter(a, (F(0), F(0)))
+    assert dual == tuple(F(x) for x in want)
+    assert interior_contains(a, tuple(-x for x in dual))
+    assert not dsres_contains(a, dual)
+    assert not any(interior_contains(a, shift) for shift in product(range(-8, 9), repeat=2))
+
+
 def test_dual_parameter_requires_homogeneous(numerical):
     with pytest.raises(NotHomogeneous):
         dual_parameter(numerical, (F(1),))

@@ -20,7 +20,9 @@ on homogeneous and non-homogeneous pointed matrices, rank-deficient ones
 included, it is compared with the oracle's built route, which checks its
 bound against every component of sRes(homogenize(A)).
 `dual_parameter` reads `DUAL_SEARCH_RADIUS` when called, so the tests set
-a smaller radius by patching it.
+a smaller radius by patching it.  Where neither radius scan answers, both
+walk the column sum to an interior point (lemma 10), so a small radius
+compares the walks too.
 
 The multiplier of a component is read off the functionals psi of QF
 (lemma 1); it is compared with the `gauss_solve` route the oracle keeps, on

@@ -16,7 +16,7 @@ from gkzkit import (
     true_degree_contains,
 )
 from gkzkit.cones import face_lattice
-from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed, ParseError, TooManyColumns
+from gkzkit.errors import ColumnIndexOutOfRange, DegenerateColumn, NotPointed, ParseError
 from gkzkit.polynomials import Polynomial
 from gkzkit.toric import a_degree
 
@@ -26,11 +26,11 @@ def test_trivial_kernel_gives_empty_ideal(wedge):
 
 
 def test_toric_ideal_skips_the_face_lattice():
-    # The grading comes from one LP, so the face-enumeration cap does not apply.
+    # The grading comes from one LP, not from the face lattice, which has
+    # the faces {} and the full set.
     wide = parse_matrix(" ".join(["1"] * 13))
     assert len(toric_ideal(wide).generators) == 12
-    with pytest.raises(TooManyColumns):
-        face_lattice(wide)
+    assert [f.columns for f in face_lattice(wide).faces] == [frozenset(), frozenset(range(1, 14))]
 
 
 def test_hat_ideal(hat):
