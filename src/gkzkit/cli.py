@@ -120,7 +120,7 @@ def cmd_toric_ideal(args):
 
 def cmd_qdeg(args):
     a = _matrix_from_args(args)
-    comps = report.qdeg_json(toric.quasi_degrees(a, args.j, bound=args.bound))
+    comps = report.qdeg_json(toric.quasi_degrees(a, args.j))
     lines = [f"offset {c['offset']} + N * columns {c['face_columns']}" for c in comps]
     _emit(args, {"j": args.j, "components": comps}, "\n".join(lines) + "\n")
 
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("toric-ideal", cmd_toric_ideal, order=True, help="reduced Groebner basis of I_A")
     p = add("qdeg", cmd_qdeg, help="quasi-degree components of S_A/<d_j>")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--bound", type=nonnegative, default=toric.DEFAULT_FILTRATION_BOUND)
     add("sres", cmd_sres, beta=True, help="strong-resonance membership")
     add("dsres", cmd_dsres, beta=True, help="dual resonance-set membership")
     add("delta", cmd_delta, help="cone shift avoiding sRes")

@@ -278,8 +278,8 @@ def cone_contains(a: IntMatrix, v: Sequence, cols: Sequence[int] = (), strict: b
 
 
 def saturation_contains(a: IntMatrix, b: Sequence) -> bool:
-    """Membership of a rational point b in the rational cone Q+A."""
-    return cone_witness(a, b) is not None
+    """Membership of a rational point b in the rational cone Q+A, by facet signs."""
+    return cone_contains(a, b)
 
 
 def cone_witness(a: IntMatrix, b: Sequence) -> Optional[list[Fraction]]:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all gkzkit modules.
 
 Exit-code contract for the CLI: ParseError -> 2, PreconditionError -> 3,
-SearchBoundError -> 4, only where a bound the caller sets runs out.
+SearchBoundError -> 4, only where a bound the caller sets runs out: the
+cofactor degree of `verify-member`.  Every other search ends where a lemma
+proves it does, so it raises no SearchBoundError.
 """
 
 
@@ -65,10 +67,6 @@ class ColumnIndexOutOfRange(PreconditionError):
 
 class SearchBoundError(GkzError):
     code = "search_bound"
-
-
-class FiltrationBoundExceeded(SearchBoundError):
-    code = "filtration_bound_exceeded"
 
 
 class CertificateNotFound(SearchBoundError):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import cones, family, resonance, toric, weyl
-from .errors import DimensionUnsupported, GkzError, ParseError
+from .errors import DegenerateColumn, DimensionUnsupported, GkzError, ParseError
 from .intlinalg import (
     IntMatrix,
     checked_vector,
@@ -207,9 +207,8 @@ class DiagramSpec:
 def classify_point(a: IntMatrix, point: tuple[int, ...], layers: Sequence[str], qdeg_j: int = 1) -> dict:
     """Exact per-layer classification of one lattice point.
 
-    The saturation-gap and delta-cone layers, which build the face lattice
-    anyway, test the cone by facet signs; the cone layer keeps the LP, which
-    also serves matrices above the face-column cap."""
+    The cone, saturation-gap and delta-cone layers test the cone by facet
+    signs (`cones.cone_contains`), so a warm table asks no LP."""
     point = checked_vector(point, a.d, "point")
     out = {}
     if "semigroup" in layers or "saturation-gap" in layers:
@@ -310,11 +309,16 @@ def _clip_line(anchor, direction, box):
 
 
 def _qdeg_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
-    """One clipped line (or point) per quasi-degree component."""
+    """One clipped line (or point) per quasi-degree component; none where a
+    zero column leaves the filtration undefined (the points stay marked)."""
     if a.d != 2:
         return []
+    try:
+        components = toric.quasi_degrees(a, spec.qdeg_j).components
+    except DegenerateColumn:
+        return []
     segments = []
-    for comp in toric.quasi_degrees(a, spec.qdeg_j).components:
+    for comp in components:
         cols = comp.face.sorted_columns()
         direction = a.column(cols[0] - 1) if cols else None
         anchor = tuple(Fraction(x) for x in comp.offset)

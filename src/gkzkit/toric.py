@@ -3,7 +3,8 @@
 The grading is deg(d_j) = a_j (column j of the defining matrix).  I_A is
 the ideal of a lattice basis of ker_Z(A) saturated by every variable, and
 the quasi-degree routine builds a prime filtration of R/(I_A + <d_j>) by
-repeatedly splitting off a face-prime quotient; only the union of the
+repeatedly splitting off a face-prime quotient, with no bound on the weights
+it scans (a lemma proves the scan ends); only the union of the
 resulting degree sets is contractual, the component list itself is one
 valid filtration.  That union, the degree set of S_A / <d_j>, is {u in NA :
 u - a_j not in NA} (Saito, Sturmfels and Takayama, ch. 3), which
@@ -30,11 +31,7 @@ from math import inf
 from typing import Iterable, Optional, Sequence
 
 from .cones import Face, _check_columns, face_lattice, positive_grading, semigroup_contains
-from .errors import (
-    DegenerateColumn,
-    FiltrationBoundExceeded,
-    NotPointed,
-)
+from .errors import DegenerateColumn, NotPointed
 from .intlinalg import IntMatrix, homogenize, lattice_kernel, vec_sub
 from .polynomials import (
     Binomial,
@@ -51,7 +48,6 @@ from .polynomials import (
 )
 
 DEFAULT_ORDER = "degrevlex"
-DEFAULT_FILTRATION_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -141,24 +137,6 @@ class QuasiDegreeSet:
     components: tuple[DegreePair, ...]
 
 
-def _monomials_by_weight(weights: Sequence[int], bound: int):
-    """Yield exponent tuples in increasing weight w.u, ties broken lexicographically."""
-    n = len(weights)
-    start = (0,) * n
-    heap = [(0, start)]
-    seen = {start}
-    while heap:
-        w, u = heapq.heappop(heap)
-        if w > bound:
-            return
-        yield u
-        for i in range(n):
-            v = u[:i] + (u[i] + 1,) + u[i + 1 :]
-            if v not in seen:
-                seen.add(v)
-                heapq.heappush(heap, (w + weights[i], v))
-
-
 def _in_face_prime(g: Binomial, columns: frozenset[int]) -> bool:
     """Whether an A-homogeneous g lies in I_A + <d_i : i not in F> (see `quasi_degrees`)."""
     lead, tail = g
@@ -168,15 +146,26 @@ def _in_face_prime(g: Binomial, columns: frozenset[int]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def quasi_degrees(a: IntMatrix, j: int, *, bound: int = DEFAULT_FILTRATION_BOUND) -> QuasiDegreeSet:
+def quasi_degrees(a: IntMatrix, j: int) -> QuasiDegreeSet:
     """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based).
 
     Starting from I = I_A + <d_j>, each step scans the monomials d^u outside
-    I by increasing phi-weight w.u, up to and including weight `bound`, and
-    takes the first whose quotient I : d^u is a face prime
+    I by increasing phi-weight w.u, ties broken lexicographically, and takes
+    the first whose quotient I : d^u is a face prime
     P_F = I_A + <d_i : i not in F> with j not in F; the component is
     (A u, F) and I grows to I + <d^u>.  The loop ends when I is the unit
-    ideal, and raises FiltrationBoundExceeded when a step finds no such u.
+    ideal.
+
+    Lemma: the scan needs no bound.  (1) While I != (1), some d^u not in I
+    has I : d^u = P_F with j not in F.  R/I is A-graded, so an associated
+    prime is I : f with f A-homogeneous; modulo I_A, f is c d^u, as each
+    degree of S_A is spanned by one monomial.  An A-graded prime over I_A
+    is some P_F, and j is not in F because d_j lies in I.  (2) Each weight
+    holds finitely many monomials (every w_i >= 1), so the scan reaches that
+    u; I grows at every step, so the loop ends.  (3) The monomials outside I
+    are closed under division, so a heap fed from d^0 with only the children
+    d^u d_i outside I (the `spared` set the test computes anyway) visits all
+    of them in the same order, and never a monomial of I.
 
     If I : d^u = P_F, then d^u d_i lies in I exactly for the i off F: P_F
     holds those d_i, and no d_i with i in F, since it meets k[d_F] =
@@ -218,26 +207,25 @@ def quasi_degrees(a: IntMatrix, j: int, *, bound: int = DEFAULT_FILTRATION_BOUND
     d_j = tuple(1 if k == j - 1 else 0 for k in range(a.n))
     current = groebner_basis([(d_j, None)], order, known=known)
     components: list[DegreePair] = []
-    while current != [((0,) * a.n, None)]:  # the reduced basis of the unit ideal
-        step = None
-        for u in _monomials_by_weight(weights, bound):
-            if reduce_monomial(u, current) is None:
-                continue
+    zero = (0,) * a.n
+    while current != [(zero, None)]:  # the reduced basis of the unit ideal
+        heap, outside = [(0, zero)], {zero}
+        while True:
+            w, u = heapq.heappop(heap)
+            children = [u[:i] + (u[i] + 1,) + u[i + 1 :] for i in range(a.n)]
             spared = frozenset(
                 i + 1
-                for i in range(a.n)
-                if reduce_monomial(u[:i] + (u[i] + 1,) + u[i + 1 :], current) is not None
+                for i, v in enumerate(children)
+                if v in outside or reduce_monomial(v, current) is not None
             )
             if spared in faces and all(
                 _in_face_prime(g, spared) for g in quotient_generators(current, u, weights)
             ):
-                step = (u, faces[spared])
                 break
-        if step is None:
-            raise FiltrationBoundExceeded(
-                f"no face-prime quotient found up to weight {bound}"
-            )
-        u, face = step
-        components.append(DegreePair(offset=a.mul_vec(u), face=face))
+            for i in spared:
+                if children[i - 1] not in outside:
+                    outside.add(children[i - 1])
+                    heapq.heappush(heap, (w + weights[i - 1], children[i - 1]))
+        components.append(DegreePair(offset=a.mul_vec(u), face=faces[spared]))
         current = groebner_basis([(u, None)], order, known=current)
     return QuasiDegreeSet(matrix=a, j=j, components=tuple(components))

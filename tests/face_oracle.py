@@ -27,8 +27,8 @@ from gkzkit.cones import (
     FaceLattice,
     _face_certificate,
     _span_dim,
+    cone_witness,
     extreme_rays,
-    saturation_contains,
     semigroup_contains,
 )
 from gkzkit.errors import NotPointed
@@ -69,7 +69,7 @@ def is_saturated_by_lp(a: IntMatrix) -> bool:
     lo = [sum(min(0, r[i]) for r in rays) for i in range(a.d)]
     hi = [sum(max(0, r[i]) for r in rays) for i in range(a.d)]
     for point in product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if not saturation_contains(a, point):
+        if cone_witness(a, point) is None:
             continue
         if not semigroup_contains(a, point):
             return False

@@ -4,8 +4,9 @@ This is `toric.quasi_degrees` as it was before the face prefilter and the
 incremental bases: it computes the full quotient `current : d^u` for every
 candidate monomial outside the ideal, compares it with every face prime, and
 builds each basis (start ideal, face primes, every filtration step) from
-scratch.  The fast routine must return the same components in the same
-order.  `degree_set_contains` tests the union of the components, each
+scratch.  Its scan is its own: every monomial by weight, those of the ideal
+included, with no bound (the lemma of `toric.quasi_degrees` ends each step).
+The fast routine must return the same components in the same order.  `degree_set_contains` tests the union of the components, each
 offset + NF in the semigroup of the face's own columns; that union is the
 degree set {u in NA : u - a_j not in NA}, which the library answers with
 `toric.true_degree_contains`, and the tests compare the two.
@@ -13,20 +14,32 @@ degree set {u in NA : u - a_j not in NA}, which the library answers with
 
 from __future__ import annotations
 
+import heapq
+
 from gkzkit.cones import _check_columns, face_lattice, positive_grading, semigroup_contains
-from gkzkit.errors import DegenerateColumn, FiltrationBoundExceeded, NotPointed
+from gkzkit.errors import DegenerateColumn, NotPointed
 from gkzkit.intlinalg import IntMatrix, vec_sub
 from groebner_oracle import groebner_basis, ideal_is_unit, ideal_quotient
 
 from gkzkit.polynomials import Polynomial, normal_form, order_by_name
-from gkzkit.toric import (
-    DEFAULT_FILTRATION_BOUND,
-    DEFAULT_ORDER,
-    DegreePair,
-    QuasiDegreeSet,
-    _monomials_by_weight,
-    toric_ideal,
-)
+from gkzkit.toric import DEFAULT_ORDER, DegreePair, QuasiDegreeSet, toric_ideal
+
+
+def monomials_by_weight(weights):
+    """Every exponent tuple, in increasing weight w.u, ties broken
+    lexicographically: no pruning and no bound, so the caller stops it."""
+    n = len(weights)
+    start = (0,) * n
+    heap = [(0, start)]
+    seen = {start}
+    while True:
+        w, u = heapq.heappop(heap)
+        yield u
+        for i in range(n):
+            v = u[:i] + (u[i] + 1,) + u[i + 1 :]
+            if v not in seen:
+                seen.add(v)
+                heapq.heappush(heap, (w + weights[i], v))
 
 
 def face_primes(a: IntMatrix, order_name: str):
@@ -44,12 +57,7 @@ def face_primes(a: IntMatrix, order_name: str):
     return out
 
 
-def quasi_degrees(
-    a: IntMatrix,
-    j: int,
-    order_name: str = DEFAULT_ORDER,
-    bound: int = DEFAULT_FILTRATION_BOUND,
-) -> QuasiDegreeSet:
+def quasi_degrees(a: IntMatrix, j: int, order_name: str = DEFAULT_ORDER) -> QuasiDegreeSet:
     """Prime filtration of S_A / <d_j> as (offset, face) components (j 1-based)."""
     _check_columns(a, (j,))
     if not face_lattice(a).pointed:
@@ -69,7 +77,7 @@ def quasi_degrees(
     components: list[DegreePair] = []
     while not ideal_is_unit(current):
         step = None
-        for u in _monomials_by_weight(weights, bound):
+        for u in monomials_by_weight(weights):
             mono = Polynomial.monomial(u)
             if normal_form(mono, current, order).is_zero():
                 continue  # already in the ideal
@@ -80,10 +88,6 @@ def quasi_degrees(
                     break
             if step is not None:
                 break
-        if step is None:
-            raise FiltrationBoundExceeded(
-                f"no face-prime quotient found below weight {bound}"
-            )
         u, face = step
         components.append(DegreePair(offset=a.mul_vec(u), face=face))
         current = groebner_basis(list(current) + [Polynomial.monomial(u)], order)

@@ -139,10 +139,10 @@ def test_qdeg_diagram_builds_nothing_of_a_face():
     assert face_lattice.cache_info().misses == 1
 
 
-def test_diagram_makes_one_lp_per_point(monkeypatch):
-    # Once the lattice, delta and the semigroup memo are built, only the cone
-    # layer asks an LP: saturation-gap and delta-cone read facet signs, and
-    # the semigroup layer reads its memo or the standard pairs.
+def test_warm_diagram_asks_no_lp(monkeypatch):
+    # Once the lattice, delta and the semigroup memo are built, no layer asks
+    # an LP: cone, saturation-gap and delta-cone read facet signs, and the
+    # semigroup layer reads its memo or the standard pairs.
     a = parse_matrix(RNC3)
     spec = DiagramSpec(box=(-3, 6, -3, 6), layers=("semigroup", "saturation-gap", "cone", "sres", "delta-cone"))
     clear_caches()
@@ -151,7 +151,7 @@ def test_diagram_makes_one_lp_per_point(monkeypatch):
     solve = cones.feasible_point
     monkeypatch.setattr(cones, "feasible_point", lambda *args: calls.append(args) or solve(*args))
     assert classification_table(a, spec) == warm
-    assert len(calls) == len(warm) == 100
+    assert len(warm) == 100 and calls == []
 
 
 def test_delta_cone_table_walks_once(monkeypatch):

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkzkit import (
     IntMatrix,
@@ -13,7 +15,7 @@ from gkzkit import (
     semigroup_witness,
     support_functions,
 )
-from gkzkit.cones import cone_contains, extreme_rays, face_functionals, interior_contains
+from gkzkit.cones import cone_contains, cone_witness, extreme_rays, face_functionals, interior_contains
 from gkzkit.errors import ColumnIndexOutOfRange, NotPointed, ParseError
 from gkzkit.lp import feasible_point, gauss_solve
 
@@ -243,6 +245,36 @@ def test_saturation_examples(staircase):
     assert saturation_contains(staircase, (1, 1))
     assert not saturation_contains(staircase, (-1, 0))
     assert saturation_contains(staircase, (1, 100))
+
+
+@st.composite
+def cone_probes(draw):
+    """A d x n matrix (d <= 3, n <= 5, entries -2..2: zero columns, rank
+    deficiency and lines all occur) and a rational point, half the time a
+    nonnegative half-integer combination of the columns."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    a = IntMatrix.from_rows([draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) for _ in range(d)])
+    if draw(st.booleans()):
+        x = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        point = tuple(sum(Fraction(k, 2) * c[i] for k, c in zip(x, a.columns())) for i in range(d))
+    else:
+        point = tuple(Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3))) for _ in range(d))
+    return a, point
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cone_probes())
+@example((parse_matrix("1 2; 2 4"), (1, 2)))  # rank deficient
+@example((parse_matrix("1 2; 2 4"), (1, 1)))
+@example((parse_matrix("1 -1"), (-3,)))  # not pointed
+@example((parse_matrix("1 -1 0; 0 0 1"), (-3, -1)))
+@example((parse_matrix("0 0; 0 0"), (0, 0)))  # zero columns only
+@example((parse_matrix("0 0; 0 0"), (1, 0)))
+@example((parse_matrix("1 0; 0 0"), (Fraction(1, 2), 0)))
+def test_saturation_contains_matches_the_lp(case):
+    """Facet signs answer cone membership as the phase-I LP of `cone_witness` does."""
+    a, point = case
+    assert saturation_contains(a, point) == (cone_witness(a, point) is not None), case
 
 
 def test_saturation_witness_is_rational(staircase):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -24,7 +25,6 @@ from gkzkit import (
     run_report,
     semigroup_contains,
     semigroup_witness,
-    saturation_contains,
     sres_witness,
 )
 from gkzkit.cli import main
@@ -96,7 +96,7 @@ def test_diagram_classification_is_sound(staircase):
     table = classification_table(staircase, spec)
     for point, flags in table.items():
         assert flags["semigroup"] == semigroup_contains(staircase, point)
-        gap = saturation_contains(staircase, point) and not semigroup_contains(
+        gap = cone_witness(staircase, point) is not None and not semigroup_contains(
             staircase, point
         )
         assert flags["saturation-gap"] == gap
@@ -112,7 +112,7 @@ def test_diagram_resonance_layers_match_library(text, box):
         assert flags == {
             "qdeg": qdeg_oracle.degree_set_contains(qdeg, point),
             "dsres": dsres_witness(a, tuple(F(x) for x in point)) is not None,
-            "delta-cone": saturation_contains(a, tuple(x - y for x, y in zip(point, delta))),
+            "delta-cone": cone_witness(a, tuple(x - y for x, y in zip(point, delta))) is not None,
         }
     for layer in spec.layers:  # each layer marks some points of the box and not others
         assert {flags[layer] for flags in table.values()} == {False, True}
@@ -291,9 +291,9 @@ OWN_OPTIONS = {
     "index-sets": MATRIX, "psi": ["--m", "0"], "diagram": [*MATRIX, "--box", "0 1"],
 }
 
-# Only qdeg and verify-member read --bound; every other command must reject
-# it rather than ignore it.  index-sets walks to a proved end, with no bound.
-NO_BOUND = sorted(set(OWN_OPTIONS) - {"qdeg", "verify-member"})
+# Only verify-member reads --bound; every other command must reject it
+# rather than ignore it.  index-sets and qdeg walk to a proved end, with no bound.
+NO_BOUND = sorted(set(OWN_OPTIONS) - {"verify-member"})
 
 
 @pytest.mark.parametrize("command", NO_BOUND)
@@ -306,12 +306,13 @@ def test_cli_bound_rejected_where_unused(capsys, command):
 
 
 def test_cli_bound_read_where_registered(capsys):
-    # The 2 5 filtration needs the monomial d2 of weight 5.
-    assert main(["qdeg", "--matrix", "2 5", "--j", "1", "--bound", "5"]) == 0
+    # d0 * d1 needs the cofactor d1 of degree 1 on the generator d0.
+    argv = ["verify-member", "--gens", "d0", "--target", "d0*d1", "--nvars", "2"]
+    assert main([*argv, "--bound", "1"]) == 0
     capsys.readouterr()
-    assert main(["qdeg", "--matrix", "2 5", "--j", "1", "--bound", "4"]) == 4
+    assert main([*argv, "--bound", "0"]) == 4
     assert json.loads(capsys.readouterr().err)["error"]["message"] == (
-        "no face-prime quotient found up to weight 4"
+        "no certificate with cofactor degree <= 0"
     )
 
 
@@ -373,7 +374,7 @@ def test_cli_nonpositive_nvars_is_a_parse_error(capsys, nvars):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["qdeg", "--matrix", "2 5", "--j", "1"],
+        ["verify-member", "--gens", "d0; d1", "--nvars", "2", "--target", "d0"],
         ["verify-member", "--gens", "l0", "--target", "l0"],
         ["verify-member", *BETA, "--target", "l0"],
     ],
@@ -449,6 +450,25 @@ def test_cli_diagram_rejects_an_inverted_box(capsys, box):
         DiagramSpec(tuple(int(x) for x in box.split()), ("semigroup",))
 
 
+def test_cli_diagram_styles_mark_the_same_points(capsys):
+    # A zero column: the filtration raises DegenerateColumn, so the SVG draws
+    # no qdeg lines, but both styles mark the true degrees of the table.
+    argv = ["diagram", "--matrix", "1 1 0; 0 1 0", "--box", "0 2 0 2", "--layers", "qdeg"]
+    assert main([*argv, "--style", "ascii"]) == 0
+    rows = capsys.readouterr().out.splitlines()[:3]
+    ascii_marks = {(x, 2 - y): glyph for y, row in enumerate(rows) for x, glyph in enumerate(row.split())}
+    assert main([*argv, "--style", "svg"]) == 0
+    svg = capsys.readouterr().out
+    assert "<line" not in svg
+    radius = {"r=\"4\"": "O", "r=\"3\"": "x", "r=\"1\"": "."}
+    svg_marks = {}
+    for circle in re.findall(r'<circle cx="([\d.]+)" cy="([\d.]+)" (r="\d")', svg):
+        x, y = (round((float(c) - 20) / 28) for c in circle[:2])
+        svg_marks[(x, 2 - y)] = radius[circle[2]]
+    assert svg_marks == ascii_marks
+    assert {p for p, glyph in ascii_marks.items() if glyph == "x"} == {(0, 0), (1, 1), (2, 2)}
+
+
 def test_cli_psi(capsys):
     assert main(["psi", "--m", "0,0", "--s", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -462,7 +482,7 @@ def test_cli_diagram_ascii(capsys):
 
 
 def test_cli_cone_diagram_above_the_face_column_cap(capsys):
-    # The cone layer answers by LP, with no face lattice.
+    # The cone layer reads facet signs; the face lattice takes 13 columns.
     matrix = " ".join(str(k) for k in range(1, 14))
     assert main(["diagram", "--matrix", matrix, "--box=0,5", "--layers", "cone"]) == 0
     assert "<svg" in capsys.readouterr().out

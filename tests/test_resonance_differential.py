@@ -310,7 +310,7 @@ def test_n_beta_matches_the_built_route(case):
 
 def component_sources(a):
     """(matrix, components) for sRes(A) and sRes(homogenize(A)), each left
-    out where building it raises (a filtration bound)."""
+    out where building it raises (a precondition, such as a zero column)."""
     sources = []
     for m in (a, homogenize(a)):
         got = outcome(lambda: resonance.resonance_set(m).components)

@@ -173,26 +173,41 @@ def test_qdeg_faces_avoid_the_column(staircase):
             assert j not in comp.face.columns
 
 
-def test_filtration_bound_error(numerical):
-    from gkzkit.errors import FiltrationBoundExceeded
+# This filtration scans past weight 64, the default bound the scan had before
+# the lemma of `quasi_degrees` ended it; the components are those that
+# quasi_degrees(a, j, bound=200) gave then.
+FORMER_BOUND_MATRIX = "2 0 1 1; -1 2 -1 0; 2 1 2 -1"
+FORMER_BOUND_COMPONENTS = {
+    1: [
+        ((14, -9, 13), (3, 4)), ((13, -8, 11), (2, 4)), ((12, -7, 9), (2, 4)),
+        ((11, -6, 7), (2, 4)), ((10, -5, 5), (2, 4)), ((9, -4, 3), (2, 4)),
+        ((8, -3, 1), (2, 4)), ((7, -2, -1), (2, 4)), ((6, -1, -3), (2, 4)),
+        ((5, 0, -5), (2, 4)), ((4, 0, -4), (2, 3)), ((3, 0, -3), (2, 3)),
+        ((2, 0, -2), (2, 3)), ((1, 0, -1), (2, 3)), ((0, 0, 0), (2, 3)),
+    ],
+    2: [
+        ((12, -6, 12), (3, 4)), ((10, -5, 10), (3, 4)), ((8, -4, 8), (3, 4)),
+        ((6, -3, 6), (3, 4)), ((4, -2, 4), (3, 4)), ((2, -1, 2), (3, 4)),
+        ((0, 0, 0), (3, 4)),
+    ],
+    3: [
+        ((12, -6, 12), (2, 4)), ((10, -5, 10), (2, 4)), ((8, -4, 8), (2, 4)),
+        ((6, -3, 6), (2, 4)), ((4, -2, 4), (2, 4)), ((2, -1, 2), (2, 4)),
+        ((0, 0, 0), (2, 4)),
+    ],
+    4: [
+        ((12, -6, 12), (2, 3)), ((10, -5, 10), (2, 3)), ((8, -4, 8), (2, 3)),
+        ((6, -3, 6), (2, 3)), ((4, -2, 4), (2, 3)), ((2, -1, 2), (2, 3)),
+        ((0, 0, 0), (2, 3)),
+    ],
+}
 
-    with pytest.raises(FiltrationBoundExceeded):
-        quasi_degrees(numerical, 2, bound=1)
 
-
-@pytest.mark.parametrize("j", [1, 2, 3])
-def test_filtration_bound_is_inclusive(j):
-    from gkzkit.cones import positive_grading
-    from gkzkit.errors import FiltrationBoundExceeded
-
-    a = parse_matrix("3 5 7")
-    # phi = 1 grades 3 5 7, so the phi-weight of d^u is its offset A u.
-    assert positive_grading(a) == (3, 5, 7)
-    components = quasi_degrees(a, j).components
-    need = max(c.offset[0] for c in components)
-    assert quasi_degrees(a, j, bound=need).components == components
-    with pytest.raises(FiltrationBoundExceeded, match=f"up to weight {need - 1}$"):
-        quasi_degrees(a, j, bound=need - 1)
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_filtration_ends_without_a_bound(j):
+    qd = quasi_degrees(parse_matrix(FORMER_BOUND_MATRIX), j)
+    got = [(c.offset, c.face.sorted_columns()) for c in qd.components]
+    assert got == FORMER_BOUND_COMPONENTS[j]
 
 
 def test_toric_ideal_order_flag(staircase):
