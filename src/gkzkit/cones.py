@@ -16,9 +16,11 @@ If rank A = d and F is a facet with integer normal nu, nu.a_j > 0 off F, the
 feasible phi are c * nu with c >= 1 / m, m the least nu.a_j off F: one
 vertex, so the LP returns nu / m.  For the improper face every right-hand
 side is 0, every pivot is degenerate, and the LP returns 0.  So only the
-other faces run an LP.  A face's dim is rank - 1 for a facet, rank for the
-improper face, and else its column count minus the nullity that
-`lp.gauss_solve` returns for those columns.
+other faces run an LP.  A face's dim is rank for the improper face, rank
+being the length of A's Smith diagonal (`elementary_divisors`), and rank - 1
+for a facet.  The face lattice of a cone is graded by dim, so any other face
+has one less than the dim of the larger face with fewest columns: that face
+covers it, since a face between the two would have fewer columns.
 Membership in R+A + QF, F a face, is read off the signs of the integer
 facet certificates (`cone_contains`), with no LP.
 
@@ -55,7 +57,7 @@ from operator import ge, mul
 from typing import Optional, Sequence
 
 from .errors import ColumnIndexOutOfRange, NotFullLattice, NotPointed, ParseError
-from .intlinalg import IntMatrix, checked_vector, hermite_normal_form, lattice_kernel, primitive_vector, signed_minors, vec_sub
+from .intlinalg import IntMatrix, checked_vector, elementary_divisors, hermite_normal_form, lattice_kernel, primitive_vector, signed_minors, vec_sub
 from .lp import feasible_point, gauss_solve
 from .polynomials import binomial, standard_pairs
 
@@ -121,12 +123,6 @@ def _face_certificate(a: IntMatrix, subset: frozenset[int]) -> Optional[tuple[Fr
     return tuple(sol[: a.d])
 
 
-def _span_dim(a: IntMatrix, cols: Sequence[int]) -> int:
-    """Dimension of the span of the given 1-based columns: count minus nullity."""
-    rows = [[a.entry(i, j - 1) for j in cols] for i in range(a.d)]
-    return len(cols) - len(gauss_solve(rows, [0] * a.d)[1])
-
-
 def _facets(a: IntMatrix, rank: int) -> dict[frozenset[int], Optional[tuple[Fraction, ...]]]:
     """The facets of R+A, for a cone of dimension rank >= 1: each 1-based
     column set, with its certificate when rank = d and None when rank < d.
@@ -174,7 +170,7 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
     LP is forced to return (the module docstring); every other face is
     certified by one LP.  They come ordered by (size, sorted columns).
     """
-    rank = _span_dim(a, range(1, a.n + 1))
+    rank = len(elementary_divisors(a))
     full = frozenset(range(1, a.n + 1))
     facets = _facets(a, rank) if rank else {}
     subsets = {full}
@@ -182,13 +178,15 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
         subsets |= {facet & g for g in subsets}
     certs = {**facets, full: (Fraction(0),) * a.d}
     dims = {**dict.fromkeys(facets, rank - 1), full: rank}
+    for subset in sorted(subsets, key=len, reverse=True):
+        if subset not in dims:  # a larger face of fewest columns covers it
+            dims[subset] = dims[min((g for g in dims if g > subset), key=len)] - 1
     faces = []
     for subset in sorted(subsets, key=lambda s: (len(s), sorted(s))):
         cert = certs.get(subset) or _face_certificate(a, subset)
         if cert is None:
             raise AssertionError(f"no supporting functional for face {sorted(subset)}")
-        dim = dims[subset] if subset in dims else _span_dim(a, sorted(subset))
-        faces.append(Face(columns=subset, certificate=cert, dim=dim))
+        faces.append(Face(columns=subset, certificate=cert, dim=dims[subset]))
     return FaceLattice(
         faces=tuple(faces),
         proper_faces=tuple(faces[:-1]),

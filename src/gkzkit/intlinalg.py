@@ -2,6 +2,14 @@
 
 Everything works on arbitrary-precision Python ints.  Matrices are immutable
 (tuples of row tuples) so they can be hashed and used as cache keys.
+
+Each normal form has its own job.  The Hermite form answers the lattice
+questions: ker_Z(m) is read off the HNF of [m^T | I_n] (`lattice_kernel`),
+and the homogeneity vector off the HNF of the kernel of [-1 | A^T]
+(`homogeneity_vector`).  A lattice has one HNF, so both answers are
+canonical.  The Smith form gives the factorization B = C D A
+(`smith_decompose`) and the elementary divisors, whose count is the rank
+(`elementary_divisors`, the library's one rank).
 """
 
 from __future__ import annotations
@@ -159,18 +167,15 @@ class _Tracked:
         self.d = m.d
         self.n = m.n
         self.C = [[1 if i == j else 0 for j in range(m.d)] for i in range(m.d)]
-        self.Cinv = [[1 if i == j else 0 for j in range(m.d)] for i in range(m.d)]
         self.M = [[1 if i == j else 0 for j in range(m.n)] for i in range(m.n)]
-        self.Minv = [[1 if i == j else 0 for j in range(m.n)] for i in range(m.n)]
 
-    # Row operations act as work <- E @ work, so C <- C @ E^-1, Cinv <- E @ Cinv.
+    # Row operations act as work <- E @ work, so C <- C @ E^-1.
     def swap_rows(self, i, k):
         if i == k:
             return
         self.work[i], self.work[k] = self.work[k], self.work[i]
         for row in self.C:
             row[i], row[k] = row[k], row[i]
-        self.Cinv[i], self.Cinv[k] = self.Cinv[k], self.Cinv[i]
 
     def add_row(self, i, k, q):
         """row_i += q * row_k on the working matrix."""
@@ -181,25 +186,19 @@ class _Tracked:
             wi[c] += q * wk[c]
         for row in self.C:
             row[k] -= q * row[i]
-        ci, ck = self.Cinv[i], self.Cinv[k]
-        for c in range(self.d):
-            ci[c] += q * ck[c]
 
     def negate_row(self, i):
         self.work[i] = [-x for x in self.work[i]]
         for row in self.C:
             row[i] = -row[i]
-        self.Cinv[i] = [-x for x in self.Cinv[i]]
 
-    # Column operations act as work <- work @ E, so M <- E^-1 @ M, Minv <- Minv @ E.
+    # Column operations act as work <- work @ E, so M <- E^-1 @ M.
     def swap_cols(self, i, k):
         if i == k:
             return
         for row in self.work:
             row[i], row[k] = row[k], row[i]
         self.M[i], self.M[k] = self.M[k], self.M[i]
-        for row in self.Minv:
-            row[i], row[k] = row[k], row[i]
 
     def add_col(self, i, k, q):
         """col_i += q * col_k on the working matrix."""
@@ -210,8 +209,6 @@ class _Tracked:
         mk, mi = self.M[k], self.M[i]
         for c in range(self.n):
             mk[c] -= q * mi[c]
-        for row in self.Minv:
-            row[i] += q * row[k]
 
 
 def _smith_tracked(m: IntMatrix) -> tuple[_Tracked, list[int], int]:
@@ -343,38 +340,21 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(rows[:pivot_row]) if pivot_row else IntMatrix.from_rows([[0] * ncols])
 
 
+def _kernel_hnf(m: IntMatrix) -> list[tuple[int, ...]]:
+    """The HNF of ker_Z(m) as rows; [] if the kernel is trivial.
+
+    Row operations on [m^T | I_n] keep its row lattice {(x^T m^T, x^T)}, so
+    the rows of its HNF whose m^T part is zero are a basis of the kernel, and
+    their I_n part is echelon and reduced above its pivots: the kernel's HNF.
+    """
+    rows = tuple((*col, *(int(i == j) for j in range(m.n))) for i, col in enumerate(m.columns()))
+    return [row[m.d :] for row in hermite_normal_form(IntMatrix(rows)).rows if not any(row[: m.d])]
+
+
 def lattice_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Z-basis of ker_Z(m), canonicalized via HNF; [] if the kernel is trivial."""
-    t, _, rank = _smith_tracked(m)
-    if rank == m.n:
-        return []
-    raw = [tuple(t.Minv[i][j] for i in range(m.n)) for j in range(rank, m.n)]
-    hnf = hermite_normal_form(IntMatrix.from_rows(raw))
-    basis = []
-    for row in hnf.rows:
-        if all(x == 0 for x in row):
-            continue
-        last = max(i for i, x in enumerate(row) if x != 0)
-        basis.append(tuple(-x for x in row) if row[last] < 0 else tuple(row))
-    return basis
-
-
-def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Some integer solution x of m @ x = b, or None."""
-    if len(b) != m.d:
-        raise ParseError("dimension mismatch in integer solve")
-    t, diag, rank = _smith_tracked(m)
-    c = [sum(t.Cinv[i][j] * b[j] for j in range(m.d)) for i in range(m.d)]
-    y = [0] * m.n
-    for i in range(m.d):
-        if i < rank:
-            if c[i] % diag[i] != 0:
-                return None
-            if i < m.n:
-                y[i] = c[i] // diag[i]
-        elif c[i] != 0:
-            return None
-    return tuple(sum(t.Minv[i][j] * y[j] for j in range(m.n)) for i in range(m.n))
+    """Z-basis of ker_Z(m): its HNF, each row signed so its last nonzero entry
+    is positive; [] if the kernel is trivial."""
+    return [tuple(-x for x in row) if next(x for x in reversed(row) if x) < 0 else row for row in _kernel_hnf(m)]
 
 
 def homogenize(a: IntMatrix) -> IntMatrix:
@@ -388,22 +368,15 @@ def homogenize(a: IntMatrix) -> IntMatrix:
 
 @lru_cache(maxsize=None)
 def homogeneity_vector(a: IntMatrix) -> Optional[tuple[int, ...]]:
-    """Integer h with h . a_i = 1 for every column, or None."""
-    h = solve_integer(a.transpose(), (1,) * a.n)
-    if h is None:
-        return None
-    # Canonicalize modulo the left kernel so repeated calls agree.
-    left = lattice_kernel(a.transpose())
-    if left:
-        h = list(h)
-        for vec in hermite_normal_form(IntMatrix.from_rows(left)).rows:
-            if all(x == 0 for x in vec):
-                continue
-            p = min(i for i, x in enumerate(vec) if x != 0)
-            q = h[p] // vec[p]
-            h = [x - q * y for x, y in zip(h, vec)]
-        h = tuple(h)
-    return h
+    """Integer h with h . a_i = 1 for every column, or None.
+
+    The kernel of [-1 | A^T] is {(t, h) : A^T h = t 1}.  Its HNF starts with
+    (1, h) exactly when some integer h has t = 1; the rows below are the HNF
+    of the left kernel {(0, h) : A^T h = 0}, so h is the representative
+    reduced to [0, pivot) at their pivots, whatever solution is found first.
+    """
+    kernel = _kernel_hnf(IntMatrix(tuple((-1, *col) for col in a.columns())))
+    return kernel[0][1:] if kernel and kernel[0][0] == 1 else None
 
 
 def signed_minors(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
+from operator import mul
 from typing import Optional, Sequence
 
 from . import cones, family, resonance, toric, weyl
@@ -255,19 +257,28 @@ def classification_table(a: IntMatrix, spec: DiagramSpec) -> dict:
 def _sres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     """Analytic line/point data for sres components clipped to the box.
 
-    Each component marches -m * a_j for m = 1, 2, ..; a translate that has
-    left the box never comes back (the shift is fixed), so a cap scaled to
-    the box diameter is conclusive.
+    Each component marches -m * a_j for m = 1, 2, ..; its translate can meet
+    the box only where psi . (offset - m * shift) lies in psi's range over the
+    box corners, for each psi of `cones.face_functionals`.  Some psi . shift
+    is nonzero (lemma 1 of `resonance`), so that bounds m on both sides, and
+    each m in the bounds is clipped, in increasing order.
     """
     if a.d != 2:
         return []
     x0, x1, y0, y1 = spec.box
-    cap = 4 * (abs(x1) + abs(x0) + abs(y1) + abs(y0) + 8)
     segments = []
     for comp in resonance.resonance_set(a).components:
         cols = list(comp.face_columns)
         direction = a.column(cols[0] - 1) if cols else None
-        for m in range(1, cap + 1):
+        lows, highs = [1], []
+        for psi in cones.face_functionals(a, comp.face_columns):
+            s, g = (sum(map(mul, psi, v)) for v in (comp.shift, comp.offset))
+            if s:  # min(values) <= g - m s <= max(values)
+                values = [psi[0] * x + psi[1] * y for x in (x0, x1) for y in (y0, y1)]
+                ends = sorted(Fraction(g - v, s) for v in (min(values), max(values)))
+                lows.append(ceil(ends[0]))
+                highs.append(floor(ends[1]))
+        for m in range(max(lows), min(highs) + 1):
             anchor = tuple(
                 Fraction(o) - m * Fraction(s) for o, s in zip(comp.offset, comp.shift)
             )

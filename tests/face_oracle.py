@@ -3,8 +3,10 @@
 A column subset is a face exactly when some functional vanishes on it and is
 positive off it, which one phase-I LP decides.  Trying all 2^n subsets needs
 no facet or sign reasoning, so it checks the facet-built `cones.face_lattice`
-without sharing its method.  `is_saturated_by_lp` likewise tests cone
-membership of each box point with an LP instead of facet certificates.
+without sharing its method.  Each face's dim is its own `Fraction` rank
+(`span_dim`), not the grading `face_lattice` reads dims off.
+`is_saturated_by_lp` likewise tests cone membership of each box point with
+an LP instead of facet certificates.
 
 `facets_by_fraction_scan` is the facet scan `cones._facets` ran before it
 cleared kernel vectors to integers and skipped subsets inside a found facet:
@@ -26,7 +28,6 @@ from gkzkit.cones import (
     Face,
     FaceLattice,
     _face_certificate,
-    _span_dim,
     cone_witness,
     extreme_rays,
     semigroup_contains,
@@ -34,6 +35,22 @@ from gkzkit.cones import (
 from gkzkit.errors import NotPointed
 from gkzkit.intlinalg import IntMatrix
 from gkzkit.lp import gauss_solve
+
+
+def span_dim(a: IntMatrix, cols) -> int:
+    """The rank of the given 1-based columns, by Fraction row reduction."""
+    rows = [[Fraction(a.entry(i, j - 1)) for j in cols] for i in range(a.d)]
+    rank = 0
+    for c in range(len(cols)):
+        p = next((i for i in range(rank, a.d) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for i in range(rank + 1, a.d):
+            f = rows[i][c] / rows[rank][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def face_lattice_by_subsets(a: IntMatrix) -> FaceLattice:
@@ -45,7 +62,7 @@ def face_lattice_by_subsets(a: IntMatrix) -> FaceLattice:
             cert = _face_certificate(a, subset)
             if cert is None:
                 continue
-            dim = _span_dim(a, sorted(subset))
+            dim = span_dim(a, sorted(subset))
             faces.append(Face(columns=subset, certificate=cert, dim=dim))
     improper = next(f for f in faces if f.columns == frozenset(range(1, a.n + 1)))
     proper = tuple(f for f in faces if f is not improper)

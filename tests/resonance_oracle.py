@@ -3,10 +3,10 @@
 These are `sres_witness`, `dsres_witness`, `delta_valid`, `n_beta` and
 `dual_parameter` as they were before `gkzkit.resonance` answered every
 component question with one multiplier solve or one cone-plus-span LP:
-the multiplier is tagged "free" or "unique", the DsRes lattice test asks
-`solve_integer` for a point, `delta_valid` builds its own LP with a
-variable t >= 1, and the interior pass of `dual_parameter` still tests
-DsRes.  The library must return exactly what these return, exceptions
+the multiplier is tagged "free" or "unique", the DsRes lattice test
+reduces the functionals' values against an HNF, `delta_valid` builds its
+own LP with a variable t >= 1, and the interior pass of `dual_parameter`
+still tests DsRes.  The library must return exactly what these return, exceptions
 included.
 
 `n_beta` here is the built route, which the library's reading of A's own
@@ -43,10 +43,10 @@ from gkzkit.errors import (
 from gkzkit.intlinalg import (
     IntMatrix,
     checked_vector,
+    hermite_normal_form,
     homogeneity_vector,
     homogenize,
     lattice_kernel,
-    solve_integer,
     vec_add,
     vec_sub,
 )
@@ -155,8 +155,22 @@ def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
     values = [sum(Fraction(p) * Fraction(b) for p, b in zip(psi, beta)) for psi in ann]
     if any(v.denominator != 1 for v in values):
         return False  # psi(Z^d) is integral
-    psi_matrix = IntMatrix.from_rows(ann)
-    return solve_integer(psi_matrix, [int(v) for v in values]) is not None
+    # the values are hit exactly when they lie in the lattice of the psi matrix's columns
+    return _row_lattice_contains(list(zip(*ann)), [int(v) for v in values])
+
+
+def _row_lattice_contains(rows, v) -> bool:
+    """Whether the integer v is an integer combination of the rows: it reduces
+    to 0 against their HNF, pivot by pivot."""
+    v = list(v)
+    for row in hermite_normal_form(IntMatrix.from_rows(rows)).rows:
+        if any(row):
+            p = next(k for k, x in enumerate(row) if x)
+            q, r = divmod(v[p], row[p])
+            if r:
+                return False
+            v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
 
 
 def _beta_in_cone_plus_span(a: IntMatrix, cols, beta) -> bool:

@@ -6,9 +6,10 @@ for NA membership; both are checked against the per-subset LP route in
 `face_oracle`, and the membership tests are counted.  The integer facet scan,
 which skips subsets inside a facet already found, is checked against the
 `Fraction` scan it replaced, and its solved subsets are counted.  The
-certificates and dims `face_lattice` sets without an LP or a span solve (the
-improper face, and the facets of a full-dimensional cone) are checked
-against `_face_certificate`'s LP and `_span_dim`.
+certificates `face_lattice` sets without an LP (the improper face, and the
+facets of a full-dimensional cone) are checked against `_face_certificate`'s
+LP, and every dim, read off the Smith diagonal and the grading of the
+lattice, against the oracle's `Fraction` rank (`span_dim`).
 `positive_grading` skips the lattice and is checked against the phi of the
 NA search (`_semigroup(a).phi`, the minimal face's certificate cleared of
 denominators); on one nonzero row it reads the empty
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import face_oracle
-from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, is_saturated_by_lp
+from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, is_saturated_by_lp, span_dim
 
 from gkzkit import IntMatrix, cones, parse_matrix
 from gkzkit.intlinalg import elementary_divisors, hermite_normal_form
@@ -33,7 +34,6 @@ from gkzkit.cones import (
     _face_certificate,
     _integral,
     _semigroup,
-    _span_dim,
     face_lattice,
     is_saturated,
     positive_grading,
@@ -149,7 +149,7 @@ def test_face_lattice_matches_fraction_scan(a):
 @given(scan_matrices())
 @example(GRID_3X10)
 def test_facet_scan_solves_no_subset_inside_a_facet_found_before(a):
-    rank = cones._span_dim(a, range(1, a.n + 1))
+    rank = span_dim(a, range(1, a.n + 1))
     if not rank:
         return
     facets, solved = solved_subsets(cones, cones._facets, a, rank)
@@ -170,7 +170,7 @@ def test_facet_scan_solves_no_subset_inside_a_facet_found_before(a):
 def test_forced_certificates_match_the_lp(a):
     for face in face_lattice(a).faces:
         assert face.certificate == _face_certificate(a, face.columns)
-        assert face.dim == _span_dim(a, sorted(face.columns))
+        assert face.dim == span_dim(a, sorted(face.columns))
 
 
 def test_grid_3x10_lattice_runs_6_lps_for_12_faces(monkeypatch):
@@ -206,13 +206,13 @@ def column_sets(draw):
 @example((CUBE_4D, (1, 2, 5)))
 def test_face_functionals_are_a_saturated_annihilator(case):
     """The basis vanishes on the columns, has d - rank vectors, rank the
-    Fraction elimination (`_span_dim`) that gives `face_oracle` its dims, and
+    Fraction elimination (`span_dim`) that gives `face_oracle` its dims, and
     spans a saturated lattice: its elementary divisors are all 1, so it
     extends to a basis of (Z^d)*, as lemma 3 of `resonance` needs."""
     a, cols = case
     basis = cones.face_functionals(a, cols)
     assert all(sum(map(mul, psi, a.column(j - 1))) == 0 for psi in basis for j in cols)
-    assert len(basis) == a.d - _span_dim(a, cols)
+    assert len(basis) == a.d - span_dim(a, cols)
     if basis:
         assert elementary_divisors(IntMatrix.from_rows(basis)) == (1,) * len(basis)
 

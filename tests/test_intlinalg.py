@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +18,14 @@ from gkzkit.intlinalg import (
     elementary_divisors,
     hermite_normal_form,
     signed_minors,
-    solve_integer,
 )
 from gkzkit.lp import gauss_solve
+
+try:
+    from sympy import Matrix
+    from sympy.matrices.normalforms import invariant_factors
+except ImportError:  # the library's own Smith form stands in
+    Matrix = None
 
 
 def random_full_rank(rng, d, n):
@@ -186,25 +192,6 @@ def test_homogeneity_vector_defining_property():
             assert sum(x * y for x, y in zip(h, col)) == 1
 
 
-def test_solve_integer_round_trip():
-    rng = random.Random(17)
-    for _ in range(40):
-        d = rng.randint(1, 3)
-        n = rng.randint(1, 4)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(n)] for _ in range(d)]
-        )
-        x = [rng.randint(-3, 3) for _ in range(n)]
-        b = m.mul_vec(x)
-        sol = solve_integer(m, b)
-        assert sol is not None
-        assert m.mul_vec(sol) == b
-
-
-def test_solve_integer_infeasible():
-    assert solve_integer(parse_matrix("2"), (1,)) is None
-
-
 def test_elementary_divisors_trim():
     assert elementary_divisors(parse_matrix("1 2; 2 4")) == (1,)
 
@@ -291,10 +278,19 @@ def unimodular(draw, k):
     return IntMatrix.from_rows(rows)
 
 
+def divisors(rows):
+    """The nonzero elementary divisors of the rows, from sympy when present."""
+    if Matrix is None:
+        return elementary_divisors(IntMatrix.from_rows(rows))
+    return tuple(abs(x) for x in invariant_factors(Matrix(rows)) if x)
+
+
 def row_lattice_contains(m, v):
-    """Whether v is an integer combination of the rows of m."""
-    transpose = IntMatrix.from_rows([list(col) for col in zip(*m.rows)])
-    return solve_integer(transpose, v) is not None
+    """Whether v is an integer combination of the rows of m: adding v keeps
+    the rank and the product of the elementary divisors, the index of the
+    row lattice in its saturation."""
+    old, new = divisors(m.rows), divisors([*m.rows, v])
+    return len(old) == len(new) and prod(old) == prod(new)
 
 
 def pivots(h):
@@ -302,7 +298,10 @@ def pivots(h):
 
 
 def rank(m):
-    """The rank over Q, from the nullspace that gauss_solve returns."""
+    """The rank over Q, from sympy when present, else from the nullspace that
+    gauss_solve returns."""
+    if Matrix is not None:
+        return Matrix(m.rows).rank()
     return m.n - len(gauss_solve(m.rows, [0] * m.d)[1])
 
 
@@ -357,3 +356,48 @@ def test_smith_keeps_divisibility_and_unimodular_factors(m):
         assert rank(m) < m.d
         return
     assert dec.e == elementary_divisors(m)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """d <= 4, n <= 9, entries in [-5, 5], often with a zero column or a
+    column that is a multiple of another."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    cols = [draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        cols[-1] = [draw(st.integers(-2, 2)) * x for x in cols[0]]
+    if draw(st.booleans()):
+        cols[draw(st.integers(0, n - 1))] = [0] * d
+    return IntMatrix.from_rows(list(zip(*cols)))
+
+
+def signed(row):
+    """The sign rule of `lattice_kernel`: the last nonzero entry positive."""
+    return tuple(-x for x in row) if [x for x in row if x][-1] < 0 else tuple(row)
+
+
+@HNF_SETTINGS
+@given(kernel_inputs())
+@example(parse_matrix("0 0 0; 0 0 0"))  # the whole of Z^3
+@example(parse_matrix("1 2 3"))  # homogeneous: (1)
+@example(parse_matrix("2 4 6; 0 1 2"))  # 1 is not in the row lattice of A^T
+@example(parse_matrix("1 1 1; 0 1 0"))  # left kernel {0}
+@example(parse_matrix("1 0 1; 0 0 0"))  # zero column: no h
+def test_kernel_and_homogeneity_vector_properties(a):
+    basis = lattice_kernel(a)
+    assert all(a.mul_vec(v) == (0,) * a.d for v in basis)
+    assert len(basis) == a.n - rank(a)
+    if basis:
+        lat = IntMatrix.from_rows(basis)
+        assert elementary_divisors(lat) == (1,) * len(basis)  # saturated
+        assert [signed(row) for row in hermite_normal_form(lat).rows] == basis
+    h = homogeneity_vector(a)
+    at = a.transpose()
+    with_ones = IntMatrix.from_rows([(*row, 1) for row in at.rows])
+    assert (h is None) == (elementary_divisors(with_ones) != elementary_divisors(at))
+    if h is not None:
+        assert at.mul_vec(h) == (1,) * a.n
+        for row in hermite_normal_form(IntMatrix.from_rows(lattice_kernel(at) or [(0,) * a.d])).rows:
+            if any(row):
+                p = next(k for k, x in enumerate(row) if x)
+                assert 0 <= h[p] < row[p]

@@ -31,7 +31,7 @@ from gkzkit.cli import main
 from gkzkit.cones import cone_witness
 from gkzkit.errors import DimensionUnsupported, ParseError
 from gkzkit.resonance import dsres_witness
-from gkzkit.report import classification_table, classify_point, report_json
+from gkzkit.report import _sres_segments, classification_table, classify_point, report_json
 
 
 def test_report_deterministic(staircase):
@@ -141,6 +141,15 @@ def test_diagram_svg_renders(staircase):
     doc = render_diagram(staircase, spec)
     assert doc.startswith("<svg") and doc.rstrip().endswith("</svg>")
     assert "circle" in doc and "line" in doc
+
+
+def test_diagram_sres_lines_past_the_old_cap():
+    # j = 2, offset (40, 1640) and face (3,) cross the box for m = 65..84,
+    # beyond the cap 4 * (box size + 8) = 64 that once ended the march
+    a = parse_matrix("1 1 1; 0 40 41")
+    spec = DiagramSpec(box=(-2, 2, -2, 2), layers=("sres",))
+    assert render_diagram(a, spec).count("<line") == 176
+    assert [s["m"] for s in _sres_segments(a, spec) if s["m"] > 64] == list(range(65, 85))
 
 
 def test_cli_smith_roundtrip(capsys):

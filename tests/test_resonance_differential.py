@@ -4,7 +4,7 @@
 against the face functionals or one cone-plus-span test, by the lemmas of
 its module docstring.
 `resonance_oracle` keeps the routes those lemmas replaced: the "free" and
-"unique" multiplier tags, n_beta's own line solve, the `solve_integer`
+"unique" multiplier tags, n_beta's own line solve, the HNF-reduction
 lattice test, the t >= 1 LP of `delta_valid` and the DsRes test in the
 interior pass of `dual_parameter`.  Both must return the same answers and
 raise the same exceptions with the same messages, on pointed and

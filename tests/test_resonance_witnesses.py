@@ -3,7 +3,7 @@
 An sRes witness names a component (j, offset, F) and a multiplier m: m must
 be an integer >= 1, j must lie off F, and beta + m*a_j - offset must lie in
 QF, which one `gauss_solve` on the columns of F decides.  A DsRes witness
-names a proper face F: beta must lie in Z^d + QF by the `solve_integer`
+names a proper face F: beta must lie in Z^d + QF by the HNF-reduction
 route and in R+A + QF by the LP, both kept in `resonance_oracle`.  Half the
 parameters are planted on a component or a face, so that witnesses occur;
 a planted parameter must get one.
