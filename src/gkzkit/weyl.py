@@ -8,6 +8,9 @@ operator, in presentations, restrictions and the Euler field, comes from
 [d_i, lambda_i] = 1; products are expanded with the one-variable identity
 
     d^a lambda^b = sum_k k! C(a,k) C(b,k) lambda^(b-k) d^(a-k).
+
+`_mul_terms` expands products of raw term maps, for `weyl_mul` and, on
+integer maps, for the columns of `ideal_member_bounded`.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from .intlinalg import (
     homogeneity_vector,
     homogenize,
     lattice_kernel,
+    parse_fraction,
     vec_sub,
 )
-from .lp import gauss_solve
+from .lp import _cleared, gauss_solve
 from .polynomials import TermMap
 from .toric import a_degree, toric_ideal
 
@@ -113,18 +117,23 @@ def _commute_coeffs(a: int, b: int) -> tuple[tuple[int, int], ...]:
 
 
 def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
-    """Normally ordered product.
+    """Normally ordered product, `_mul_terms` wrapped in a `WeylElement`."""
+    x._check(y)
+    return WeylElement(x.nvars, _mul_terms(x.terms, y.terms))
+
+
+def _mul_terms(x_terms: dict, y_terms: dict) -> dict:
+    """Normally ordered product of raw term maps, less the terms that cancel.
 
     d^v1 lambda^u2 is expanded only over the variables i where v1_i and u2_i
     are both positive.  Every other variable commutes, and its only pick is
     (k, weight) = (0, 1), so the picks come in the order of the product over
-    all variables, with the same terms and the same integer weights.
+    all variables, with the same terms and the same integer weights.  The
+    coefficients may be `int` or `Fraction`; integer maps give an integer map.
     """
-    x._check(y)
-    n = x.nvars
-    out: dict[TermKey, Fraction] = {}
-    for (u1, v1), c1 in x.terms.items():
-        for (u2, v2), c2 in y.terms.items():
+    out: dict = {}
+    for (u1, v1), c1 in x_terms.items():
+        for (u2, v2), c2 in y_terms.items():
             base = c1 * c2
             u0, v0 = tuple(map(add, u1, u2)), tuple(map(add, v1, v2))
             busy = [i for i, (a, b) in enumerate(zip(v1, u2)) if a and b]
@@ -140,7 +149,7 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
                     v[i] -= k
                 key = (tuple(u), tuple(v))
                 out[key] = out.get(key, 0) + base * w
-    return WeylElement(n, out)
+    return {k: c for k, c in out.items() if c}
 
 
 _TOKEN = re.compile(r"\s*([ld]\d+|\d+/\d+|\d+|[-+*^()])")
@@ -245,7 +254,7 @@ class _WeylParser:
             make = WeylElement.lam if tok[0] == "l" else WeylElement.dee
             return make(int(tok[1:]), self.nvars)
         if tok[0].isdigit():
-            return WeylElement.scalar(self.nvars, Fraction(tok))
+            return WeylElement.scalar(self.nvars, parse_fraction(tok))
         raise ParseError(f"unexpected token {tok!r}")
 
     def power(self, base: WeylElement) -> WeylElement:
@@ -406,6 +415,14 @@ def ideal_member_bounded(
     from it (the cofactors) and the inconsistency verdict do not depend on
     the row order.  `gauss_solve` pivots on the first row with a nonzero
     entry in each column, so the sparse rows come first and fill in less.
+
+    Column-scaling lemma: with q_g the least common denominator of g's
+    coefficients, the column of (g, m) is the integer m·G_g, G_g = q_g·g, so
+    the system is M·D with D = diag(q_g) > 0.  Scaling columns by positive
+    constants keeps the zero pattern of every elimination step, so
+    `gauss_solve` picks the same pivots, gives the same verdict and returns
+    x' = D⁻¹x; each cofactor coefficient x'·q_g is the `Fraction` x.  The
+    re-expansion check multiplies by the unscaled generators.
     """
     if not gens:
         return None
@@ -420,27 +437,29 @@ def ideal_member_bounded(
         )
     grading = _grading_vectors(gens)
     by_degree = _monomials_by_degree(nvars, bound, grading)
-    columns: list[tuple[int, TermKey, WeylElement]] = []
+    cleared = [_cleared(list(g.terms.values())) for g in gens]  # (q_g·g's coefficients, q_g)
+    scaled = [dict(zip(g.terms, ints)) for g, (ints, _) in zip(gens, cleared)]
+    columns: list[tuple[int, TermKey, dict]] = []
     for t_deg in dict.fromkeys(_weyl_degree(u, v, grading) for u, v in target.terms):
         for gi, g in enumerate(gens):
             if g.is_zero():
                 continue  # no column: its cofactor stays zero
             want = tuple(map(sub, t_deg, _weyl_degree(*next(iter(g.terms)), grading)))
             for mono in by_degree.get(want, ()):
-                prod = weyl_mul(WeylElement.monomial(*mono), g)
-                if not prod.is_zero():
+                prod = _mul_terms({mono: 1}, scaled[gi])
+                if prod:
                     columns.append((gi, mono, prod))
     if not columns:
         return None
     uses: dict[TermKey, int] = dict.fromkeys(target.terms, 0)
     for _, _, prod in columns:
-        for k in prod.terms:
+        for k in prod:
             uses[k] = uses.get(k, 0) + 1
     row_keys = sorted(uses, key=lambda k: (uses[k], k))
     key_index = {k: i for i, k in enumerate(row_keys)}
     matrix = [[0] * len(columns) for _ in row_keys]
     for ci, (_, _, prod) in enumerate(columns):
-        for k, c in prod.terms.items():
+        for k, c in prod.items():
             matrix[key_index[k]][ci] = c
     rhs = [0] * len(row_keys)
     for k, c in target.terms.items():
@@ -452,7 +471,7 @@ def ideal_member_bounded(
     cof_terms: list[dict[TermKey, Fraction]] = [dict() for _ in gens]
     for x, (gi, mono, _) in zip(coeffs, columns):
         if x != 0:
-            cof_terms[gi][mono] = x
+            cof_terms[gi][mono] = x * cleared[gi][1]
     cert = MembershipCertificate(
         cofactors=tuple(WeylElement(nvars, t) for t in cof_terms), bound=bound
     )

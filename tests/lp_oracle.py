@@ -39,11 +39,12 @@ def gauss_solve(
             continue
         aug[r], aug[pr] = aug[pr], aug[r]
         pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        # 0 / pv and x - f * 0 need no new Fraction: zero entries are left alone.
+        aug[r] = [x / pv if x else x for x in aug[r]]
         for i in range(m):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+                aug[i] = [x - f * y if y else x for x, y in zip(aug[i], aug[r])]
         pivots.append((r, c))
         r += 1
         if r == m:

@@ -4,8 +4,9 @@ Two tables.  CORPUS: each golden file under tests/golden/ is the full stdout
 of `gkz analyze --matrix M --beta=b` for one corpus matrix at one fixed
 non-resonant beta.  Reduced Groebner bases are unique, so a faster engine
 must reproduce these files exactly.  CLI_EXAMPLES: every CLI example of the
-README, one per subcommand (two for `diagram`), run with `--format json` and
-`--format text`; the stdout of each is kept under tests/golden/cli/.
+README, one per subcommand (two for `diagram` and for `verify-member`), run
+with `--format json` and `--format text`; the stdout of each is kept under
+tests/golden/cli/.
 Regenerate both only for an intended output change, with
 `PYTHONPATH=src python tests/test_golden_reports.py`.  Under `--order lex`
 or `deglex` the same reports differ only where the order is shown: the
@@ -59,6 +60,10 @@ CLI_EXAMPLES = {
     "verify-member": [
         "verify-member", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0",
         "--target", "d0*((4*l1*l2 - l0^2)*d0 + l0) - 1", "--bound", "4",
+    ],
+    "verify-member-rational": [
+        "verify-member", "--gens", "1/2*l0*d0 - 1/3; 3/4*d1",
+        "--target", "d1*l0*d0", "--bound", "2",
     ],
     "factor": ["factor", "--matrix", "2 2; 0 2"],
     "index-sets": ["index-sets", "--matrix", "2", "--kind", "I"],

@@ -419,6 +419,20 @@ def test_cli_verify_member_deep_parentheses(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "gens, target, token",
+    [("d0", "1/0", "1/0"), ("3/0*d0", "d0", "3/0"), ("d0", "0/0*l0", "0/0")],
+)
+def test_cli_verify_member_zero_denominator_is_a_parse_error(capsys, gens, target, token):
+    # The same error as --beta 1/0, not a ZeroDivisionError traceback.
+    assert main(["verify-member", "--gens", gens, "--target", target, "--bound", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == {
+        "code": "parse_error", "message": f"bad rational '{token}'",
+    }
+
+
 def test_cli_verify_member_many_variables(capsys):
     argv = ["verify-member", "--gens", "l0*d0", "--nvars", "600", "--target", "l0*d0", "--bound", "1"]
     assert main(argv) == 0

@@ -3,15 +3,18 @@
 `weyl.weyl_mul` expands d^v1 lambda^u2 only over the variables where both
 exponents are positive, multiplies the commutation weights of a pick as
 integers and scales the coefficient once; `weyl.ideal_member_bounded` reads
-each generator's cofactor monomials from a degree-keyed cache and sorts the
-rows of its system sparse first.  `weyl_oracle` keeps the routes they
-replace: every variable expanded with a Fraction per weight, a graded list
-filtered once per generator, and rows sorted by key.  Products must be
+each generator's cofactor monomials from a degree-keyed cache, builds its
+columns on integer term maps (each generator cleared of its denominators)
+and sorts the rows of its system sparse first.  `weyl_oracle` keeps the
+routes they replace: every variable expanded with a Fraction per weight, a
+graded list filtered once per generator, Fraction columns from the
+generators as given, and rows sorted by key.  Products must be
 equal term for term, in the same insertion order, and certificates
 identical, cofactor for cofactor.  The shapes cover the `weyl` benchmark
 workload: the hat and the homogenized staircase (3 and 4 variable pairs)
-at bounds 3-5, and products in 4-5 variable pairs with several variables
-to commute at once.
+at bounds 3-5, products in 4-5 variable pairs with several variables to
+commute at once, and generators whose non-constant terms carry
+denominators.
 """
 
 from fractions import Fraction
@@ -24,7 +27,7 @@ import weyl_oracle
 
 from gkzkit import WeylElement, gkz_presentation, homogenize, parse_matrix, weyl
 from gkzkit.intlinalg import vec_add
-from gkzkit.weyl import _monomials_up_to, ideal_member_bounded, weyl_mul
+from gkzkit.weyl import _monomials_up_to, ideal_member_bounded, parse_weyl, weyl_mul
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -145,11 +148,19 @@ def _check_membership_case(case):
     name, beta, bound, picks, extra = case
     a = MATRICES[name]
     gens = gkz_presentation(a, beta).generators()
-    target = WeylElement.zero(a.n)
+    _check_combination(gens, bound, picks, extra)
+
+
+def _check_combination(gens, bound, picks, extra):
+    """The target sum c * m * gens[gi] over picks (plus the monomial extra,
+    if any) gets the oracle's certificate, cofactor for cofactor and in the
+    same term order; without extra it is a member."""
+    nvars = gens[0].nvars
+    target = WeylElement.zero(nvars)
     for gi, letters, c in picks:
-        target = target + weyl_mul(WeylElement.monomial(*_monomial(a.n, letters), c), gens[gi])
+        target = target + weyl_mul(WeylElement.monomial(*_monomial(nvars, letters), c), gens[gi])
     if extra is not None:
-        target = target + WeylElement.monomial(*_monomial(a.n, extra))
+        target = target + WeylElement.monomial(*_monomial(nvars, extra))
     expected = weyl_oracle.ideal_member_bounded(target, gens, bound)
     got = ideal_member_bounded(target, gens, bound)
     assert got == expected
@@ -157,6 +168,46 @@ def _check_membership_case(case):
         assert expected is not None
     if expected is not None:
         assert all(map(_same_terms, got.cofactors, expected.cofactors))
+
+
+PRIMES = (5, 7, 11, 13)
+
+
+@st.composite
+def rational_generator_cases(draw):
+    """(gens, bound, picks, extra) on `weyl_elements` generators whose
+    non-constant coefficients c become c + 1/p, with a prime p of its own
+    for each generator.  The coefficients of `COEFFS` have denominators
+    below 5, so p divides the least common denominator q_g, and q_g > 1
+    away from the constant term, which is left as drawn."""
+    nvars = draw(st.integers(1, 3))
+    primes = draw(st.permutations(PRIMES))[: draw(st.integers(1, 3))]
+    zero = ((0,) * nvars, (0,) * nvars)
+    gens = [
+        WeylElement(nvars, {k: c if k == zero else c + Fraction(1, p) for k, c in g.terms.items()})
+        for p, g in zip(primes, (draw(weyl_elements(nvars)) for _ in primes))
+    ]
+    bound = draw(st.integers(0, 3 if nvars < 3 else 2))
+    word = st.lists(st.integers(0, 2 * nvars - 1), max_size=bound)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), word, COEFFS), max_size=3))
+    extra = draw(st.none() | st.lists(st.integers(0, 2 * nvars - 1), max_size=2))
+    return gens, bound, picks, extra
+
+
+def _parsed(texts, nvars=2):
+    return [parse_weyl(t, nvars) for t in texts]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(rational_generator_cases())
+# 2*d1 * (1/2*l0*d0 - 1/3) + 8/9 * 3/4*d1 = d1*l0*d0, the README example.
+@example((_parsed(["1/2*l0*d0 - 1/3", "3/4*d1"]), 2, [(0, [3], Fraction(2)), (1, [], Fraction(8, 9))], None))
+@example((_parsed(["0", "1/2*l0*d0 - 1/3", "3/4*d1"]), 2, [(1, [3], Fraction(1)), (2, [0], Fraction(2, 3))], None))
+@example((_parsed(["0", "1/2*l0*d0 - 1/3"]), 1, [], [0, 2]))
+def test_rational_generators_get_the_oracle_certificate(case):
+    """Each generator is cleared of its denominators before its columns are
+    built; the certificate must not change."""
+    _check_combination(*case)
 
 
 def test_multi_degree_target_matches_oracle_and_re_expands(monkeypatch):
@@ -179,9 +230,11 @@ def test_multi_degree_target_matches_oracle_and_re_expands(monkeypatch):
         got = ideal_member_bounded(target, gens, bound)
         assert got == expected and (got is not None) == (bound >= 2)
     products = []
-    monkeypatch.setattr(weyl, "weyl_mul", lambda x, y: products.append(x) or weyl_mul(x, y))
+    mul_terms = weyl._mul_terms
+    monkeypatch.setattr(weyl, "_mul_terms", lambda x, y: products.append(x) or mul_terms(x, y))
     cert = ideal_member_bounded(target, gens, 4)
+    columns = len(products) - len(gens)  # the re-expansion takes one product per generator
     assert cert.combine(gens) == target
     assert max(c.total_degree() for c in cert.cofactors) <= 4
-    # Fewer products than monomials of degree <= 4: no generator gets them all.
-    assert len(products) < len(list(_monomials_up_to(a.n, 4))) == 495
+    # Fewer column products than monomials of degree <= 4: no generator gets them all.
+    assert columns < len(list(_monomials_up_to(a.n, 4))) == 495

@@ -3,7 +3,8 @@
 `weyl._WeylParser` keeps open parentheses on an explicit stack;
 `weyl_parser_oracle` keeps the recursive-descent parser it replaces.  On
 random token strings, well formed or not, both must return the same element
-or raise the same ParseError.  `_monomials_up_to` reads compositions off
+or raise the same ParseError; a zero denominator (`3/0`) is one of the
+tokens drawn.  `_monomials_up_to` reads compositions off
 stars and bars; it must list them in the order of the recursive
 enumeration it replaces, since certificates depend on that order.
 """
@@ -24,7 +25,7 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-TOKENS = ["l0", "l1", "d0", "d1", "l2", "2", "1/2", "(", "(", ")", ")", "+", "-", "*", "^", "3"]
+TOKENS = ["l0", "l1", "d0", "d1", "l2", "2", "1/2", "3/0", "(", "(", ")", ")", "+", "-", "*", "^", "3"]
 
 
 def _outcome(parse, text):
@@ -44,6 +45,8 @@ def assert_same_parse(text):
 @example("( l0 ^ 2 ^ 2 )".split())
 @example("( ( l0 + d1 ) l1".split())
 @example("( l0 ) ) d0".split())
+@example("l0 - 3/0 * d1".split())
+@example("0/0 ( d0".split())
 def test_parser_matches_recursive_oracle(tokens):
     assert_same_parse(" ".join(tokens))
 

@@ -4,9 +4,12 @@
 commuting or not, and every commutation weight was multiplied into a new
 Fraction, one factor at a time.
 `ideal_member_bounded` is the search as it was when each call graded every
-monomial of degree <= bound, filtered that list once per generator, and
-sorted the rows of its system by key alone.  The fast routes must return
-the same product and the same certificate.
+monomial of degree <= bound, filtered that list once per generator, sorted
+the rows of its system by key alone, and built every column m·g in Fraction
+arithmetic from the generator as given.  It solves with the Fraction
+Gauss-Jordan of `lp_oracle`, so it shares neither the product nor the solver
+with the route it checks.  A zero generator gets no columns.  The fast
+routes must return the same product and the same certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
 
-from gkzkit.lp import gauss_solve
+from lp_oracle import gauss_solve
+
 from gkzkit.weyl import (
     MembershipCertificate,
     TermKey,
@@ -61,6 +65,8 @@ def ideal_member_bounded(
     graded = [(mono, _weyl_degree(*mono, grading)) for mono in _monomials_up_to(nvars, bound)]
     columns = []
     for gi, g in enumerate(gens):
+        if g.is_zero():
+            continue
         g_first = next(iter(g.terms))
         g_deg = _weyl_degree(g_first[0], g_first[1], grading)
         want = tuple(t - s for t, s in zip(t_deg, g_deg))

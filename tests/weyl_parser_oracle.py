@@ -3,7 +3,10 @@
 This is `weyl._WeylParser` as it was before parentheses moved to an
 explicit stack: one Python frame per nesting level, so deep input hit the
 interpreter's recursion limit.  On every input of modest depth the new
-parser must return the same element or raise the same ParseError.
+parser must return the same element or raise the same ParseError.  A
+number token with a zero denominator, such as `1/0`, is the ParseError
+"bad rational '1/0'" here too, where the old parser let Fraction's
+ZeroDivisionError escape.
 """
 
 from __future__ import annotations
@@ -74,7 +77,10 @@ class WeylParser:
                 else WeylElement.dee(idx, self.nvars)
             )
         elif tok[0].isdigit():
-            base = WeylElement.scalar(self.nvars, Fraction(tok))
+            try:
+                base = WeylElement.scalar(self.nvars, Fraction(tok))
+            except ZeroDivisionError:
+                raise ParseError(f"bad rational {tok!r}") from None
         else:
             raise ParseError(f"unexpected token {tok!r}")
         if self.peek() == "^":
