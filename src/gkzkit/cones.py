@@ -52,13 +52,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
-from math import lcm
 from operator import ge, mul
 from typing import Optional, Sequence
 
 from .errors import ColumnIndexOutOfRange, NotFullLattice, NotPointed, ParseError
 from .intlinalg import IntMatrix, checked_vector, elementary_divisors, hermite_normal_form, lattice_kernel, primitive_vector, signed_minors, vec_sub
-from .lp import feasible_point, gauss_solve
+from .lp import _cleared, feasible_point, gauss_solve
 from .polynomials import binomial, standard_pairs
 
 
@@ -196,12 +195,6 @@ def face_lattice(a: IntMatrix) -> FaceLattice:
     )
 
 
-def _integral(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """A rational vector times the least common multiple of its denominators."""
-    den = lcm(*(q.denominator for q in vec))
-    return tuple(int(q * den) for q in vec)
-
-
 @lru_cache(maxsize=None)
 def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
     """Integer column weights w_i = phi . a_i >= 1, or None if there are none.
@@ -219,7 +212,7 @@ def positive_grading(a: IntMatrix) -> Optional[tuple[int, ...]]:
         cert = _face_certificate(a, frozenset())
     if cert is None:
         return None
-    phi = _integral(cert)
+    phi = _cleared(cert)[0]
     return tuple(sum(p * x for p, x in zip(phi, col)) for col in a.columns())
 
 
@@ -231,7 +224,7 @@ def support_functions(a: IntMatrix) -> list[SupportFunction]:
     for face in face_lattice(a).proper_faces:
         if face.dim != a.d - 1:
             continue
-        vec = primitive_vector(_integral(face.certificate))
+        vec = primitive_vector(_cleared(face.certificate)[0])
         out.append(SupportFunction(facet=face, functional=vec))
     out.sort(key=lambda s: s.functional)
     return out
@@ -262,7 +255,7 @@ def _cone_inequalities(a: IntMatrix, cols: tuple[int, ...]) -> tuple[tuple[int, 
     rank = lat.improper.dim
     facets = [f for f in lat.proper_faces if f.dim == rank - 1 and f.columns.issuperset(cols)]
     normals = face_functionals(a, tuple(range(1, a.n + 1))) if rank < a.d else ()
-    return (*(_integral(f.certificate) for f in facets), *normals, *(tuple(-x for x in y) for y in normals))
+    return (*(tuple(_cleared(f.certificate)[0]) for f in facets), *normals, *(tuple(-x for x in y) for y in normals))
 
 
 def cone_contains(a: IntMatrix, v: Sequence, cols: Sequence[int] = (), strict: bool = False) -> bool:
@@ -306,7 +299,7 @@ class _Semigroup:
         if not lat.pointed:
             raise NotPointed("cone has a nonzero lineality space")
         self.a = a
-        self.phi = _integral(lat.minimal.certificate)
+        self.phi = _cleared(lat.minimal.certificate)[0]
         self.cols = a.columns()
         self.weights = [sum(p * c for p, c in zip(self.phi, col)) for col in self.cols]
         self.steps = [j for j in range(a.n) if self.weights[j] > 0]
@@ -328,10 +321,10 @@ class _Semigroup:
         for m, sigma in standard_pairs(leads, self.a.n):
             if sigma not in table:
                 rows = [self.cols[j] for j in sigma]
-                inverse = [gauss_solve(rows, [int(i == k) for k in sigma])[0] for i in sigma]
-                q = lcm(*(x.denominator for y in inverse for x in y))
+                # q times the left inverse of A_sigma, cut back into rows of length d.
+                flat, q = _cleared([x for i in sigma for x in gauss_solve(rows, [int(i == k) for k in sigma])])
                 psi = face_functionals(self.a, tuple(j + 1 for j in sigma))
-                table[sigma] = ([tuple(int(x * q) for x in y) for y in inverse], psi, q, {})
+                table[sigma] = (list(zip(*[iter(flat)] * self.a.d)), psi, q, {})
             inverse, psi, q, classes = table[sigma]
             lam, key = self.classify(self.a.mul_vec(m), inverse, psi, q)
             classes.setdefault(key, []).append((m, lam))

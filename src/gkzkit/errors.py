@@ -60,7 +60,8 @@ class DegenerateColumn(PreconditionError):
 
 
 class ColumnIndexOutOfRange(PreconditionError):
-    """A 1-based column index outside 1..n."""
+    """A 1-based column index outside 1..n, a 0-based variable index outside
+    0..nvars - 1, or a negative exponent of a variable."""
 
     code = "column_index_out_of_range"
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .errors import ParseError
+from .errors import ColumnIndexOutOfRange, ParseError
 from .intlinalg import IntMatrix, homogenize, smith_decompose, vec_add
 from .resonance import delta_A, dsres_contains, sres_contains
 from .weyl import WeylElement, euler_operator
@@ -111,7 +111,7 @@ def psi_lambda_derivative(m: Sequence[int], s: int, i: int) -> tuple[tuple[int, 
     """The d_lambda_i action on monomial data: multiply by y^(a_i), bump d_0."""
     m = tuple(int(x) for x in m)
     if not 0 <= i < len(m):
-        raise IndexError("variable index out of range")
+        raise ColumnIndexOutOfRange(f"variable index {i} is not in 0..{len(m) - 1}")
     bumped = m[:i] + (m[i] + 1,) + m[i + 1 :]
     return bumped, int(s) + 1
 

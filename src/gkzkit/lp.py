@@ -1,7 +1,9 @@
 """Exact linear algebra and LP feasibility over the rationals, on integer rows.
 
 The simplex here only ever answers feasibility questions (phase I with
-Bland's rule), which is all the cone and resonance computations need.
+Bland's rule), which is all the cone and resonance computations need, and
+`gauss_solve` returns only the particular solution, free variables 0, which
+is all Weyl membership and the semigroup search read.
 
 Both solvers work fraction-free (Bareiss 1968, Edmonds 1967).  Each input
 row is cleared by the least positive integer that makes it integral, and
@@ -13,7 +15,8 @@ by its content.  Positive multiples leave every zero test, sign test, Bland
 choice and ratio tie as they are over Q, so the pivot sequence, and with it
 the vertex returned, is that of the rational algorithm.  Rationals appear
 only when an answer is read out, as `Fraction(b_i, row_i[basic])`.
-Entries may be `int` or `Fraction`.
+Entries may be `int` or `Fraction`.  `_cleared` clears denominators for
+the whole package.
 """
 
 from __future__ import annotations
@@ -23,20 +26,14 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def gauss_solve(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[tuple[list[Fraction], list[list[Fraction]]]]:
-    """Solve rows @ x = rhs over Q.
-
-    Returns (particular solution, nullspace basis) or None if inconsistent.
-    A system with no rows returns ([], []), whatever its number of columns.
-    """
+def gauss_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+    """The particular solution of rows @ x = rhs over Q, each free variable 0,
+    or None if inconsistent.  With no rows it is [], whatever the columns."""
     m = len(rows)
     if m == 0:
-        return [], []
+        return []
     ncols = len(rows[0])
     aug = [_cleared([*row, rhs[i]])[0] for i, row in enumerate(rows)]
     pivots: list[tuple[int, int]] = []
@@ -57,17 +54,7 @@ def gauss_solve(
     particular = [ZERO] * ncols
     for pr, pc in pivots:
         particular[pc] = Fraction(aug[pr][ncols], aug[pr][pc])
-    pivot_cols = {pc for _, pc in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for pr, pc in pivots:
-            vec[pc] = Fraction(-aug[pr][free], aug[pr][pc])
-        basis.append(vec)
-    return particular, basis
+    return particular
 
 
 def feasible_point(

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from operator import add, sub
 from typing import Iterable, Optional, Sequence
 
-from .errors import FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
+from .errors import ColumnIndexOutOfRange, FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
 from .intlinalg import (
     IntMatrix,
     checked_vector,
@@ -56,13 +56,11 @@ class WeylElement(TermMap):
 
     @classmethod
     def lam(cls, i: int, nvars: int, power: int = 1) -> "WeylElement":
-        u = tuple(power if k == i else 0 for k in range(nvars))
-        return cls(nvars, {(u, (0,) * nvars): Fraction(1)})
+        return cls(nvars, {(_exponents(i, nvars, power), (0,) * nvars): Fraction(1)})
 
     @classmethod
     def dee(cls, i: int, nvars: int, power: int = 1) -> "WeylElement":
-        v = tuple(power if k == i else 0 for k in range(nvars))
-        return cls(nvars, {((0,) * nvars, v): Fraction(1)})
+        return cls(nvars, {((0,) * nvars, _exponents(i, nvars, power)): Fraction(1)})
 
     @classmethod
     def monomial(cls, u: Sequence[int], v: Sequence[int], coeff=1) -> "WeylElement":
@@ -104,6 +102,15 @@ class WeylElement(TermMap):
 
     def __repr__(self):
         return f"WeylElement({self.pretty()})"
+
+
+def _exponents(i: int, nvars: int, power: int) -> tuple[int, ...]:
+    """The exponent vector of variable i (0-based) to a nonnegative power."""
+    if not 0 <= i < nvars:
+        raise ColumnIndexOutOfRange(f"variable index {i} is not in 0..{nvars - 1}")
+    if power < 0:
+        raise ColumnIndexOutOfRange(f"exponent {power} of variable {i} is negative")
+    return tuple(power if k == i else 0 for k in range(nvars))
 
 
 @lru_cache(maxsize=None)
@@ -258,15 +265,21 @@ class _WeylParser:
         raise ParseError(f"unexpected token {tok!r}")
 
     def power(self, base: WeylElement) -> WeylElement:
+        """base^k by square and multiply over the bits of k after the leading
+        one, at most 2 log2 k products: by associativity and the uniqueness of
+        the normally ordered form, the element that k - 1 products give."""
         if self.peek() != "^":
             return base
         self.take()
         expo_tok = self.take()
         if not expo_tok.isdigit():
             raise ParseError(f"bad exponent {expo_tok!r}")
-        out = WeylElement.one(self.nvars)
-        for _ in range(int(expo_tok)):
-            out = weyl_mul(out, base)
+        k = int(expo_tok)
+        out = base if k else WeylElement.one(self.nvars)
+        for bit in bin(k)[3:]:
+            out = weyl_mul(out, out)
+            if bit == "1":
+                out = weyl_mul(out, base)
         return out
 
 
@@ -464,10 +477,9 @@ def ideal_member_bounded(
     rhs = [0] * len(row_keys)
     for k, c in target.terms.items():
         rhs[key_index[k]] = c
-    sol = gauss_solve(matrix, rhs)
-    if sol is None:
+    coeffs = gauss_solve(matrix, rhs)
+    if coeffs is None:
         return None
-    coeffs = sol[0]
     cof_terms: list[dict[TermKey, Fraction]] = [dict() for _ in gens]
     for x, (gi, mono, _) in zip(coeffs, columns):
         if x != 0:

@@ -23,6 +23,8 @@ from itertools import combinations, product
 from typing import Optional
 from unittest import mock
 
+from lp_oracle import gauss_solve
+
 from gkzkit import cones
 from gkzkit.cones import (
     Face,
@@ -34,7 +36,6 @@ from gkzkit.cones import (
 )
 from gkzkit.errors import NotPointed
 from gkzkit.intlinalg import IntMatrix
-from gkzkit.lp import gauss_solve
 
 
 def span_dim(a: IntMatrix, cols) -> int:

@@ -33,6 +33,8 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Optional, Sequence
 
+from lp_oracle import gauss_solve
+
 from gkzkit.cones import cone_contains, face_lattice, semigroup_contains, support_functions
 from gkzkit.errors import (
     NotFullLattice,
@@ -50,7 +52,7 @@ from gkzkit.intlinalg import (
     vec_add,
     vec_sub,
 )
-from gkzkit.lp import feasible_point, gauss_solve
+from gkzkit.lp import feasible_point
 from gkzkit.resonance import (
     DUAL_SEARCH_RADIUS,
     ResonanceComponent,

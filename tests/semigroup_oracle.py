@@ -18,10 +18,11 @@ from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
+from lp_oracle import gauss_solve
+
 from gkzkit.cones import _semigroup, cone_contains
 from gkzkit.errors import SearchBoundError
 from gkzkit.intlinalg import IntMatrix, checked_vector, vec_sub
-from gkzkit.lp import gauss_solve
 from gkzkit.polynomials import binomial, standard_pairs
 from gkzkit.toric import DEFAULT_ORDER, toric_ideal
 

@@ -30,9 +30,9 @@ from face_oracle import face_lattice_by_fraction_scan, face_lattice_by_subsets, 
 
 from gkzkit import IntMatrix, cones, parse_matrix
 from gkzkit.intlinalg import elementary_divisors, hermite_normal_form
+from gkzkit.lp import _cleared
 from gkzkit.cones import (
     _face_certificate,
-    _integral,
     _semigroup,
     face_lattice,
     is_saturated,
@@ -296,4 +296,4 @@ def test_one_row_positive_grading_matches_the_lp(row):
     if cert is None:
         assert weights is None
     else:
-        assert weights == tuple(_integral(cert)[0] * x for x in row)
+        assert weights == tuple(_cleared(cert)[0][0] * x for x in row)

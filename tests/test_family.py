@@ -22,7 +22,7 @@ from gkzkit import (
     sres_contains,
     dsres_contains,
 )
-from gkzkit.errors import ParseError, RankDeficient
+from gkzkit.errors import ColumnIndexOutOfRange, ParseError, RankDeficient
 from gkzkit.family import IndexSet
 from gkzkit.intlinalg import vec_add
 from gkzkit.resonance import delta_A, resonance_set
@@ -162,6 +162,12 @@ def test_psi_equivariance():
         direct[i + 1] += 1
         assert acted.exponents == tuple(direct)
         assert acted.coefficient == psi_image(m, s).coefficient
+
+
+@pytest.mark.parametrize("i", [2, 5, -1])
+def test_psi_lambda_derivative_rejects_bad_variable_index(i):
+    with pytest.raises(ColumnIndexOutOfRange, match=rf"variable index {i} is not in 0\.\.1"):
+        psi_lambda_derivative((1, 2), 0, i)
 
 
 def test_psi_kernel_sections_match_euler_generators(staircase):

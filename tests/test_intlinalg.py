@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lp_oracle import gauss_solve
+
 from gkzkit import (
     IntMatrix,
     homogeneity_vector,
@@ -19,7 +21,6 @@ from gkzkit.intlinalg import (
     hermite_normal_form,
     signed_minors,
 )
-from gkzkit.lp import gauss_solve
 
 try:
     from sympy import Matrix

@@ -95,10 +95,10 @@ def with_examples(test):
 def test_gauss_solve_matches_oracle(system):
     rows, rhs, _ = system
     got = gauss_solve(rows, rhs)
-    assert got == lp_oracle.gauss_solve(rows, rhs)
+    want = lp_oracle.gauss_solve(rows, rhs)
+    assert got == (None if want is None else want[0])
     if got is not None:
-        particular, basis = got
-        assert all(type(x) is Fraction for x in particular + sum(basis, []))
+        assert all(type(x) is Fraction for x in got)
 
 
 @SETTINGS

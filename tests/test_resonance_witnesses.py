@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import resonance_oracle
+from lp_oracle import gauss_solve
 from test_resonance_differential import FIXED, rationals
 
 from gkzkit import IntMatrix, parse_matrix, resonance
 from gkzkit.cones import face_lattice
-from gkzkit.lp import gauss_solve
 
 SETTINGS = settings(
     max_examples=150,

@@ -15,7 +15,8 @@ from gkzkit import (
     restrict_presentation,
     weyl_mul,
 )
-from gkzkit.errors import FirstRowNotOnes, ParseError, VariableMismatch
+from gkzkit import weyl
+from gkzkit.errors import ColumnIndexOutOfRange, FirstRowNotOnes, GkzError, ParseError, VariableMismatch
 from gkzkit.weyl import _weyl_degree, euler_field
 
 
@@ -112,6 +113,34 @@ def test_parser_rejects_garbage():
         parse_weyl("l0 + $", 1)
     with pytest.raises(ParseError):
         parse_weyl("q0", 1)
+
+
+def test_large_power_parses_in_logarithmically_many_products(monkeypatch):
+    calls = []
+
+    def counting(x, y):
+        calls.append(None)
+        return real(x, y)
+
+    real = weyl.weyl_mul
+    monkeypatch.setattr(weyl, "weyl_mul", counting)
+    assert parse_weyl("d0^1000000") == WeylElement.dee(0, 1, power=1000000)
+    assert len(calls) <= 2 * 20 + 1  # 10^6 < 2^20
+
+
+@pytest.mark.parametrize(
+    "make, match",
+    [
+        (lambda: WeylElement.lam(5, 2), r"variable index 5 is not in 0\.\.1"),
+        (lambda: WeylElement.dee(-1, 2), r"variable index -1 is not in 0\.\.1"),
+        (lambda: WeylElement.lam(0, 2, power=-3), "exponent -3 of variable 0 is negative"),
+    ],
+    ids=["lam-index-past-the-end", "dee-negative-index", "lam-negative-power"],
+)
+def test_constructors_reject_bad_indices_and_exponents(make, match):
+    with pytest.raises(ColumnIndexOutOfRange, match=match) as err:
+        make()
+    assert isinstance(err.value, GkzError)
 
 
 @pytest.mark.parametrize("nvars", [0, -1])

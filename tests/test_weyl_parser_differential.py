@@ -1,7 +1,8 @@
 """Differential tests of the operator parser and the cofactor monomials.
 
-`weyl._WeylParser` keeps open parentheses on an explicit stack;
-`weyl_parser_oracle` keeps the recursive-descent parser it replaces.  On
+`weyl._WeylParser` keeps open parentheses on an explicit stack and takes
+powers by squaring; `weyl_parser_oracle` keeps the recursive-descent parser
+it replaces, which takes x^k as k products.  On
 random token strings, well formed or not, both must return the same element
 or raise the same ParseError; a zero denominator (`3/0`) is one of the
 tokens drawn.  `_monomials_up_to` reads compositions off
@@ -43,6 +44,9 @@ def assert_same_parse(text):
 @SETTINGS
 @given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=14))
 @example("( l0 ^ 2 ^ 2 )".split())
+@example("( d0 * l0 - l1 + 1/2 ) ^ 7".split())  # powers whose bits square and multiply
+@example("( l0 + d0 * d1 ) ^ 6".split())
+@example("( d1 * l1 + 2 ) ^ 9 - d0 ^ 0 + l0 ^ 1".split())
 @example("( ( l0 + d1 ) l1".split())
 @example("( l0 ) ) d0".split())
 @example("l0 - 3/0 * d1".split())
