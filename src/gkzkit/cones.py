@@ -320,9 +320,11 @@ class _Semigroup:
         table: dict[tuple[int, ...], tuple] = {}
         for m, sigma in standard_pairs(leads, self.a.n):
             if sigma not in table:
-                rows = [self.cols[j] for j in sigma]
+                rows = [dict(enumerate(self.cols[j])) for j in sigma]
                 # q times the left inverse of A_sigma, cut back into rows of length d.
-                flat, q = _cleared([x for i in sigma for x in gauss_solve(rows, [int(i == k) for k in sigma])])
+                flat, q = _cleared(
+                    [x for i in sigma for x in gauss_solve(rows, [int(i == k) for k in sigma], self.a.d)]
+                )
                 psi = face_functionals(self.a, tuple(j + 1 for j in sigma))
                 table[sigma] = (list(zip(*[iter(flat)] * self.a.d)), psi, q, {})
             inverse, psi, q, classes = table[sigma]

@@ -6,55 +6,97 @@ Bland's rule), which is all the cone and resonance computations need, and
 is all Weyl membership and the semigroup search read.
 
 Both solvers work fraction-free (Bareiss 1968, Edmonds 1967).  Each input
-row is cleared by the least positive integer that makes it integral, and
-then every working row is kept a *positive* integer multiple of the rational
-row that textbook Gauss-Jordan with divided pivot rows would hold.  A pivot
-first negates its row if the pivot entry is negative, eliminates with
-`row <- p * row - row[c] * pivot_row` (p > 0), and divides each changed row
-by its content.  Positive multiples leave every zero test, sign test, Bland
-choice and ratio tie as they are over Q, so the pivot sequence, and with it
-the vertex returned, is that of the rational algorithm.  Rationals appear
-only when an answer is read out, as `Fraction(b_i, row_i[basic])`.
-Entries may be `int` or `Fraction`.  `_cleared` clears denominators for
-the whole package.
+row is cleared by the least positive integer that makes it integral
+(`_cleared`, which clears denominators for the whole package); each
+elimination step `row <- p * row - f * pivot_row` then divides the row by
+its content, and rationals appear only when an answer is read out.
+Entries may be `int` or `Fraction`.
+
+The simplex keeps dense rows, and `_pivot` serves only it.  It keeps every
+working row a *positive* integer multiple of the rational row that textbook
+Gauss-Jordan with divided pivot rows would hold: a pivot first negates its
+row if the pivot entry is negative, so p > 0.  Positive multiples leave
+every zero test, sign test, Bland choice and ratio tie as they are over Q,
+so the pivot sequence, and with it the vertex returned, is that of the
+rational algorithm, read out as `Fraction(b_i, row_i[basic])`.
+
+`gauss_solve` takes sparse rows, eliminates forward on the nonzeros only and
+substitutes back; its lemma says why that is the Gauss-Jordan answer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 ZERO = Fraction(0)
 
 
-def gauss_solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def gauss_solve(
+    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction], ncols: int
+) -> Optional[list[Fraction]]:
     """The particular solution of rows @ x = rhs over Q, each free variable 0,
-    or None if inconsistent.  With no rows it is [], whatever the columns."""
-    m = len(rows)
-    if m == 0:
-        return []
-    ncols = len(rows[0])
-    aug = [_cleared([*row, rhs[i]])[0] for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
+    or None if inconsistent.
+
+    Row i maps a column in range(ncols) to its entry (zero entries are
+    dropped; the rows are not changed).  Each row is cleared once, its right
+    side under the key ncols.  Elimination runs forward: the pivot for
+    column c is the first remaining row that holds c, and only the remaining
+    rows that hold c become p·row - f·prow, less the entries that cancel,
+    divided by the content.  Then the pivot rows are read back, last first.
+
+    Lemma: the pivot columns are the columns of M outside the span of the
+    columns before them, a property of M, not of the elimination (row
+    operations keep every relation among the columns, and at column c the
+    remaining rows vanish on the earlier ones).  With the free variables 0,
+    the triangular pivot rows fix every pivot variable.  So the answer and
+    the verdict are exactly those of the Gauss-Jordan route, in any row order.
+    """
+    rest: list[dict[int, int]] = []
+    for row, b in zip(rows, rhs):
+        work = {c: x for c, x in zip([*row, ncols], _cleared([*row.values(), b])[0]) if x}
+        if work:
+            rest.append(work)
+    pivots: list[tuple[int, dict[int, int]]] = []
     for c in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        _pivot(aug, r, c)
-        pivots.append((r, c))
-        r += 1
-        if r == m:
+        if not rest:
             break
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return None
-    particular = [ZERO] * ncols
-    for pr, pc in pivots:
-        particular[pc] = Fraction(aug[pr][ncols], aug[pr][pc])
-    return particular
+        at = next((i for i, row in enumerate(rest) if c in row), None)
+        if at is None:
+            continue
+        prow = rest.pop(at)
+        pivots.append((c, prow))
+        p = prow[c]
+        kept = rest[:at]  # the rows above the pivot row do not hold c
+        for row in rest[at:]:
+            f = row.get(c)
+            if f is not None:
+                row = {j: p * x for j, x in row.items()}
+                for j, y in prow.items():
+                    x = row.get(j, 0) - f * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                g = gcd(*row.values())
+                if g > 1:
+                    row = {j: x // g for j, x in row.items()}
+            if row:
+                kept.append(row)
+        rest = kept
+    if rest:
+        return None  # every column is eliminated, so each row left is 0 = b != 0
+    # The right side is the variable ncols, fixed at -1, so each pivot row
+    # reads row[c]·x_c = -(the sum of its other terms).
+    x = [ZERO] * ncols + [Fraction(-1)]
+    for c, prow in reversed(pivots):
+        p = prow.pop(c)
+        live = [(a, x[j]) for j, a in prow.items() if x[j]]
+        den = lcm(*(v.denominator for _, v in live))
+        x[c] = Fraction(-sum(a * v.numerator * (den // v.denominator) for a, v in live), den * p)
+    x.pop()
+    return x
 
 
 def feasible_point(

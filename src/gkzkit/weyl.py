@@ -64,6 +64,11 @@ class WeylElement(TermMap):
 
     @classmethod
     def monomial(cls, u: Sequence[int], v: Sequence[int], coeff=1) -> "WeylElement":
+        if len(u) != len(v):
+            raise VariableMismatch(f"{len(u)} lambda exponents but {len(v)} d exponents")
+        for i, e in [*enumerate(u), *enumerate(v)]:
+            if e < 0:
+                raise ColumnIndexOutOfRange(f"exponent {e} of variable {i} is negative")
         return cls(len(u), {(tuple(u), tuple(v)): Fraction(coeff)})
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
@@ -423,11 +428,12 @@ def ideal_member_bounded(
     generator gets no columns and the zero cofactor.
 
     The rows (term keys) are sorted by the number of columns using the key,
-    then by the key.  The reduced row echelon form of [M | b] depends only
-    on its row space, so its pivot columns, the particular solution read
-    from it (the cofactors) and the inconsistency verdict do not depend on
-    the row order.  `gauss_solve` pivots on the first row with a nonzero
-    entry in each column, so the sparse rows come first and fill in less.
+    then by the key, and each is built as a dict straight from the column
+    products.  By the lemma of `gauss_solve`, its pivot columns, the
+    particular solution (the cofactors) and the inconsistency verdict
+    depend on M and b alone, not on the row order.  It pivots on the first
+    remaining row that holds each column and updates only the rows that
+    hold it, so the sparse rows come first and fill in less.
 
     Column-scaling lemma: with q_g the least common denominator of g's
     coefficients, the column of (g, m) is the integer m·G_g, G_g = q_g·g, so
@@ -470,14 +476,14 @@ def ideal_member_bounded(
             uses[k] = uses.get(k, 0) + 1
     row_keys = sorted(uses, key=lambda k: (uses[k], k))
     key_index = {k: i for i, k in enumerate(row_keys)}
-    matrix = [[0] * len(columns) for _ in row_keys]
+    rows: list[dict[int, int]] = [{} for _ in row_keys]
     for ci, (_, _, prod) in enumerate(columns):
         for k, c in prod.items():
-            matrix[key_index[k]][ci] = c
+            rows[key_index[k]][ci] = c
     rhs = [0] * len(row_keys)
     for k, c in target.terms.items():
         rhs[key_index[k]] = c
-    coeffs = gauss_solve(matrix, rhs)
+    coeffs = gauss_solve(rows, rhs, len(columns))
     if coeffs is None:
         return None
     cof_terms: list[dict[TermKey, Fraction]] = [dict() for _ in gens]

@@ -4,7 +4,7 @@ Two tables.  CORPUS: each golden file under tests/golden/ is the full stdout
 of `gkz analyze --matrix M --beta=b` for one corpus matrix at one fixed
 non-resonant beta.  Reduced Groebner bases are unique, so a faster engine
 must reproduce these files exactly.  CLI_EXAMPLES: every CLI example of the
-README, one per subcommand (two for `diagram` and for `verify-member`), run
+README, one per subcommand (two for `diagram`, three for `verify-member`), run
 with `--format json` and `--format text`; the stdout of each is kept under
 tests/golden/cli/.
 Regenerate both only for an intended output change, with
@@ -64,6 +64,11 @@ CLI_EXAMPLES = {
     "verify-member-rational": [
         "verify-member", "--gens", "1/2*l0*d0 - 1/3; 3/4*d1",
         "--target", "d1*l0*d0", "--bound", "2",
+    ],
+    "verify-member-multidegree-b10": [
+        "verify-member", "--matrix", "1 1 1 1; 0 3 2 0; 0 1 1 1", "--beta", "0,0,0", "--bound", "10",
+        "--target", "-l1*d1^2*d2*d3 + l1*d2^4 + 3*l1*d1^3 + 2*l2*d1^2*d2 + l0*l3*d0 + l1*l3*d1"
+        " + l1*d0*d1 + l2*l3*d2 + l2*d0*d2 + l3^2*d3 + l3*d0*d3 + 6*d1^2",
     ],
     "factor": ["factor", "--matrix", "2 2; 0 2"],
     "index-sets": ["index-sets", "--matrix", "2", "--kind", "I"],

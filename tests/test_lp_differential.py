@@ -1,9 +1,17 @@
 """Differential tests of the fraction-free LP kernel.
 
-`gauss_solve` and `feasible_point` work on integer rows, each a positive
-multiple of the rational row; they must return exactly what the `Fraction`
-route in `lp_oracle` returns, vertex for vertex.  `_pivot` is also checked
-against the oracle's pivot for that invariant itself.
+`feasible_point` works on integer rows, each a positive multiple of the
+rational row; it must return exactly what the `Fraction` route in
+`lp_oracle` returns, vertex for vertex.  `_pivot`, which serves only the
+LP, is also checked against the oracle's pivot for that invariant itself.
+
+`gauss_solve` takes sparse rows (column -> entry) and eliminates forward on
+them, then substitutes back.  Its pivot columns are the columns outside the
+span of the columns before them, so it must return the particular solution
+of the oracle's Gauss-Jordan route, free variables 0, and the same verdict.
+That is checked on small dense systems and on Weyl-shaped ones: up to 14
+rows and 18 columns, mostly zero, with zero rows, copied rows and
+inconsistent copies.  The input rows must come back unchanged.
 
 `weyl.ideal_member_bounded` orders its rows sparse first and relies on
 `gauss_solve`'s answer not depending on the row order: the reduced row
@@ -38,15 +46,15 @@ SPARSE = st.sampled_from([0, 0, 0, 0, 1, -1, 2, Fraction(1, 3)])
 
 
 @st.composite
-def systems(draw, max_rows=5, entries=ENTRIES):
-    """m <= max_rows rows, k <= 8 columns, int and Fraction entries, free and
-    nonneg columns.
+def systems(draw, max_rows=5, max_cols=8, entries=ENTRIES):
+    """m <= max_rows rows, k <= max_cols columns, int and Fraction entries,
+    free and nonneg columns.
 
     Later rows are often zero or a scaled copy of an earlier row, whose right
     side is sometimes shifted off the copy to make the system inconsistent.
     """
     m = draw(st.integers(0, max_rows))
-    k = draw(st.integers(1, 8))
+    k = draw(st.integers(1, max_cols))
     rows = [draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(m)]
     rhs = draw(st.lists(entries, min_size=m, max_size=m))
     for i in range(1, m):
@@ -60,6 +68,16 @@ def systems(draw, max_rows=5, entries=ENTRIES):
             rhs[i] = f * rhs[j] + draw(st.sampled_from([0, 0, 1]))
     nonneg = draw(st.lists(st.booleans(), min_size=k, max_size=k))
     return rows, rhs, nonneg
+
+
+# The shape of `weyl.ideal_member_bounded`'s systems: about 7% of the
+# entries are nonzero there, at a median of 28 rows by 32 columns.
+WEYL_SHAPED = systems(max_rows=14, max_cols=18, entries=st.one_of(SPARSE, SPARSE, SPARSE, ENTRIES))
+
+
+def sparse_rows(rows, keep_zeros):
+    """Dense rows as the column -> entry maps `gauss_solve` takes."""
+    return [{j: x for j, x in enumerate(row) if x or keep_zeros} for row in rows]
 
 
 EXAMPLES = [
@@ -90,13 +108,18 @@ def with_examples(test):
 
 
 @SETTINGS
-@given(systems())
+@given(st.one_of(systems(), WEYL_SHAPED))
 @with_examples
 def test_gauss_solve_matches_oracle(system):
-    rows, rhs, _ = system
-    got = gauss_solve(rows, rhs)
+    rows, rhs, nonneg = system
+    k = len(nonneg)
+    given_rows, given_rhs = sparse_rows(rows, keep_zeros=True), list(rhs)
+    snapshot = [dict(row) for row in given_rows]
+    got = gauss_solve(given_rows, given_rhs, k)
+    assert given_rows == snapshot and given_rhs == rhs
     want = lp_oracle.gauss_solve(rows, rhs)
-    assert got == (None if want is None else want[0])
+    # The oracle answers [] for a system with no rows.
+    assert got == (None if want is None else want[0] or [0] * k)
     if got is not None:
         assert all(type(x) is Fraction for x in got)
 
@@ -114,18 +137,18 @@ def test_feasible_point_matches_oracle(system):
 
 @SETTINGS
 @given(
-    st.sampled_from([ENTRIES, SPARSE])
-    .flatmap(lambda entries: systems(max_rows=7, entries=entries))
-    .flatmap(lambda s: st.tuples(st.just(s[:2]), st.permutations(range(len(s[0])))))
+    st.one_of(systems(max_rows=7), systems(max_rows=7, entries=SPARSE), WEYL_SHAPED)
+    .flatmap(lambda s: st.tuples(st.just(s), st.permutations(range(len(s[0])))))
 )
-@example((([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 3]), [2, 0, 1]))  # inconsistent, rank 2
-@example((([[0, 2, 0], [0, 1, 1], [0, 3, 1]], [2, 1, 3]), [2, 1, 0]))  # rank 2, column 0 free
-@example((([[0, 0], [1, 0], [0, 0]], [0, 1, 0]), [1, 2, 0]))  # zero rows around a pivot
+@example((([[1, 1, 0], [0, 1, 1], [1, 2, 1]], [1, 1, 3], [True] * 3), [2, 0, 1]))  # inconsistent, rank 2
+@example((([[0, 2, 0], [0, 1, 1], [0, 3, 1]], [2, 1, 3], [True] * 3), [2, 1, 0]))  # rank 2, column 0 free
+@example((([[0, 0], [1, 0], [0, 0]], [0, 1, 0], [True] * 2), [1, 2, 0]))  # zero rows around a pivot
 def test_gauss_solve_does_not_depend_on_row_order(case):
-    (rows, rhs), perm = case
-    want = gauss_solve(rows, rhs)
+    (rows, rhs, nonneg), perm = case
+    rows = sparse_rows(rows, keep_zeros=False)
+    want = gauss_solve(rows, rhs, len(nonneg))
     for order in (perm, perm[::-1]):
-        assert gauss_solve([rows[i] for i in order], [rhs[i] for i in order]) == want
+        assert gauss_solve([rows[i] for i in order], [rhs[i] for i in order], len(nonneg)) == want
 
 
 @SETTINGS

@@ -134,13 +134,19 @@ def test_large_power_parses_in_logarithmically_many_products(monkeypatch):
         (lambda: WeylElement.lam(5, 2), r"variable index 5 is not in 0\.\.1"),
         (lambda: WeylElement.dee(-1, 2), r"variable index -1 is not in 0\.\.1"),
         (lambda: WeylElement.lam(0, 2, power=-3), "exponent -3 of variable 0 is negative"),
+        (lambda: WeylElement.monomial((-2,), (1,)), "exponent -2 of variable 0 is negative"),
     ],
-    ids=["lam-index-past-the-end", "dee-negative-index", "lam-negative-power"],
+    ids=["lam-index-past-the-end", "dee-negative-index", "lam-negative-power", "monomial-negative-exponent"],
 )
 def test_constructors_reject_bad_indices_and_exponents(make, match):
     with pytest.raises(ColumnIndexOutOfRange, match=match) as err:
         make()
     assert isinstance(err.value, GkzError)
+
+
+def test_monomial_rejects_exponent_vectors_of_different_lengths():
+    with pytest.raises(VariableMismatch, match="2 lambda exponents but 1 d exponents"):
+        WeylElement.monomial((1, 0), (1,))
 
 
 @pytest.mark.parametrize("nvars", [0, -1])
