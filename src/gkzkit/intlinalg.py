@@ -9,7 +9,8 @@ and the homogeneity vector off the HNF of the kernel of [-1 | A^T]
 (`homogeneity_vector`).  A lattice has one HNF, so both answers are
 canonical.  The Smith form gives the factorization B = C D A
 (`smith_decompose`) and the elementary divisors, whose count is the rank
-(`elementary_divisors`, the library's one rank).
+(`elementary_divisors`, the library's one rank).  Its reduction keeps M and
+the transpose of C as plain lists, so both take only row operations.
 """
 
 from __future__ import annotations
@@ -137,18 +138,18 @@ def parse_integer_vector(text: str) -> tuple[int, ...]:
 
 
 def checked_vector(values: Sequence, d: int, what: str) -> tuple[Fraction, ...]:
-    """values as exact rationals; a length other than d is a parse error."""
-    vec = tuple(Fraction(x) for x in values)
+    """values as exact rationals; a float, a bad string or a length other than d is a parse error."""
+    for x in values:
+        if isinstance(x, float):
+            raise ParseError(f"{what} entry {x!r} is a float; give an int, a Fraction or a string")
+    vec = tuple(parse_fraction(x) if isinstance(x, str) else Fraction(x) for x in values)
     if len(vec) != d:
         raise ParseError(f"{what} has length {len(vec)}, but the matrix has {d} rows")
     return vec
 
 
 def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return str(Fraction(q))
 
 
 def vec_add(a: Sequence, b: Sequence) -> tuple:
@@ -159,62 +160,23 @@ def vec_sub(a: Sequence, b: Sequence) -> tuple:
     return tuple(map(sub, a, b))
 
 
-class _Tracked:
-    """Mutable matrix with unimodular accumulators: C @ work @ M == original."""
-
-    def __init__(self, m: IntMatrix):
-        self.work = [list(row) for row in m.rows]
-        self.d = m.d
-        self.n = m.n
-        self.C = [[1 if i == j else 0 for j in range(m.d)] for i in range(m.d)]
-        self.M = [[1 if i == j else 0 for j in range(m.n)] for i in range(m.n)]
-
-    # Row operations act as work <- E @ work, so C <- C @ E^-1.
-    def swap_rows(self, i, k):
-        if i == k:
-            return
-        self.work[i], self.work[k] = self.work[k], self.work[i]
-        for row in self.C:
-            row[i], row[k] = row[k], row[i]
-
-    def add_row(self, i, k, q):
-        """row_i += q * row_k on the working matrix."""
-        if q == 0:
-            return
-        wi, wk = self.work[i], self.work[k]
-        for c in range(self.n):
-            wi[c] += q * wk[c]
-        for row in self.C:
-            row[k] -= q * row[i]
-
-    def negate_row(self, i):
-        self.work[i] = [-x for x in self.work[i]]
-        for row in self.C:
-            row[i] = -row[i]
-
-    # Column operations act as work <- work @ E, so M <- E^-1 @ M.
-    def swap_cols(self, i, k):
-        if i == k:
-            return
-        for row in self.work:
-            row[i], row[k] = row[k], row[i]
-        self.M[i], self.M[k] = self.M[k], self.M[i]
-
-    def add_col(self, i, k, q):
-        """col_i += q * col_k on the working matrix."""
-        if q == 0:
-            return
-        for row in self.work:
-            row[i] += q * row[k]
-        mk, mi = self.M[k], self.M[i]
-        for c in range(self.n):
-            mk[c] -= q * mi[c]
+def _add(rows: list[list[int]], i: int, k: int, q: int) -> None:
+    """rows[i] += q * rows[k]."""
+    ri, rk = rows[i], rows[k]
+    for c in range(len(ri)):
+        ri[c] += q * rk[c]
 
 
-def _smith_tracked(m: IntMatrix) -> tuple[_Tracked, list[int], int]:
-    """Reduce to Smith form with accumulators; returns (tracker, diag, rank)."""
-    t = _Tracked(m)
-    d, n = t.d, t.n
+def _smith_tracked(m: IntMatrix) -> tuple[list[tuple[int, ...]], list[list[int]], list[int], int]:
+    """Reduce m to Smith form; returns (C, M, diag, rank) with C diag M == m.
+
+    Each step on work is undone on an accumulator: a row step row_i += q row_k
+    (C <- C E^-1) as ct row_k -= q ct row_i, ct = C^T kept as rows, and a
+    column step col_i += q col_k (M <- E^-1 M) as M row_k -= q M row_i."""
+    d, n = m.d, m.n
+    work = [list(row) for row in m.rows]
+    ct = [[int(i == j) for j in range(d)] for i in range(d)]
+    acc = [[int(i == j) for j in range(n)] for i in range(n)]
     k = min(d, n)
     for p in range(k):
         while True:
@@ -222,25 +184,33 @@ def _smith_tracked(m: IntMatrix) -> tuple[_Tracked, list[int], int]:
             best = None
             for i in range(p, d):
                 for j in range(p, n):
-                    x = t.work[i][j]
+                    x = work[i][j]
                     if x != 0 and (best is None or abs(x) < abs(best[2])):
                         best = (i, j, x)
             if best is None:
                 break
             i, j, _ = best
-            t.swap_rows(p, i)
-            t.swap_cols(p, j)
-            pivot = t.work[p][p]
+            work[p], work[i] = work[i], work[p]
+            ct[p], ct[i] = ct[i], ct[p]
+            for row in work:
+                row[p], row[j] = row[j], row[p]
+            acc[p], acc[j] = acc[j], acc[p]
+            pivot = work[p][p]
             dirty = False
             for i in range(p + 1, d):
-                q = t.work[i][p] // pivot
-                t.add_row(i, p, -q)
-                if t.work[i][p] != 0:
+                q = work[i][p] // pivot
+                if q != 0:
+                    _add(work, i, p, -q)
+                    _add(ct, p, i, q)
+                if work[i][p] != 0:
                     dirty = True
             for j in range(p + 1, n):
-                q = t.work[p][j] // pivot
-                t.add_col(j, p, -q)
-                if t.work[p][j] != 0:
+                q = work[p][j] // pivot
+                if q != 0:
+                    for row in work:
+                        row[j] -= q * row[p]
+                    _add(acc, p, j, q)
+                if work[p][j] != 0:
                     dirty = True
             if dirty:
                 continue
@@ -248,21 +218,23 @@ def _smith_tracked(m: IntMatrix) -> tuple[_Tracked, list[int], int]:
             offender = None
             for i in range(p + 1, d):
                 for j in range(p + 1, n):
-                    if t.work[i][j] % pivot != 0:
+                    if work[i][j] % pivot != 0:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            t.add_row(p, offender, 1)
-        if t.work[p][p] == 0:
+            _add(work, p, offender, 1)
+            _add(ct, offender, p, -1)
+        if work[p][p] == 0:
             break
-        if t.work[p][p] < 0:
-            t.negate_row(p)
-    diag = [t.work[p][p] for p in range(k)]
+        if work[p][p] < 0:
+            work[p] = [-x for x in work[p]]
+            ct[p] = [-x for x in ct[p]]
+    diag = [work[p][p] for p in range(k)]
     rank = sum(1 for x in diag if x != 0)
-    return t, diag, rank
+    return list(zip(*ct)), acc, diag, rank
 
 
 @dataclass(frozen=True)
@@ -286,24 +258,20 @@ class SmithDecomposition:
 
 def smith_decompose(b: IntMatrix) -> SmithDecomposition:
     """Smith factorization of a matrix with full row rank over Q."""
-    t, diag, rank = _smith_tracked(b)
+    C, M, diag, rank = _smith_tracked(b)
     if rank < b.d:
         raise RankDeficient(f"rank {rank} < {b.d}: columns do not span Q^d")
-    C = IntMatrix.from_rows(t.C)
-    M = IntMatrix.from_rows(t.M)
     D1 = IntMatrix.from_rows(
         [[diag[i] if i == j else 0 for j in range(b.d)] for i in range(b.d)]
     )
-    D2 = IntMatrix.from_rows(
-        [[1 if i == j else 0 for j in range(b.n)] for i in range(b.d)]
-    )
-    return SmithDecomposition(C=C, D1=D1, D2=D2, M=M, e=tuple(diag))
+    D2 = IntMatrix(IntMatrix.identity(b.n).rows[: b.d])
+    return SmithDecomposition(C=IntMatrix.from_rows(C), D1=D1, D2=D2, M=IntMatrix.from_rows(M), e=tuple(diag))
 
 
 @lru_cache(maxsize=None)
 def elementary_divisors(m: IntMatrix) -> tuple[int, ...]:
     """Diagonal of the Smith form, zeros trimmed (length = rank)."""
-    _, diag, rank = _smith_tracked(m)
+    *_, diag, rank = _smith_tracked(m)
     return tuple(diag[:rank])
 
 
@@ -323,8 +291,7 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
             for i in nz[1:]:
                 q = rows[i][col] // rows[i0][col]
                 rows[i] = [a - q * b for a, b in zip(rows[i], rows[i0])]
-        nz = [i for i in range(pivot_row, nrows) if rows[i][col] != 0]
-        if not nz:
+        if not nz:  # the loop above leaves at most one row with a nonzero in col
             continue
         i0 = nz[0]
         rows[pivot_row], rows[i0] = rows[i0], rows[pivot_row]
@@ -417,9 +384,5 @@ def signed_minors(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
 
 def primitive_vector(v: Sequence[int]) -> tuple[int, ...]:
     """v divided by the gcd of its entries (zero vector is returned as-is)."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
+    g = gcd(*v)
+    return tuple(v) if g <= 1 else tuple(x // g for x in v)

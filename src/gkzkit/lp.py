@@ -92,9 +92,9 @@ def gauss_solve(
     x = [ZERO] * ncols + [Fraction(-1)]
     for c, prow in reversed(pivots):
         p = prow.pop(c)
-        live = [(a, x[j]) for j, a in prow.items() if x[j]]
-        den = lcm(*(v.denominator for _, v in live))
-        x[c] = Fraction(-sum(a * v.numerator * (den // v.denominator) for a, v in live), den * p)
+        live = [j for j in prow if x[j]]
+        nums, den = _cleared([x[j] for j in live])
+        x[c] = Fraction(-sum(prow[j] * v for j, v in zip(live, nums)), den * p)
     x.pop()
     return x
 

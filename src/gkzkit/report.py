@@ -3,8 +3,10 @@
 Reports are plain dicts with deterministic JSON serialization (sorted keys,
 rationals as exact 'p/q' strings).  Sections whose preconditions fail are
 embedded as {"error": {...}} values instead of aborting the whole report.
-This module is the only serializer: each result type has one `*_json`
-function, which `run_report` and the CLI subcommands share.
+Each section type has one `*_json` function, shared by `run_report` and the
+subcommands that print that type (`faces`, `toric-ideal`, `qdeg`, `sres`,
+`dsres`, `dual-param`, `index-sets`); the others build their own payloads in
+`cli`, and `present` prints as text what the report gives as terms and text.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Two tables.  CORPUS: each golden file under tests/golden/ is the full stdout
 of `gkz analyze --matrix M --beta=b` for one corpus matrix at one fixed
 non-resonant beta.  Reduced Groebner bases are unique, so a faster engine
 must reproduce these files exactly.  CLI_EXAMPLES: every CLI example of the
-README, one per subcommand (two for `diagram`, three for `verify-member`), run
-with `--format json` and `--format text`; the stdout of each is kept under
-tests/golden/cli/.
+README, one per subcommand (two for `diagram`, three for `verify-member`), and
+a wide Smith factorization that pins a large C and M, run with `--format json`
+and `--format text`; the stdout of each is kept under tests/golden/cli/.
 Regenerate both only for an intended output change, with
 `PYTHONPATH=src python tests/test_golden_reports.py`.  Under `--order lex`
 or `deglex` the same reports differ only where the order is shown: the
@@ -44,6 +44,16 @@ CORPUS = {
 CLI_EXAMPLES = {
     "analyze": ["analyze", "--matrix", "3 2 0; 1 1 1", "--beta", "0,0"],
     "smith": ["smith", "--matrix", "2 2; 0 2"],
+    # A 6x24 matrix, entries in [-99, 99] drawn by random.Random(34), row by row.
+    "smith-wide": [
+        "smith", "--matrix",
+        "36 -8 50 -92 -41 -92 0 -6 -83 9 -21 -12 -75 50 31 -60 -75 -29 -11 57 -99 99 -60 93; "
+        "35 -77 -84 -5 -34 90 42 81 -84 0 -57 51 63 -20 -25 -2 -19 -45 -47 16 38 -54 56 -66; "
+        "47 84 1 40 9 -39 -36 76 -71 49 72 92 -80 14 -28 7 -70 49 -27 -49 -55 4 99 -12; "
+        "16 -76 34 90 22 8 19 -7 -66 14 -29 -64 -40 -59 -24 -20 -82 -23 33 -73 50 35 -23 5; "
+        "-41 5 -20 96 37 86 95 -9 91 57 17 -83 -81 88 -87 -13 5 -17 -55 98 -52 90 7 -12; "
+        "24 -6 70 -28 -99 83 58 64 -33 32 37 -85 -58 -30 -69 29 -32 -78 71 41 18 96 -63 -35",
+    ],
     "homogenize": ["homogenize", "--matrix", "3 2 0; 1 1 1"],
     "faces": ["faces", "--matrix", "3 2 0; 1 1 1"],
     "member": ["member", "--matrix", "3 2 0; 1 1 1", "--point", "5,2"],

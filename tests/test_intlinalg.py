@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import smith_oracle
 from lp_oracle import gauss_solve
 
 from gkzkit import (
@@ -17,6 +18,7 @@ from gkzkit import (
 )
 from gkzkit.errors import ParseError, RankDeficient
 from gkzkit.intlinalg import (
+    _smith_tracked,
     elementary_divisors,
     hermite_normal_form,
     signed_minors,
@@ -357,6 +359,38 @@ def test_smith_keeps_divisibility_and_unimodular_factors(m):
         assert rank(m) < m.d
         return
     assert dec.e == elementary_divisors(m)
+
+
+@st.composite
+def smith_oracle_inputs(draw):
+    """d <= 4, n <= 9 (d > n too), entries in [-60, 60], often with a
+    repeated row, a zero row or a zero column."""
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 9))
+    rows = [draw(st.lists(st.integers(-60, 60), min_size=n, max_size=n)) for _ in range(d)]
+    if d > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[draw(st.integers(0, d - 2))])
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, d - 1))] = [0] * n
+    if draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        rows = [[0 if j == zero else x for j, x in enumerate(row)] for row in rows]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(smith_oracle_inputs())
+@example(parse_matrix("0 0 0; 0 0 0"))
+@example(parse_matrix("2 4 6; 4 8 12"))  # rank 1
+@example(parse_matrix("2 0 0; 0 4 0; 0 0 6"))  # diagonal, not yet a divisor chain
+@example(parse_matrix("-3"))  # a negative pivot
+def test_smith_matches_the_tracked_oracle(m):
+    """The plain-list reduction makes the oracle's operations in its order,
+    so C, M, the diagonal and the rank are equal, not just equivalent."""
+    C, M, diag, rank = _smith_tracked(m)
+    tracked, oracle_diag, oracle_rank = smith_oracle._smith_tracked(m)
+    assert [list(row) for row in C] == tracked.C
+    assert M == tracked.M
+    assert (diag, rank) == (oracle_diag, oracle_rank)
 
 
 @st.composite

@@ -646,6 +646,24 @@ def test_wrong_length_parameter_raises_parse_error(call):
             call(hat, bad)
 
 
+VECTOR_CALLS = [sres_witness, dual_parameter, semigroup_witness, run_report]
+
+
+@pytest.mark.parametrize("call", VECTOR_CALLS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("entry", [0.1, "1/0", "x"], ids=["float", "zero-denominator", "not-a-number"])
+def test_inexact_or_unreadable_entry_raises_parse_error(call, entry):
+    # A float would be read as its binary value (0.1 as 3602879701896397/2^55),
+    # and a bad string used to raise ZeroDivisionError or ValueError.
+    with pytest.raises(ParseError, match=re.escape(repr(entry))):
+        call(parse_matrix(HAT), (entry, 0))
+
+
+@pytest.mark.parametrize("call", VECTOR_CALLS, ids=lambda f: f.__name__)
+def test_string_entries_are_read_as_exact_rationals(call):
+    hat = parse_matrix(HAT)
+    assert call(hat, ("-9/5", " 3/5 ")) == call(hat, (F(-9, 5), F(3, 5)))
+
+
 LAYERS = ("semigroup", "saturation-gap", "cone", "qdeg", "sres", "dsres", "delta-cone")
 
 
