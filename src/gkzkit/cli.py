@@ -52,8 +52,8 @@ def _beta_from_args(args, d: int):
     return parse_rational_vector(args.beta)
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    if args.format == "text" and text is not None:
+def _emit(args, payload: dict, text: str) -> None:
+    if args.format == "text":
         print(text, end="" if text.endswith("\n") else "\n")
     else:
         print(json.dumps(payload, sort_keys=True, indent=2))

@@ -270,7 +270,7 @@ def cone_contains(a: IntMatrix, v: Sequence, cols: Sequence[int] = (), strict: b
 
 def saturation_contains(a: IntMatrix, b: Sequence) -> bool:
     """Membership of a rational point b in the rational cone Q+A, by facet signs."""
-    return cone_contains(a, b)
+    return cone_contains(a, checked_vector(b, a.d, "point"))
 
 
 def cone_witness(a: IntMatrix, b: Sequence) -> Optional[list[Fraction]]:

@@ -22,7 +22,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import ColumnIndexOutOfRange, ParseError
-from .intlinalg import IntMatrix, homogenize, smith_decompose, vec_add
+from .intlinalg import IntMatrix, checked_integer_vector, homogenize, smith_decompose, vec_add
 from .resonance import delta_A, dsres_contains, sres_contains
 from .weyl import WeylElement, euler_operator
 
@@ -102,18 +102,19 @@ class PsiImage:
 
 def psi_image(m: Sequence[int], s: int) -> PsiImage:
     """Image of y^(sum m_i a_i) w0 (x) d0^s under the comparison morphism."""
-    m = tuple(int(x) for x in m)
-    total = sum(m)
-    return PsiImage(coefficient=Fraction(1), exponents=(int(s) - total + 1,) + m)
+    m = checked_integer_vector(m, len(m), "m")
+    (s,) = checked_integer_vector((s,), 1, "s")
+    return PsiImage(coefficient=Fraction(1), exponents=(s - sum(m) + 1,) + m)
 
 
 def psi_lambda_derivative(m: Sequence[int], s: int, i: int) -> tuple[tuple[int, ...], int]:
     """The d_lambda_i action on monomial data: multiply by y^(a_i), bump d_0."""
-    m = tuple(int(x) for x in m)
+    m = checked_integer_vector(m, len(m), "m")
+    (s,) = checked_integer_vector((s,), 1, "s")
     if not 0 <= i < len(m):
         raise ColumnIndexOutOfRange(f"variable index {i} is not in 0..{len(m) - 1}")
     bumped = m[:i] + (m[i] + 1,) + m[i + 1 :]
-    return bumped, int(s) + 1
+    return bumped, s + 1
 
 
 def psi_kernel_sections(a: IntMatrix) -> list[WeylElement]:

@@ -148,6 +148,15 @@ def checked_vector(values: Sequence, d: int, what: str) -> tuple[Fraction, ...]:
     return vec
 
 
+def checked_integer_vector(values: Sequence, d: int, what: str) -> tuple[int, ...]:
+    """`checked_vector` with every entry an integer; a non-integer entry is a parse error."""
+    vec = checked_vector(values, d, what)
+    for x in vec:
+        if x.denominator != 1:
+            raise ParseError(f"{what} entry {x} is not an integer")
+    return tuple(int(x) for x in vec)
+
+
 def format_fraction(q: Fraction) -> str:
     return str(Fraction(q))
 

@@ -111,8 +111,6 @@ def feasible_point(
     """
     m = len(eq_rows)
     n = len(nonneg)
-    if m == 0:
-        return [ZERO] * n
     cols: list[tuple[int, int]] = []  # (original var, sign)
     for j in range(n):
         cols.append((j, 1))
@@ -173,13 +171,7 @@ def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
         basis[leave] = enter
     if rows[m][-1] != 0:
         return None
-    # Drive any artificial still in the basis out (its value is 0 here).
-    for i in range(m):
-        if basis[i] >= n:
-            enter = next((j for j in range(n) if rows[i][j] != 0), None)
-            if enter is not None:
-                _pivot(rows, i, enter)
-                basis[i] = enter
+    # An artificial still basic holds 0; pivoting it out would read the same x.
     x = [ZERO] * n
     for i, bi in enumerate(basis):
         if bi < n:

@@ -134,11 +134,7 @@ class TermMap:
         return type(self)(self.nvars, out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return type(self)(self.nvars, out)
+        return self + other.scale(-1)
 
     def __neg__(self):
         return self.scale(-1)

@@ -121,17 +121,12 @@ def run_report(
         "order": order_name,
     }
 
-    lat = _section(lambda: cones.face_lattice(a))
-    if isinstance(lat, dict):
-        report["faces"] = lat
-        pointed = None
-    else:
-        pointed = lat.pointed
-        report["faces"] = {"proper": faces_json(lat.proper_faces), "pointed": lat.pointed}
+    lat = cones.face_lattice(a)  # raises no GkzError, so it needs no _section
+    report["faces"] = {"proper": faces_json(lat.proper_faces), "pointed": lat.pointed}
     h = homogeneity_vector(a)
     divisors = elementary_divisors(a)
     report["flags"] = {
-        "pointed": pointed,
+        "pointed": lat.pointed,
         "spans_lattice": a.spans_lattice,
         "homogeneous": list(h) if h is not None else None,
         "saturated": _section(lambda: cones.is_saturated(a)),
@@ -250,10 +245,7 @@ def _lattice_points(spec: DiagramSpec, d: int):
 def classification_table(a: IntMatrix, spec: DiagramSpec) -> dict:
     if a.d > 2:
         raise DimensionUnsupported("diagrams are limited to one or two rows")
-    table = {}
-    for p in _lattice_points(spec, a.d):
-        table[p] = classify_point(a, p, spec.layers, spec.qdeg_j)
-    return table
+    return {p: classify_point(a, p, spec.layers, spec.qdeg_j) for p in _lattice_points(spec, a.d)}
 
 
 def _sres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
@@ -265,8 +257,6 @@ def _sres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     is nonzero (lemma 1 of `resonance`), so that bounds m on both sides, and
     each m in the bounds is clipped, in increasing order.
     """
-    if a.d != 2:
-        return []
     x0, x1, y0, y1 = spec.box
     segments = []
     for comp in resonance.resonance_set(a).components:
@@ -324,8 +314,6 @@ def _clip_line(anchor, direction, box):
 def _qdeg_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     """One clipped line (or point) per quasi-degree component; none where a
     zero column leaves the filtration undefined (the points stay marked)."""
-    if a.d != 2:
-        return []
     try:
         components = toric.quasi_degrees(a, spec.qdeg_j).components
     except DegenerateColumn:
@@ -350,8 +338,6 @@ def _dsres_segments(a: IntMatrix, spec: DiagramSpec) -> list[dict]:
     Zero columns lie in every face, so the lines run along the face's first
     nonzero column, as in `cones.extreme_rays`.
     """
-    if a.d != 2:
-        return []
     x0, x1, y0, y1 = spec.box
     segments = []
     for face in cones.face_lattice(a).proper_faces:
@@ -408,16 +394,22 @@ def _glyph(flags: dict) -> str:
     return "."
 
 
+# The SVG circle of each `_glyph`; the cone glyphs and the background get r="1".
+_CIRCLES = {
+    "O": 'r="4" fill="black"',
+    "o": 'r="4" fill="white" stroke="black"',
+    "x": 'r="3" fill="#444444"',
+}
+
+
 def _render_ascii(a: IntMatrix, spec: DiagramSpec, table: dict) -> str:
-    x0, x1, y0, y1 = spec.box
-    lines = []
+    # The table is in `_lattice_points` order, top row first: cut it into rows.
+    x0, x1 = spec.box[:2]
+    glyphs = [_glyph(flags) for flags in table.values()]
+    width = x1 - x0 + 1
+    lines = [" ".join(glyphs[k : k + width]) for k in range(0, len(glyphs), width)]
     if a.d == 1:
-        row = " ".join(_glyph(table[(x,)]) for x in range(x0, x1 + 1))
-        lines.append(row)
         lines.append(" ".join("^" if x == 0 else " " for x in range(x0, x1 + 1)))
-    else:
-        for y in range(y1, y0 - 1, -1):
-            lines.append(" ".join(_glyph(table[(x, y)]) for x in range(x0, x1 + 1)))
     legend = "legend: O semigroup, o saturation gap, x marked layer, # shifted cone, + cone, . background"
     lines.append(legend)
     return "\n".join(lines) + "\n"
@@ -466,17 +458,8 @@ def _render_svg(a: IntMatrix, spec: DiagramSpec, table: dict) -> str:
     for point, flags in table.items():
         x = point[0]
         y = point[1] if a.d == 2 else 0
-        cx, cy = sx(x), sy(y)
-        if flags.get("semigroup"):
-            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="black"/>')
-        elif flags.get("saturation-gap"):
-            parts.append(
-                f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="4" fill="white" stroke="black"/>'
-            )
-        elif flags.get("sres") or flags.get("qdeg") or flags.get("dsres"):
-            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="#444444"/>')
-        else:
-            parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="1" fill="black"/>')
+        style = _CIRCLES.get(_glyph(flags), 'r="1" fill="black"')
+        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" {style}/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -76,10 +76,10 @@ from .errors import (
     NotHomogeneous,
     NotPointed,
     ParameterResonant,
-    ParseError,
 )
 from .intlinalg import (
     IntMatrix,
+    checked_integer_vector,
     checked_vector,
     homogeneity_vector,
     vec_add,
@@ -198,10 +198,7 @@ def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
     """Whether (R+A + delta) misses every resonance component (lemma 4), delta in Z^d."""
-    delta = checked_vector(delta, a.d, "delta")
-    if any(x.denominator != 1 for x in delta):
-        raise ParseError(f"delta has a non-integer entry: {[str(x) for x in delta]}")
-    return _delta_valid(a, tuple(int(x) for x in delta))
+    return _delta_valid(a, checked_integer_vector(delta, a.d, "delta"))
 
 
 def _dot(u: Sequence[int], v: Sequence[int]) -> int:

@@ -295,18 +295,15 @@ class GKZPresentation:
     boxes: tuple[WeylElement, ...]
     eulers: tuple[WeylElement, ...]
 
-    @property
-    def nvars(self) -> int:
-        return self.matrix.n
-
     def generators(self) -> list[WeylElement]:
         return list(self.boxes) + list(self.eulers)
 
 
 def binomial_to_weyl(p, nvars: int) -> WeylElement:
-    """Transcribe a d-only polynomial into the Weyl algebra."""
-    zero = (0,) * nvars
-    return WeylElement(nvars, {(zero, m): c for m, c in p.terms.items()})
+    """Transcribe a d-only polynomial into the Weyl algebra, its variables
+    moved up to the last p.nvars of the nvars d's."""
+    zero, pad = (0,) * nvars, (0,) * (nvars - p.nvars)
+    return WeylElement(nvars, {(zero, pad + m): c for m, c in p.terms.items()})
 
 
 def euler_operator(a: IntMatrix, k: int, beta_k: Fraction) -> WeylElement:
@@ -356,13 +353,7 @@ def restrict_presentation(
     if any(x != 1 for x in inner.rows[0]):
         raise FirstRowNotOnes("inner matrix must have first row all ones")
     nvars = n + 1
-    ideal = toric_ideal(inner, order_name)
-    gens: list[WeylElement] = []
-    for g in ideal.generators:
-        shifted = {
-            ((0,) * nvars, (0,) + m): c for m, c in g.terms.items()
-        }
-        gens.append(WeylElement(nvars, shifted))
+    gens = [binomial_to_weyl(g, nvars) for g in toric_ideal(inner, order_name).generators]
     # Rows 1..d of atilde are (0 | A), so these are the Euler operators of A
     # moved to variables 1..n.
     gens.extend(euler_operator(atilde, k, beta_tilde[k]) for k in range(1, d + 1))

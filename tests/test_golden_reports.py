@@ -4,8 +4,10 @@ Two tables.  CORPUS: each golden file under tests/golden/ is the full stdout
 of `gkz analyze --matrix M --beta=b` for one corpus matrix at one fixed
 non-resonant beta.  Reduced Groebner bases are unique, so a faster engine
 must reproduce these files exactly.  CLI_EXAMPLES: every CLI example of the
-README, one per subcommand (two for `diagram`, three for `verify-member`), and
-a wide Smith factorization that pins a large C and M, run with `--format json`
+README, one per subcommand (two for `diagram`, three for `verify-member`), a
+wide Smith factorization that pins a large C and M, a restriction whose inner
+toric ideal is not 0, and two more diagrams (DsRes and point components drawn
+in an SVG; the shifted-cone and cone glyphs in ASCII), run with `--format json`
 and `--format text`; the stdout of each is kept under tests/golden/cli/.
 Regenerate both only for an intended output change, with
 `PYTHONPATH=src python tests/test_golden_reports.py`.  Under `--order lex`
@@ -67,6 +69,8 @@ CLI_EXAMPLES = {
     "dual-param": ["dual-param", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0"],
     "present": ["present", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0"],
     "restrict": ["restrict", "--matrix", "1 1; 0 1", "--beta", "7,5"],
+    # The rational normal curve of degree 3 as the inner matrix: its toric ideal is not 0.
+    "restrict-rnc3": ["restrict", "--matrix", "1 1 1 1 1; 0 1 1 1 1; 0 0 1 2 3", "--beta", "0,1,2"],
     "verify-member": [
         "verify-member", "--matrix", "1 1 1; 0 1 -1", "--beta", "0,0",
         "--target", "d0*((4*l1*l2 - l0^2)*d0 + l0) - 1", "--bound", "4",
@@ -89,6 +93,16 @@ CLI_EXAMPLES = {
     "diagram-svg": [
         "diagram", "--matrix", "3 2 0; 1 1 1", "--box=-3,9,-3,5",
         "--layers", "semigroup,saturation-gap,cone,sres",
+    ],
+    # DsRes lines, and a point component drawn through `_clip_line`'s direction-None branch.
+    "diagram-quartic-lines": [
+        "diagram", "--matrix", "1 1 1 1; 0 1 3 4", "--box=-3,6,-3,6",
+        "--layers", "cone,qdeg,sres,dsres",
+    ],
+    # The shifted-cone glyph '#' and the cone glyph '+'.
+    "diagram-quartic-shift": [
+        "diagram", "--matrix", "1 1 1 1; 0 1 3 4", "--box=-3,6,-3,6",
+        "--layers", "cone,delta-cone", "--style", "ascii",
     ],
 }
 FORMATS = ("json", "text")

@@ -19,10 +19,13 @@ from gkzkit import (
     n_beta,
     parse_matrix,
     parse_weyl,
+    psi_image,
+    psi_lambda_derivative,
     quasi_degrees,
     render_diagram,
     restrict_presentation,
     run_report,
+    saturation_contains,
     semigroup_contains,
     semigroup_witness,
     sres_witness,
@@ -662,6 +665,26 @@ def test_inexact_or_unreadable_entry_raises_parse_error(call, entry):
 def test_string_entries_are_read_as_exact_rationals(call):
     hat = parse_matrix(HAT)
     assert call(hat, ("-9/5", " 3/5 ")) == call(hat, (F(-9, 5), F(3, 5)))
+
+
+# Each used to pass: int() truncated the exponents, float arithmetic decided
+# the cone, and a string reached a dot product as a TypeError.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: psi_image((F(1, 2), 2), 0), "m entry 1/2 is not an integer"),
+        (lambda: psi_image((1.7, 2), F(3, 2)), "m entry 1.7 is a float"),
+        (lambda: psi_image((1, 2), F(3, 2)), "s entry 3/2 is not an integer"),
+        (lambda: psi_lambda_derivative((F(1, 2), 2), 0, 0), "m entry 1/2 is not an integer"),
+        (lambda: psi_lambda_derivative((1, 2), 0.5, 0), "s entry 0.5 is a float"),
+        (lambda: saturation_contains(parse_matrix(HAT), (0.5, 1)), "point entry 0.5 is a float"),
+        (lambda: saturation_contains(parse_matrix(HAT), ("x", 1)), "bad rational 'x'"),
+    ],
+    ids=["psi-half", "psi-float", "psi-half-s", "derivative-half", "derivative-float-s", "cone-float", "cone-string"],
+)
+def test_exponent_and_point_entries_are_checked(call, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        call()
 
 
 LAYERS = ("semigroup", "saturation-gap", "cone", "qdeg", "sres", "dsres", "delta-cone")

@@ -11,8 +11,10 @@ from gkzkit import (
     gkz_presentation,
     homogenize,
     ideal_member_bounded,
+    parse_matrix,
     parse_weyl,
     restrict_presentation,
+    toric_ideal,
     weyl_mul,
 )
 from gkzkit import weyl
@@ -210,6 +212,24 @@ def test_restrict_shape_invariants(wedge):
         if g.uses_dee(0):
             dee0_uses += 1
     assert dee0_uses == 1
+
+
+def test_restrict_moves_the_inner_toric_ideal_up_one_variable():
+    # The other restrict tests have an inner toric ideal of 0; the twisted cubic's is not.
+    inner = parse_matrix("1 1 1 1; 0 1 2 3")
+    atilde = homogenize(inner)
+    assert atilde == parse_matrix("1 1 1 1 1; 0 1 1 1 1; 0 0 1 2 3")
+    gens = restrict_presentation(atilde, (F(0), F(1), F(2)))
+    quadrics = toric_ideal(inner).generators
+    assert len(quadrics) == 3 and len(gens) == 3 + 2 + 1
+    boxes = gens[: len(quadrics)]
+    assert boxes == [
+        WeylElement(5, {((0,) * 5, (0,) + m): c for m, c in q.terms.items()}) for q in quadrics
+    ]
+    assert boxes == [parse_weyl(t, 5) for t in ("-d2*d4 + d3^2", "-d1*d4 + d2*d3", "-d1*d3 + d2^2")]
+    assert not any(g.uses_lambda(0) for g in gens)
+    assert [g.uses_dee(0) for g in gens] == [False] * 5 + [True]
+    assert gens[-1] == parse_weyl("l1*d1 + l2*d2 + l3*d3 + l4*d4 + d0", 5)
 
 
 def test_restrict_gate(staircase):
