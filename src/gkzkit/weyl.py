@@ -10,7 +10,10 @@ operator, in presentations, restrictions and the Euler field, comes from
     d^a lambda^b = sum_k k! C(a,k) C(b,k) lambda^(b-k) d^(a-k).
 
 `_mul_terms` expands products of raw term maps, for `weyl_mul` and, on
-integer maps, for the columns of `ideal_member_bounded`.
+integer maps, for the columns of `ideal_member_bounded`.  Only the columns
+read the pair expansions through a cache (`_cached_key_product`); `weyl_mul`,
+and so the parser and the re-expansion check, stays uncached.  That cache and
+the grading's (`_grading_vectors`) are keyed by exponents alone, never by beta.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from .errors import ColumnIndexOutOfRange, FirstRowNotOnes, NotFullLattice, ParseError, VariableMismatch
@@ -134,32 +137,55 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
     return WeylElement(x.nvars, _mul_terms(x.terms, y.terms))
 
 
-def _mul_terms(x_terms: dict, y_terms: dict) -> dict:
-    """Normally ordered product of raw term maps, less the terms that cancel.
+def _key_product(k1: TermKey, k2: TermKey) -> tuple[tuple[TermKey, int], ...]:
+    """The (key, integer weight) pairs of the monomial product (u1, v1)·(u2, v2).
 
     d^v1 lambda^u2 is expanded only over the variables i where v1_i and u2_i
     are both positive.  Every other variable commutes, and its only pick is
     (k, weight) = (0, 1), so the picks come in the order of the product over
-    all variables, with the same terms and the same integer weights.  The
-    coefficients may be `int` or `Fraction`; integer maps give an integer map.
+    all variables, with the same keys and the same weights.
+    """
+    (u1, v1), (u2, v2) = k1, k2
+    u0, v0 = tuple(map(add, u1, u2)), tuple(map(add, v1, v2))
+    busy = [i for i, (a, b) in enumerate(zip(v1, u2)) if a and b]
+    out = []
+    for picks in product(*[_commute_coeffs(v1[i], u2[i]) for i in busy]):
+        w = 1
+        u, v = list(u0), list(v0)
+        for i, (k, wk) in zip(busy, picks):
+            w *= wk
+            u[i] -= k
+            v[i] -= k
+        out.append(((tuple(u), tuple(v)), w))
+    return tuple(out)
+
+
+_cached_key_product = lru_cache(maxsize=4096)(_key_product)
+
+
+def _mul_terms(x_terms: dict, y_terms: dict, expand=_key_product) -> dict:
+    """Normally ordered product of raw term maps, less the terms that cancel.
+
+    Bilinear over `_key_product`: each pair of terms adds c1·c2·w at each
+    (key, w) of its expansion, so keys, order and values are unchanged.  A
+    pair that commutes (no i with v1_i and u2_i both positive) is its one key
+    with weight 1, added in place, so no cache sees it, nor a constant term
+    -beta_k; every other pair reads `expand`.  Only the columns pass
+    `_cached_key_product`: its key is two term keys, and its fixed maxsize
+    bounds its memory.  The coefficients may be `int` or `Fraction`; integer
+    maps give an integer map.
     """
     out: dict = {}
-    for (u1, v1), c1 in x_terms.items():
-        for (u2, v2), c2 in y_terms.items():
+    for k1, c1 in x_terms.items():
+        u1, v1 = k1
+        for k2, c2 in y_terms.items():
+            u2, v2 = k2
             base = c1 * c2
-            u0, v0 = tuple(map(add, u1, u2)), tuple(map(add, v1, v2))
-            busy = [i for i, (a, b) in enumerate(zip(v1, u2)) if a and b]
-            if not busy:
-                out[(u0, v0)] = out.get((u0, v0), 0) + base
+            if not any(map(mul, v1, u2)):
+                key = (tuple(map(add, u1, u2)), tuple(map(add, v1, v2)))
+                out[key] = out.get(key, 0) + base
                 continue
-            for picks in product(*[_commute_coeffs(v1[i], u2[i]) for i in busy]):
-                w = 1
-                u, v = list(u0), list(v0)
-                for i, (k, wk) in zip(busy, picks):
-                    w *= wk
-                    u[i] -= k
-                    v[i] -= k
-                key = (tuple(u), tuple(v))
+            for key, w in expand(k1, k2):
                 out[key] = out.get(key, 0) + base * w
     return {k: c for k, c in out.items() if c}
 
@@ -374,16 +400,18 @@ class MembershipCertificate:
         return total
 
 
-def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[tuple[tuple[int, ...], ...]]:
-    """Vectors g making every element homogeneous via deg d_i = g_i; None for the identity."""
+@lru_cache(maxsize=16)
+def _grading_vectors(keys: tuple[tuple[TermKey, ...], ...]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Vectors g making homogeneous, via deg d_i = g_i, every element whose
+    term keys are one tuple of keys; None for the identity.  The grading
+    reads the keys alone, so no coefficient, and no beta, is in the key."""
     rows = []
-    for el in elements:
-        keys = list(el.terms)
-        if len(keys) < 2:
+    for el_keys in keys:
+        if len(el_keys) < 2:
             continue
-        u0, v0 = keys[0]
+        u0, v0 = el_keys[0]
         base = tuple(vv - uu for uu, vv in zip(u0, v0))
-        for u, v in keys[1:]:
+        for u, v in el_keys[1:]:
             rows.append(tuple((vv - uu) - b for uu, vv, b in zip(u, v, base)))
     if not rows:
         return None
@@ -445,7 +473,7 @@ def ideal_member_bounded(
         return MembershipCertificate(
             cofactors=tuple(WeylElement.zero(nvars) for _ in gens), bound=bound
         )
-    grading = _grading_vectors(gens)
+    grading = _grading_vectors(tuple(tuple(g.terms) for g in gens))
     by_degree = _monomials_by_degree(nvars, bound, grading)
     cleared = [_cleared(list(g.terms.values())) for g in gens]  # (q_g·g's coefficients, q_g)
     scaled = [dict(zip(g.terms, ints)) for g, (ints, _) in zip(gens, cleared)]
@@ -456,7 +484,7 @@ def ideal_member_bounded(
                 continue  # no column: its cofactor stays zero
             want = tuple(map(sub, t_deg, _weyl_degree(*next(iter(g.terms)), grading)))
             for mono in by_degree.get(want, ()):
-                prod = _mul_terms({mono: 1}, scaled[gi])
+                prod = _mul_terms({mono: 1}, scaled[gi], _cached_key_product)
                 if prod:
                     columns.append((gi, mono, prod))
     if not columns:

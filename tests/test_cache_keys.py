@@ -16,7 +16,9 @@ report also builds the index-set matrices.  The undominated delta regions
 are built once per matrix whose delta is walked: A when its columns span
 Z^d, and homogenize(A) for the nonspanning matrix's index sets.  The
 parameter queries key no cache by beta: once warm, fresh parameters add no
-miss anywhere.
+miss anywhere.  Nor does bounded Weyl membership: its grading and the pair
+expansions of its columns are keyed by exponents alone, and the parser,
+which multiplies through the uncached product, leaves the pair cache empty.
 """
 
 import functools
@@ -25,12 +27,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gkzkit import cones, parse_matrix, resonance, toric
+from gkzkit import WeylElement, cones, parse_matrix, resonance, toric, weyl
 from gkzkit.cones import _face_certificate, face_lattice
 from gkzkit.errors import GkzError
 from gkzkit.intlinalg import homogenize, parse_rational_vector
 from gkzkit.report import DiagramSpec, classification_table, render_diagram, run_report
+from gkzkit.weyl import gkz_presentation, ideal_member_bounded, parse_weyl, weyl_mul
 
 # The spanning corpus matrices of the analyze goldens, at their betas.
 SPANNING = {
@@ -226,3 +231,94 @@ def test_parameter_queries_cache_nothing_per_beta(name):
     answers = [outcome(query, a, beta) for beta in fresh_betas(a, rng, 40) for query in queries]
     assert total_misses() == before
     assert any(kind == "ok" for kind, *_ in answers)
+
+
+WEYL_MATRICES = {"hat": parse_matrix("1 1 1; 0 1 -1"), "staircase_h": homogenize(parse_matrix("3 2 0; 1 1 1"))}
+
+
+def weyl_member(a, beta, picks):
+    """The generators at beta and the sum of m * gens[gi] over picks (gi, (u, v)),
+    gi taken modulo the number of generators."""
+    gens = gkz_presentation(a, beta).generators()
+    target = WeylElement.zero(a.n)
+    for gi, mono in picks:
+        target = target + weyl_mul(WeylElement.monomial(*mono), gens[gi % len(gens)])
+    return target, gens
+
+
+def weyl_misses():
+    return weyl._grading_vectors.cache_info().misses, weyl._cached_key_product.cache_info().misses
+
+
+def nonzero_betas(a, rng, count):
+    entry = lambda: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+    return [tuple(entry() for _ in range(a.d)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", WEYL_MATRICES)
+def test_warm_membership_caches_nothing_per_beta(name):
+    # Every beta_k != 0 gives each Euler operator the same term keys, the
+    # constant included, so the grading key is the same.  A constant term
+    # commutes with every monomial and is added outside the pair cache, so
+    # even the first beta with constant terms adds no pair miss.
+    a = WEYL_MATRICES[name]
+    n = a.n
+    l0 = tuple(int(i == 0) for i in range(n)), (0,) * n
+    dn = (0,) * n, tuple(int(i == n - 1) for i in range(n))
+    picks = [(0, dn), (-1, l0)]  # d_{n-1} times the box operator, l0 times the last Euler operator
+    rng = random.Random(36)
+
+    def members(betas):
+        for beta in betas:
+            target, gens = weyl_member(a, beta, picks)
+            assert ideal_member_bounded(target, gens, 3).combine(gens) == target
+            assert ideal_member_bounded(WeylElement.one(n), gens, 3) is None
+
+    clear_caches()
+    members([(Fraction(0),) * a.d])
+    pairs = weyl._cached_key_product.cache_info()
+    assert pairs.currsize > 0
+    members(nonzero_betas(a, rng, 1))  # new constant terms: one more grading key
+    assert weyl._cached_key_product.cache_info().misses == pairs.misses
+    before = weyl_misses()
+    members(nonzero_betas(a, rng, 10))
+    assert weyl_misses() == before
+
+
+@pytest.mark.parametrize("text", ["(l0 + d0)^40", "d0^1000000"])
+def test_parsed_powers_leave_the_pair_cache_empty(text):
+    clear_caches()
+    parse_weyl(text, 1)
+    info = weyl._cached_key_product.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 0)
+
+
+def certificate_terms(cert):
+    return None if cert is None else [list(c.terms.items()) for c in cert.cofactors]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(sorted(WEYL_MATRICES)),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=3, max_size=3),
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(0, 20), st.lists(st.integers(0, 7), max_size=4)), max_size=3),
+    st.booleans(),
+)
+def test_membership_certificates_do_not_depend_on_the_caches(name, beta, bound, words, unit):
+    # The same call, once on caches cleared just before it and once on
+    # whatever the calls before it left warm, gives the same certificate,
+    # in the same term order.
+    a = WEYL_MATRICES[name]
+    picks = []
+    for gi, letters in words:
+        e = [0] * (2 * a.n)
+        for k in letters:
+            e[k % (2 * a.n)] += 1
+        picks.append((gi, (tuple(e[: a.n]), tuple(e[a.n :]))))
+    target, gens = weyl_member(a, beta[: a.d], picks)
+    if unit:
+        target = target + WeylElement.one(a.n)
+    warm = certificate_terms(ideal_member_bounded(target, gens, bound))
+    clear_caches()
+    assert certificate_terms(ideal_member_bounded(target, gens, bound)) == warm

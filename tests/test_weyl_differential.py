@@ -4,12 +4,13 @@
 exponents are positive, multiplies the commutation weights of a pick as
 integers and scales the coefficient once; `weyl.ideal_member_bounded` reads
 each generator's cofactor monomials from a degree-keyed cache, builds its
-columns on integer term maps (each generator cleared of its denominators)
-and sorts the rows of its system sparse first.  `weyl_oracle` keeps the
-routes they replace: every variable expanded with a Fraction per weight, a
-graded list filtered once per generator, Fraction columns from the
-generators as given, and rows sorted by key.  Products must be
-equal term for term, in the same insertion order, and certificates
+columns on integer term maps (each generator cleared of its denominators),
+reads their pair expansions and the grading from caches keyed by exponents
+alone, and sorts the rows of its system sparse first.  `weyl_oracle` keeps
+the routes they replace: every variable expanded with a Fraction per
+weight, a graded list filtered once per generator, Fraction columns from the
+generators as given, an uncached grading, and rows sorted by key.  Products
+must be equal term for term, in the same insertion order, and certificates
 identical, cofactor for cofactor.  The shapes cover the `weyl` benchmark
 workload: the hat and the homogenized staircase (3 and 4 variable pairs)
 at bounds 3-5, products in 4-5 variable pairs with several variables to
@@ -231,7 +232,7 @@ def test_multi_degree_target_matches_oracle_and_re_expands(monkeypatch):
         assert got == expected and (got is not None) == (bound >= 2)
     products = []
     mul_terms = weyl._mul_terms
-    monkeypatch.setattr(weyl, "_mul_terms", lambda x, y: products.append(x) or mul_terms(x, y))
+    monkeypatch.setattr(weyl, "_mul_terms", lambda x, y, *expand: products.append(x) or mul_terms(x, y, *expand))
     cert = ideal_member_bounded(target, gens, 4)
     columns = len(products) - len(gens)  # the re-expansion takes one product per generator
     assert cert.combine(gens) == target

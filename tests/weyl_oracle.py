@@ -10,6 +10,10 @@ arithmetic from the generator as given.  It solves with the Fraction
 Gauss-Jordan of `lp_oracle`, so it shares neither the product nor the solver
 with the route it checks.  A zero generator gets no columns.  The fast
 routes must return the same product and the same certificate.
+`_grading_vectors` is `weyl._grading_vectors` as it was before the grading
+was cached by term keys: each call builds the rows and runs
+`lattice_kernel`, so the oracle does not read the grading from the cache it
+checks.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from typing import Optional, Sequence
 
 from lp_oracle import gauss_solve
 
+from gkzkit.intlinalg import IntMatrix, lattice_kernel
 from gkzkit.weyl import (
     MembershipCertificate,
     TermKey,
     WeylElement,
     _commute_coeffs,
-    _grading_vectors,
     _monomials_up_to,
     _weyl_degree,
 )
@@ -49,6 +53,22 @@ def weyl_mul(x: WeylElement, y: WeylElement) -> WeylElement:
                 v = tuple(v1[i] + v2[i] - ks[i] for i in range(n))
                 out[(u, v)] = out.get((u, v), Fraction(0)) + coeff
     return WeylElement(n, out)
+
+
+def _grading_vectors(elements: Sequence[WeylElement]) -> Optional[tuple[tuple[int, ...], ...]]:
+    """Vectors g making every element homogeneous via deg d_i = g_i; None for the identity."""
+    rows = []
+    for el in elements:
+        keys = list(el.terms)
+        if len(keys) < 2:
+            continue
+        u0, v0 = keys[0]
+        base = tuple(vv - uu for uu, vv in zip(u0, v0))
+        for u, v in keys[1:]:
+            rows.append(tuple((vv - uu) - b for uu, vv, b in zip(u, v, base)))
+    if not rows:
+        return None
+    return tuple(lattice_kernel(IntMatrix.from_rows(rows)))
 
 
 def ideal_member_bounded(
