@@ -138,10 +138,7 @@ def parse_integer_vector(text: str) -> tuple[int, ...]:
 
 
 def checked_vector(values: Sequence, d: int, what: str) -> tuple[Fraction, ...]:
-    """values as exact rationals; a float, a bad string or a length other than d is a parse
-    error.  A tuple of d exact `Fraction`s passes every check, so it comes back as it is."""
-    if type(values) is tuple and len(values) == d and all(type(x) is Fraction for x in values):
-        return values
+    """values as exact rationals; a float, a bad string or a length other than d is a parse error."""
     for x in values:
         if isinstance(x, float):
             raise ParseError(f"{what} entry {x!r} is a float; give an int, a Fraction or a string")

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from math import prod
 
 import pytest
@@ -20,10 +19,8 @@ from gkzkit import (
 from gkzkit.errors import ParseError, RankDeficient
 from gkzkit.intlinalg import (
     _smith_tracked,
-    checked_vector,
     elementary_divisors,
     hermite_normal_form,
-    parse_fraction,
     signed_minors,
 )
 
@@ -439,44 +436,3 @@ def test_kernel_and_homogeneity_vector_properties(a):
             if any(row):
                 p = next(k for k, x in enumerate(row) if x)
                 assert 0 <= h[p] < row[p]
-
-
-def checked_vector_before(values, d, what):
-    """`checked_vector` as it was before a checked tuple came back as it is."""
-    for x in values:
-        if isinstance(x, float):
-            raise ParseError(f"{what} entry {x!r} is a float; give an int, a Fraction or a string")
-    vec = tuple(parse_fraction(x) if isinstance(x, str) else Fraction(x) for x in values)
-    if len(vec) != d:
-        raise ParseError(f"{what} has length {len(vec)}, but the matrix has {d} rows")
-    return vec
-
-
-def _checked_outcome(check, values, d):
-    try:
-        return "ok", check(values, d, "beta")
-    except ParseError as exc:
-        return "raised", str(exc)
-
-
-ENTRIES = st.one_of(
-    st.fractions(min_value=-9, max_value=9, max_denominator=7),
-    st.integers(-9, 9),
-    st.sampled_from(["3/4", "-2", "x", "1/0", "1.5"]),
-    st.floats(-2, 2, allow_nan=False),
-)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.integers(1, 4), st.lists(ENTRIES, max_size=5), st.sampled_from([tuple, list]))
-@example(2, [Fraction(1, 2), Fraction(-3)], tuple)  # already checked: returned as it is
-@example(2, [Fraction(1, 2), 0.5], tuple)  # a float among Fractions
-@example(3, [Fraction(1, 2), Fraction(-3)], tuple)  # checked entries, wrong length
-@example(1, ["x"], tuple)  # a bad string
-def test_checked_vector_matches_the_route_before_its_shortcut(d, entries, kind):
-    values = kind(entries)
-    got = _checked_outcome(checked_vector, values, d)
-    assert got == _checked_outcome(checked_vector_before, values, d)
-    if got[0] == "ok":
-        assert type(got[1]) is tuple and all(type(x) is Fraction for x in got[1])
-        assert (got[1] is values) == (kind is tuple and all(type(x) is Fraction for x in entries))
