@@ -2,16 +2,19 @@
 
 Rational parameters only.  beta lies in sRes_j(A) iff beta + m*a_j lands in
 some component offset + QF of the quasi-degrees of S_A/<d_j> with an integer
-m >= 1.  Every component question is a few integer dot products: with
-the cached functionals psi of QF (`_component_multiplier`), or as a sign
-test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
+m >= 1.  The public sRes and DsRes tests check beta once and clear it to
+beta = N/D, N integral and D > 0 (`lp._cleared`); then every component
+question is a few integer dot products with N: with the cached functionals
+psi of QF (`_component_multiplier`), or as a sign test for a point of R+A +
+QF (`cones.cone_contains`), by the lemmas below:
 
 1. m is unique.  F is a face without j, so its certificate is 0 on QF and
    positive on a_j: a_j is off QF.  So with psi_1..psi_k the basis of the
-   functionals vanishing on QF (lemma 3), s_i = psi_i . a_j and
-   g_i = psi_i . (offset - beta), some s_i is nonzero, and beta + m*a_j
-   lies in offset + QF iff g_l = m*s_l for every l: the first nonzero s_i
-   gives m = g_i / s_i, and the other psi check it.
+   functionals vanishing on QF (lemma 3), s_i = psi_i . a_j and the
+   integers g_i = D psi_i . offset - psi_i . N = D psi_i . (offset - beta),
+   some s_i is nonzero, and beta + m*a_j lies in offset + QF iff g_l =
+   m*D*s_l for every l: the first nonzero s_i gives m = g_i / (s_i D), and
+   the other psi check it by g_l s_i = g_i s_l.
 2. n_beta.  At = homogenize(A) has the columns e_0 and (1, a_i), so (s, b)
    is in N At exactly when some x in N^n has A x = b and |x| <= s, and the
    degree set of S_At/<d_0> is {(mu(b), b) : b in NA}, mu(b) the least |x|
@@ -26,7 +29,7 @@ test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
 3. The functionals vanishing on QF form a saturated lattice, whose basis
    psi_1..psi_k (`cones.face_functionals`) extends to one of (Z^d)*.  So
    x -> (psi_i . x) maps Z^d onto Z^k, and beta lies in Z^d + QF iff every
-   psi_i . beta is an integer.
+   psi_i . beta is an integer: iff D divides every psi_i . N.
 4. With t = 1 + s, s >= 0, and a_j a column, delta + R+A meets -t*a_j +
    offset + QF iff offset - delta - a_j lies in R+A + QF.
 5. Every proper face lies in a facet G whose functional is >= 0 on R+A + QF
@@ -34,6 +37,8 @@ test for a point of R+A + QF (`cones.cone_contains`), by the lemmas below:
    interior and DsRes need columns spanning Z^d, so a full-dimensional cone.)
 6. R+A + QF is where span(A)'s equations hold and every facet holding F is
    >= 0, so it needs no LP; a point off it violates one (`cones.cone_contains`).
+   The inequalities are homogeneous and D > 0, so y . beta and y . N have one
+   sign: beta lies in R+A + QF iff N does.
 7. That t is unique: e_0 = sum c_i (1, a_i) over sigma would give A_sigma c
    = 0 with sum c = 1, and a binomial of I_A in the variables of sigma, whose
    lead, a sigma-monomial, would make d^m times it nonstandard.  A closure
@@ -85,6 +90,7 @@ from .intlinalg import (
     vec_add,
     vec_sub,
 )
+from .lp import _cleared
 from .toric import quasi_degrees
 
 DUAL_SEARCH_RADIUS = 8
@@ -133,13 +139,15 @@ def resonance_set(a: IntMatrix) -> ResonanceSet:
 
 
 def _component_multiplier(
-    a: IntMatrix, comp: ResonanceComponent, beta: Sequence[Fraction]
+    a: IntMatrix, comp: ResonanceComponent, nums: Sequence[int], den: int
 ) -> Optional[Fraction]:
-    """The m with beta + m*shift in offset + QF, or None, from the psi of QF
-    (lemma 1); the first psi that fails answers None before the rest are read."""
-    s = g = 0  # beta . psi, not psi . beta: Fraction * int is Fraction's fast path
+    """The m with beta + m*shift in offset + QF, or None, for beta = nums/den
+    with den > 0, from the psi of QF (lemma 1): g_l = den*(psi . offset) -
+    psi . nums and m = g / (s*den); the first psi that fails answers None
+    before the rest are read."""
+    s = g = 0
     for psi in face_functionals(a, comp.face_columns):
-        s_l, g_l = _dot(psi, comp.shift), _dot(psi, comp.offset) - _dot(beta, psi)
+        s_l, g_l = _dot(psi, comp.shift), den * _dot(psi, comp.offset) - _dot(psi, nums)
         if not s:
             if s_l:
                 s, g = s_l, g_l
@@ -149,16 +157,13 @@ def _component_multiplier(
             return None
     if not s:
         raise AssertionError("the shift lies in the span of its face")
-    return Fraction(g, s)
+    return Fraction(g, s * den)
 
 
-def sres_witness(
-    a: IntMatrix, beta: Sequence[Fraction]
-) -> Optional[ResonanceWitness]:
-    """A component and integer multiplier certifying beta in sRes(A), or None."""
-    beta = checked_vector(beta, a.d, "beta")
+def _sres_witness(a: IntMatrix, nums: Sequence[int], den: int) -> Optional[ResonanceWitness]:
+    """`sres_witness` of a checked beta = nums/den, den > 0."""
     for comp in resonance_set(a).components:
-        m = _component_multiplier(a, comp, beta)
+        m = _component_multiplier(a, comp, nums, den)
         if m is not None and m.denominator == 1 and m >= 1:
             return ResonanceWitness(
                 j=comp.j, offset=comp.offset, face_columns=comp.face_columns, multiplier=m
@@ -166,9 +171,25 @@ def sres_witness(
     return None
 
 
+def sres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[ResonanceWitness]:
+    """A component and integer multiplier certifying beta in sRes(A), or None."""
+    return _sres_witness(a, *_cleared(checked_vector(beta, a.d, "beta")))
+
+
 def sres_contains(a: IntMatrix, beta: Sequence[Fraction]) -> bool:
     """Strong-resonance membership for a rational parameter."""
     return sres_witness(a, beta) is not None
+
+
+def _dsres_witness(a: IntMatrix, nums: Sequence[int], den: int) -> Optional[tuple[int, ...]]:
+    """`dsres_witness` of a checked beta = nums/den, den > 0, columns spanning Z^d:
+    the first proper face whose psi all take nums to multiples of den (lemma 3)
+    and whose cone R+A + QF holds nums (lemma 6)."""
+    for face in face_lattice(a).proper_faces:
+        cols = face.sorted_columns()
+        if all(_dot(psi, nums) % den == 0 for psi in face_functionals(a, cols)) and cone_contains(a, nums, cols):
+            return cols
+    return None
 
 
 def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
@@ -177,23 +198,14 @@ def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int,
     Membership per face is tested in the quotient modulo QF: the class of
     beta must lie in both the image of the cone and the image of Z^d.
     """
+    beta = checked_vector(beta, a.d, "beta")
     if not a.spans_lattice:
         raise NotFullLattice("DsRes requires columns generating Z^d")
-    beta = checked_vector(beta, a.d, "beta")
-    for face in face_lattice(a).proper_faces:
-        cols = face.sorted_columns()
-        if _beta_in_lattice_plus_span(a, cols, beta) and cone_contains(a, beta, cols):
-            return cols
-    return None
+    return _dsres_witness(a, *_cleared(beta))
 
 
 def dsres_contains(a: IntMatrix, beta: Sequence[Fraction]) -> bool:
     return dsres_witness(a, beta) is not None
-
-
-def _beta_in_lattice_plus_span(a: IntMatrix, cols, beta) -> bool:
-    """beta in Z^d + QF: every psi . beta is an integer (lemma 3)."""
-    return all(sum(map(mul, psi, beta)).denominator == 1 for psi in face_functionals(a, cols))
 
 
 def delta_valid(a: IntMatrix, delta: Sequence[int]) -> bool:
@@ -269,7 +281,7 @@ def n_beta(a: IntMatrix, beta: Sequence[Fraction]) -> int:
     table: nothing of homogenize(A) is built.
     """
     beta = checked_vector(beta, a.d, "beta")
-    if sres_contains(a, beta):
+    if _sres_witness(a, *_cleared(beta)) is not None:
         raise ParameterResonant("beta is strongly resonant")
     bound = 0
     for inverse, psi, q, classes in _semigroup(a).pairs.values():
@@ -300,15 +312,15 @@ def dual_parameter(a: IntMatrix, beta: Sequence[Fraction]) -> tuple[Fraction, ..
     beta = checked_vector(beta, a.d, "beta")
     if homogeneity_vector(a) is None:
         raise NotHomogeneous("dual parameters need a homogeneous matrix")
-    if sres_contains(a, beta):
+    nums, den = _cleared(beta)
+    if _sres_witness(a, nums, den) is not None:
         raise ParameterResonant("beta is strongly resonant")
     for shift in _box_shifts(a.d, DUAL_SEARCH_RADIUS):
         if interior_contains(a, vec_add(beta, shift)):
             return tuple(-b - s for b, s in zip(beta, shift))
     for shift in _box_shifts(a.d, DUAL_SEARCH_RADIUS):
-        cand = tuple(-b - s for b, s in zip(beta, shift))
-        if not dsres_contains(a, cand):
-            return cand
+        if _dsres_witness(a, [-x - den * s for x, s in zip(nums, shift)], den) is None:
+            return tuple(-b - s for b, s in zip(beta, shift))
     shift = tuple(-floor(b) for b in beta)
     while not interior_contains(a, vec_add(beta, shift)):
         shift = vec_add(shift, a.column_sum())

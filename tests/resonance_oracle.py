@@ -123,9 +123,9 @@ def dsres_witness(a: IntMatrix, beta: Sequence[Fraction]) -> Optional[tuple[int,
     Membership per face is tested in the quotient modulo QF: the class of
     beta must lie in both the image of the cone and the image of Z^d.
     """
+    beta = checked_vector(beta, a.d, "beta")
     if not a.spans_lattice:
         raise NotFullLattice("DsRes requires columns generating Z^d")
-    beta = checked_vector(beta, a.d, "beta")
     for face in face_lattice(a).proper_faces:
         cols = sorted(face.columns)
         if not _beta_in_lattice_plus_span(a, cols, beta):

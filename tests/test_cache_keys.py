@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkzkit import WeylElement, cones, parse_matrix, resonance, toric, weyl
+from gkzkit import WeylElement, cones, intlinalg, parse_matrix, resonance, toric, weyl
 from gkzkit.cones import _face_certificate, face_lattice
 from gkzkit.errors import GkzError
 from gkzkit.intlinalg import homogenize, parse_rational_vector
@@ -91,6 +91,28 @@ def test_cold_report_in_another_order_shares_the_filtrations(name, order):
     assert isinstance(report["n_beta"], int), report["n_beta"]
     assert toric.quasi_degrees.cache_info().misses == a.n
     assert toric.toric_ideal.cache_info().misses == 2
+
+
+def test_cold_report_checks_beta_once_per_public_call(monkeypatch):
+    # n_beta and dual_parameter run their sRes test on the beta they have
+    # just checked, through the cleared entry that sres_witness wraps.  What
+    # is left is one beta check per public call (run_report's own, sres,
+    # dsres, dual_parameter, n_beta and the Weyl presentation) and the
+    # semigroup search's checks of integer points.
+    calls = []
+    checked_vector = intlinalg.checked_vector
+
+    def counted(values, d, what):
+        calls.append(what)
+        return checked_vector(values, d, what)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("gkzkit") and getattr(module, "checked_vector", None) is checked_vector:
+            monkeypatch.setattr(module, "checked_vector", counted)
+    clear_caches()
+    run_report(parse_matrix(RNC3), parse_rational_vector(SPANNING["rnc3"][1]))
+    assert len(calls) == 22
+    assert calls.count("beta") == 6
 
 
 def lp_keys(a):

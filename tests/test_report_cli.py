@@ -206,6 +206,17 @@ def test_cli_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["sres", "dsres"])
+def test_cli_beta_of_the_wrong_length_is_a_parse_error(capsys, command):
+    # Both commands check beta before any precondition: this matrix's
+    # columns do not span Z^2, which DsRes needs, but a one-entry beta is
+    # a parse error first.
+    assert main([command, "--matrix", "2 2 2; 0 3 -3", "--beta", "1"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse_error"
+    assert main([command, "--matrix", "2 2 2; 0 3 -3", "--beta", "1,0"]) == (0 if command == "sres" else 3)
+    capsys.readouterr()
+
+
 def test_cli_verify_member_success(capsys):
     code = main(
         [

@@ -27,6 +27,11 @@ compares the walks too.
 The multiplier of a component is read off the functionals psi of QF
 (lemma 1); it is compared with the `gauss_solve` route the oracle keeps, on
 every component of sRes(A) and of sRes(homogenize(A)).
+
+sRes and DsRes clear beta to N/D once and test only integers (lemmas 1, 3
+and 6); their witnesses are compared with the oracle's `Fraction` route on
+parameters over denominators 1..12, mixed ones whose lcm exceeds each
+included.
 """
 
 from fractions import Fraction
@@ -42,6 +47,7 @@ import resonance_oracle
 
 from gkzkit import IntMatrix, cones, parse_matrix, resonance
 from gkzkit.intlinalg import homogenize
+from gkzkit.lp import _cleared
 from gkzkit.resonance import ResonanceComponent
 
 SETTINGS = settings(
@@ -107,6 +113,52 @@ def outcome(fn, *args):
 
 def assert_same(name, *args):
     assert outcome(getattr(resonance, name), *args) == outcome(getattr(resonance_oracle, name), *args), name
+
+
+# Pairs of denominators whose lcm is larger than each of them.
+MIXED_DENOMINATORS = [(4, 6), (3, 4), (6, 8), (10, 12), (2, 3), (9, 12), (5, 7)]
+
+
+@st.composite
+def cleared_cases(draw):
+    """A matrix and a parameter over denominators 1..12, of one of four kinds:
+    integers (D = 1); mixed denominators, the first two entries from a pair
+    whose lcm exceeds each; any entries; or a point offset - m*shift + QF of
+    a component, m an integer, on which sRes and most faces' lattice tests
+    answer yes.  Numerators are negative as often as positive."""
+    a = draw(matrices())
+    kind = draw(st.sampled_from(["integer", "mixed", "any", "component"]))
+    numerators = st.integers(-13, 13)
+    if kind == "integer":
+        return a, tuple(Fraction(x) for x in draw(st.lists(numerators, min_size=a.d, max_size=a.d)))
+    dens = draw(st.lists(st.integers(1, 12), min_size=a.d, max_size=a.d))
+    if kind == "mixed" and a.d >= 2:
+        dens[:2] = draw(st.sampled_from(MIXED_DENOMINATORS))
+    beta = [Fraction(draw(numerators), q) for q in dens]
+    components = outcome(lambda: resonance.resonance_set(a).components)
+    if kind == "component" and components[0] == "ok" and components[1]:
+        comp = draw(st.sampled_from(components[1]))
+        m = draw(st.integers(-1, 3))
+        beta = [o - m * s for o, s in zip(comp.offset, comp.shift)]
+        for k, q in zip(comp.face_columns, dens):
+            c = Fraction(draw(numerators), q)
+            beta = [b + c * x for b, x in zip(beta, a.column(k - 1))]
+    return a, tuple(beta)
+
+
+@SETTINGS
+@given(cleared_cases())
+@example((parse_matrix("3 2 0; 1 1 1"), (Fraction(5, 4), Fraction(-1, 6))))
+@example((parse_matrix("3 2 0; 1 1 1"), (Fraction(-3, 2), Fraction(1, 2))))
+@example((parse_matrix("1 1 1; 0 1 -1"), (Fraction(-3), Fraction(2))))
+@example((parse_matrix("1 1 1 1; 0 1 2 3"), (Fraction(-7, 3), Fraction(3, 4))))
+@example((parse_matrix("2 5"), (Fraction(-13, 12),)))
+def test_cleared_membership_matches_the_fraction_route(case):
+    """sRes and DsRes on beta cleared to N/D give the witnesses, multipliers
+    and exceptions of the frozen `Fraction` route."""
+    a, beta = case
+    assert_same("sres_witness", a, beta)
+    assert_same("dsres_witness", a, beta)
 
 
 @SETTINGS
@@ -338,7 +390,7 @@ def test_multiplier_matches_the_gauss_solve_route(a, data):
             for comp in components:
                 want = resonance_oracle._component_multiplier(m, comp, beta)
                 assert want is None or want[0] == "unique", (comp, beta)
-                assert resonance._component_multiplier(m, comp, beta) == (None if want is None else want[1]), (comp, beta)
+                assert resonance._component_multiplier(m, comp, *_cleared(beta)) == (None if want is None else want[1]), (comp, beta)
 
 
 def test_multiplier_rejects_a_shift_in_its_face_span():
@@ -347,4 +399,4 @@ def test_multiplier_rejects_a_shift_in_its_face_span():
     # offset + QF, so no psi answers None first.
     comp = ResonanceComponent(j=1, offset=(0, 0), face_columns=(1,), shift=(2, 0))
     with pytest.raises(AssertionError, match="the shift lies in the span of its face"):
-        resonance._component_multiplier(parse_matrix("1 0; 0 1"), comp, (Fraction(1), Fraction(0)))
+        resonance._component_multiplier(parse_matrix("1 0; 0 1"), comp, *_cleared((Fraction(1), Fraction(0))))
